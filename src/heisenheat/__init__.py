@@ -9,14 +9,11 @@ in the derivation.
 """
 
 from .hermite import (
-    HermiteEval,
     ScaledHermiteParams,
-    eval_hermite_batch,
     eval_scaled_hermite,
     gauss_hermite_nodes,
 )
 from .kernels import (
-    CoefficientsAB,
     FieldSample,
     GridAxis,
     GridSpec,
@@ -25,7 +22,6 @@ from .kernels import (
     evaluate_on_grid,
     heat_kernel_h,
     rho_hat,
-    rho_hat_product,
     rho_tilde,
     simplification_identities,
 )
@@ -41,12 +37,9 @@ from .series import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "HermiteEval",
     "ScaledHermiteParams",
-    "eval_hermite_batch",
     "eval_scaled_hermite",
     "gauss_hermite_nodes",
-    "CoefficientsAB",
     "FieldSample",
     "GridAxis",
     "GridSpec",
@@ -55,7 +48,6 @@ __all__ = [
     "evaluate_on_grid",
     "heat_kernel_h",
     "rho_hat",
-    "rho_hat_product",
     "rho_tilde",
     "simplification_identities",
     "SeriesConfig",

@@ -25,9 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "HermiteEval",
     "ScaledHermiteParams",
-    "eval_hermite_batch",
     "eval_scaled_hermite",
     "gauss_hermite_nodes",
     "hermite_values",
@@ -39,19 +37,6 @@ __all__ = [
 MAX_GAUSS_HERMITE_ORDER = 200
 
 _PI_QUARTER_INV = math.pi ** -0.25
-
-
-@dataclass(frozen=True)
-class HermiteEval:
-    """Batch of normalized Hermite function values psi_0..psi_M at a point.
-
-    `values[m]` is psi_m evaluated at `point`; when `point` is an array the
-    values array has shape (max_degree + 1,) + point.shape.
-    """
-
-    point: float | np.ndarray
-    max_degree: int
-    values: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -99,11 +84,6 @@ def hermite_polynomial_values(x, max_degree: int) -> np.ndarray:
         raise ValueError(f"max_degree must be >= 0, got {max_degree}")
     xa = np.asarray(x, dtype=float)
     return _recurrence(xa, max_degree, np.full(xa.shape, _PI_QUARTER_INV))
-
-
-def eval_hermite_batch(x, max_degree: int) -> HermiteEval:
-    """Evaluate psi_0..psi_M at `x` (scalar or array) by the stable recurrence."""
-    return HermiteEval(point=x, max_degree=max_degree, values=hermite_values(x, max_degree))
 
 
 def eval_scaled_hermite(params: ScaledHermiteParams, beta) -> float | np.ndarray:

@@ -24,17 +24,20 @@ The coefficient pair
     A = sinh(s*tau/2) / (tau*cosh(s*tau/2))
     B = 2*sinh(s*tau/4)**2 / (tau*cosh(s*tau/2))
 
-has a removable singularity at tau = 0 (A -> s/2, B -> 0).  Every
-coefficient function switches to a Taylor expansion in z = s*tau, truncated
-at z**6, once |z| < TAYLOR_BRANCH_THRESHOLD; at the threshold both branches
-agree to ~1e-15 relative.  Exponents are assembled in log space and
-exponentiated once, so large |s*tau|*n underflows gracefully to 0 and the
-real power cosh(s*tau/2)**(n/2) never touches a complex branch cut (gamma
-enters only through the exponential).
+has a removable singularity at tau = 0 (A -> s/2, B -> 0).  One function,
+:func:`coefficients_ab`, evaluates it together with the other coefficients
+the kernels need, elementwise over arrays; one threshold picks the branch
+per element: a Taylor expansion in z = s*tau, truncated at z**6, where
+|z| < TAYLOR_BRANCH_THRESHOLD, the closed forms elsewhere.  At the threshold
+both branches agree to ~1e-15 relative.  Exponents are assembled in log
+space and exponentiated once, so large |s*tau|*n underflows gracefully to 0
+and the real power cosh(s*tau/2)**(n/2) never touches a complex branch cut
+(gamma enters only through the exponential).
 
 Spatial arguments are length-n vectors; every kernel also broadcasts over
 leading axes of inputs shaped (..., n), and for n == 1 plain scalars or
-arrays of any shape are taken elementwise.
+arrays of any shape are taken elementwise.  s and tau may be arrays too;
+they broadcast against those leading axes.
 """
 
 from __future__ import annotations
@@ -49,14 +52,12 @@ __all__ = [
     "TAYLOR_BRANCH_THRESHOLD",
     "KERNEL_NAMES",
     "KernelParams",
-    "CoefficientsAB",
     "GridAxis",
     "GridSpec",
     "FieldSample",
     "GridMismatchError",
     "coefficients_ab",
     "rho_hat",
-    "rho_hat_product",
     "rho_tilde",
     "heat_kernel_h",
     "simplification_identities",
@@ -71,8 +72,6 @@ _LOG_2 = math.log(2.0)
 _LOG_2PI = math.log(2.0 * math.pi)
 _LOG_4PI = math.log(4.0 * math.pi)
 
-KERNEL_NAMES = ("rho-hat", "rho-hat-product", "rho-tilde", "heat-kernel")
-
 
 class GridMismatchError(ValueError):
     """Grid axes are inconsistent with the requested kernel."""
@@ -84,16 +83,20 @@ class KernelParams:
 
     gamma may be any complex number; gamma = n - 2q is the value where the
     operator family coincides with the Kohn Laplacian on (0,q)-forms, see
-    :meth:`for_box_b`.
+    :meth:`for_box_b`.  s and tau may be arrays that broadcast against the
+    leading axes of the spatial arguments.
     """
 
-    s: float
-    tau: float
+    s: float | np.ndarray
+    tau: float | np.ndarray
     gamma: complex = 0.0
     n: int = 1
 
     def __post_init__(self):
-        if self.s < 0:
+        for name in ("s", "tau"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if (np.asarray(self.s) < 0).any():
             raise ValueError(f"heat time s must be >= 0, got {self.s}")
         if self.n < 1:
             raise ValueError(f"dimension n must be >= 1, got {self.n}")
@@ -106,85 +109,69 @@ class KernelParams:
         return cls(s=s, tau=tau, gamma=complex(n - 2 * q), n=n)
 
 
-@dataclass(frozen=True)
-class CoefficientsAB:
-    """The coefficient pair (A, B); both carry units of time."""
-
-    a_coef: float
-    b_coef: float
-
-
 # ---------------------------------------------------------------------------
 # coefficient functions with removable-singularity branches
 # ---------------------------------------------------------------------------
 
-def _ab_series(s: float, tau: float) -> tuple[float, float]:
-    # A = (s/2) * tanh(z/2)/(z/2),  B = (s^2 tau / 8) * (sinh(w)/w)^2 / cosh(2w), w = z/4
+def _coefficients_series(s, tau):
+    """Taylor branch of coefficients_ab in z = s*tau, truncated at z**6."""
     z2 = (s * tau) ** 2
+    # A = (s/2) * tanh(z/2)/(z/2),  B = (s^2 tau / 8) * (sinh(w)/w)^2 / cosh(2w), w = z/4
     a = 0.5 * s * (1.0 - z2 / 12.0 + z2 * z2 / 120.0 - 17.0 * z2 ** 3 / 20160.0)
     b = 0.125 * s * s * tau * (
         1.0 - 5.0 * z2 / 48.0 + 61.0 * z2 * z2 / 5760.0 - 277.0 * z2 ** 3 / 258048.0
     )
-    return a, b
+    p = 1.0 - z2 / 96.0 + 7.0 * z2 * z2 / 92160.0 - 31.0 * z2 ** 3 / 61931520.0
+    # at s = 0 (reached only by rho_hat) both quarter-argument terms are +inf, their limit
+    with np.errstate(divide="ignore"):
+        log_tau_over_sinh = np.log(4.0 / s) + np.log(p)
+        envelope = (1.0 + z2 / 48.0 - z2 * z2 / 11520.0 + 2.0 * z2 ** 3 / 3870720.0) / s
+    return a, b, log_tau_over_sinh, envelope
 
 
-def _ab_direct(s: float, tau: float) -> tuple[float, float]:
-    z = s * tau
-    a = math.tanh(0.5 * z) / tau
-    if abs(z) <= 700.0:
-        b = 2.0 * math.sinh(0.25 * z) ** 2 / (tau * math.cosh(0.5 * z))
-    else:
-        # 2*sinh^2(z/4)/cosh(z/2) = 1 - sech(z/2); sech evaluated overflow-free
-        e = math.exp(-0.5 * abs(z))
-        b = (1.0 - 2.0 * e / (1.0 + e * e)) / tau
-    return a, b
+def _coefficients_direct(s, tau):
+    """Closed-form branch of coefficients_ab, overflow-free for any |s*tau| > 0."""
+    w = np.abs(s * tau)
+    a = np.tanh(0.5 * s * tau) / tau
+    # 2*sinh^2(z/4)/cosh(z/2) = expm1(-|z|/2)^2 / (1 + e^-|z|)
+    b = np.expm1(-0.5 * w) ** 2 / ((1.0 + np.exp(-w)) * tau)
+    log_sinh_quarter = 0.25 * w + np.log(-np.expm1(-0.5 * w)) - _LOG_2
+    envelope = 0.25 * np.abs(tau) / np.tanh(0.25 * w)
+    return a, b, np.log(np.abs(tau)) - log_sinh_quarter, envelope
 
 
-def coefficients_ab(s: float, tau: float) -> CoefficientsAB:
-    """Coefficients A(s, tau), B(s, tau) with series fallback near tau = 0.
+def coefficients_ab(s, tau):
+    """Every coefficient the kernels use, elementwise over broadcast s and tau arrays.
 
-    A = sinh(s*tau/2)/(tau*cosh(s*tau/2)), B = 2*sinh(s*tau/4)**2/(tau*cosh(s*tau/2));
-    for |s*tau| < TAYLOR_BRANCH_THRESHOLD both are evaluated from their Taylor
-    expansions in s*tau (relative error < 1e-14), which also settles the
-    removable singularity: A(s, 0) = s/2, B(s, 0) = 0.
+    Returns the tuple (A, B, log cosh(s*tau/2), log(tau/sinh(s*tau/4)),
+    (tau/4)*coth(s*tau/4)) with A = sinh(s*tau/2)/(tau*cosh(s*tau/2)) and
+    B = 2*sinh(s*tau/4)**2/(tau*cosh(s*tau/2)).  Elements with
+    |s*tau| < TAYLOR_BRANCH_THRESHOLD take the Taylor expansions in s*tau
+    (relative error < 1e-14), which settle the removable singularity:
+    A(s, 0) = s/2, B(s, 0) = 0, tau/sinh(s*tau/4) -> 4/s,
+    (tau/4)*coth(s*tau/4) -> 1/s.  The last two are formed from their own
+    expressions, not from A and B.  At s = 0 they are +inf.
     """
-    if s < 0:
+    # [()] turns 0-d input into numpy scalars, on which each operation is ~10x cheaper
+    s = np.asarray(s, dtype=float)[()]
+    tau = np.asarray(tau, dtype=float)[()]
+    if (s < 0).any():
         raise ValueError(f"heat time s must be >= 0, got {s}")
-    if abs(s * tau) < TAYLOR_BRANCH_THRESHOLD:
-        a, b = _ab_series(s, tau)
+    w = np.abs(s * tau)
+    log_cosh = 0.5 * w + np.log1p(np.exp(-w)) - _LOG_2
+    small = w < TAYLOR_BRANCH_THRESHOLD
+    if small.all():
+        parts = _coefficients_series(s, tau)
+    elif not small.any():
+        parts = _coefficients_direct(s, tau)
     else:
-        a, b = _ab_direct(s, tau)
-    return CoefficientsAB(a_coef=a, b_coef=b)
-
-
-def _log_cosh(z: float) -> float:
-    """log(cosh(z)) without overflow."""
-    az = abs(z)
-    return az + math.log1p(math.exp(-2.0 * az)) - _LOG_2
-
-
-def _log_sinh(w: float) -> float:
-    """log(sinh(w)) for w > 0, stable down to tiny w."""
-    return w + math.log(-math.expm1(-2.0 * w)) - _LOG_2
-
-
-def _log_tau_over_sinh_quarter(s: float, tau: float) -> float:
-    """log(tau / sinh(s*tau/4)) for s > 0; the ratio is positive for any tau."""
-    z = s * tau
-    if abs(z) < TAYLOR_BRANCH_THRESHOLD:
-        z2 = z * z
-        p = 1.0 - z2 / 96.0 + 7.0 * z2 * z2 / 92160.0 - 31.0 * z2 ** 3 / 61931520.0
-        return math.log(4.0 / s) + math.log(p)
-    return math.log(abs(tau)) - _log_sinh(0.25 * abs(z))
-
-
-def _envelope_coth_quarter(s: float, tau: float) -> float:
-    """(tau/4)*coth(s*tau/4) for s > 0; even in tau and >= 1/s."""
-    z = s * tau
-    if abs(z) < TAYLOR_BRANCH_THRESHOLD:
-        z2 = z * z
-        return (1.0 + z2 / 48.0 - z2 * z2 / 11520.0 + 2.0 * z2 ** 3 / 3870720.0) / s
-    return 0.25 * abs(tau) / math.tanh(0.25 * abs(z))
+        s, tau = np.broadcast_arrays(s, tau)
+        parts = tuple(np.empty(small.shape) for _ in range(4))
+        for mask, branch in ((small, _coefficients_series), (~small, _coefficients_direct)):
+            for out, part in zip(parts, branch(s[mask], tau[mask])):
+                out[mask] = part
+    a, b, log_tau_over_sinh, envelope = parts
+    return a, b, log_cosh, log_tau_over_sinh, envelope
 
 
 # ---------------------------------------------------------------------------
@@ -218,34 +205,16 @@ def rho_hat(params: KernelParams, alpha, beta):
     """
     a = _components(alpha, params.n, "alpha")
     b = _components(beta, params.n, "beta")
-    coef = coefficients_ab(params.s, params.tau)
+    a_c, b_c, log_cosh, _, _ = coefficients_ab(params.s, params.tau)
     sq = np.sum(a * a, axis=-1) + np.sum(b * b, axis=-1)
     dot = np.sum(a * b, axis=-1)
-    st = params.s * params.tau
     expo = (
-        -params.gamma * st / 4.0
-        - 0.5 * params.n * _log_cosh(0.5 * st)
-        - 0.5 * coef.a_coef * sq
-        + 1j * coef.b_coef * dot
+        -params.gamma * params.s * params.tau / 4.0
+        - 0.5 * params.n * log_cosh
+        - 0.5 * a_c * sq
+        + 1j * b_c * dot
     )
     return _maybe_scalar(np.exp(expo))
-
-
-def rho_hat_product(params: KernelParams, alpha, beta):
-    """rho_hat assembled as the product of n one-dimensional kernels.
-
-    Dimension reduction: the n-dimensional kernel with parameter gamma equals
-    the product over j of one-dimensional kernels with parameter gamma/n at
-    (alpha_j, beta_j).  Agrees with :func:`rho_hat` to floating-point roundoff.
-    """
-    a = _components(alpha, params.n, "alpha")
-    b = _components(beta, params.n, "beta")
-    one = replace(params, gamma=params.gamma / params.n, n=1)
-    out = None
-    for j in range(params.n):
-        fac = rho_hat(one, a[..., j], b[..., j])
-        out = fac if out is None else out * fac
-    return out
 
 
 def rho_tilde(params: KernelParams, x, y):
@@ -258,22 +227,23 @@ def rho_tilde(params: KernelParams, x, y):
     the coefficients reduce to A = s/2, B = 0 and the kernel becomes the
     Gaussian (pi*s)**(-n) * exp(-(|x|^2+|y|^2)/s).
     """
-    if params.s <= 0:
+    if (np.asarray(params.s) <= 0).any():
         raise ValueError(f"rho_tilde requires s > 0, got s={params.s}")
     xv = _components(x, params.n, "x")
     yv = _components(y, params.n, "y")
-    coef = coefficients_ab(params.s, params.tau)
-    a_c, b_c = coef.a_coef, coef.b_coef
-    denom = a_c * a_c + b_c * b_c
+    a_c, b_c, log_cosh, _, _ = coefficients_ab(params.s, params.tau)
+    # A^2+B^2 = A^2 (1 + q) with q = (B/A)^2; A^2 itself underflows for tiny s
+    ratio = b_c / a_c
+    q = ratio * ratio
+    a_over_denom = 1.0 / (a_c * (1.0 + q))
     sq = np.sum(xv * xv, axis=-1) + np.sum(yv * yv, axis=-1)
     dot = np.sum(xv * yv, axis=-1)
-    st = params.s * params.tau
     expo = (
-        -params.gamma * st / 4.0
+        -params.gamma * params.s * params.tau / 4.0
         - params.n * _LOG_2PI
-        - 0.5 * params.n * (_log_cosh(0.5 * st) + math.log(denom))
-        - 0.5 * (a_c / denom) * sq
-        - 1j * (b_c / denom) * dot
+        - 0.5 * params.n * (log_cosh + 2.0 * np.log(a_c) + np.log1p(q))
+        - 0.5 * a_over_denom * sq
+        - 1j * (ratio * a_over_denom) * dot
     )
     return _maybe_scalar(np.exp(expo))
 
@@ -291,7 +261,7 @@ def heat_kernel_h(params: KernelParams, xp, yp, x, y):
     limit is the Gaussian (pi*s)**(-n) * exp(-(|x-x'|^2+|y-y'|^2)/s),
     reached through the series branch.
     """
-    if params.s <= 0:
+    if (np.asarray(params.s) <= 0).any():
         raise ValueError(f"heat_kernel_h requires s > 0, got s={params.s}")
     xs = _components(xp, params.n, "xp")
     ys = _components(yp, params.n, "yp")
@@ -301,30 +271,30 @@ def heat_kernel_h(params: KernelParams, xp, yp, x, y):
     v = yf - ys
     r2 = np.sum(u * u, axis=-1) + np.sum(v * v, axis=-1)
     tw = np.sum(u * (yf + ys), axis=-1)
-    st = params.s * params.tau
+    _, _, _, log_tau_over_sinh, envelope = coefficients_ab(params.s, params.tau)
     expo = (
-        -params.gamma * st / 4.0
-        + params.n * (_log_tau_over_sinh_quarter(params.s, params.tau) - _LOG_4PI)
-        - _envelope_coth_quarter(params.s, params.tau) * r2
+        -params.gamma * params.s * params.tau / 4.0
+        + params.n * (log_tau_over_sinh - _LOG_4PI)
+        - envelope * r2
         - 0.5j * params.tau * tw
     )
     return _maybe_scalar(np.exp(expo))
 
 
-def simplification_identities(s: float, tau: float) -> tuple[float, float]:
+def simplification_identities(s, tau):
     """The two cosh/sinh reductions used to rewrite the twisted kernel.
 
-    Returns (B/(A^2+B^2), A/B), which equal (tau/2, coth(s*tau/4)) exactly;
-    both ratios are formed from independently computed A and B so the return
-    value is a genuine numerical check of the identities, not a tautology.
+    Returns (B/(A^2+B^2), A/B), which equal (tau/2, coth(s*tau/4)) exactly,
+    elementwise over broadcast s and tau arrays; both ratios are formed from
+    independently computed A and B so the return value is a genuine
+    numerical check of the identities, not a tautology.
     """
-    if s <= 0:
+    if (np.asarray(s) <= 0).any():
         raise ValueError(f"requires s > 0, got s={s}")
-    if tau == 0:
+    if (np.asarray(tau) == 0).any():
         raise ValueError("requires tau != 0 (B vanishes at tau = 0)")
-    coef = coefficients_ab(s, tau)
-    denom = coef.a_coef ** 2 + coef.b_coef ** 2
-    return coef.b_coef / denom, coef.a_coef / coef.b_coef
+    a_c, b_c, _, _, _ = coefficients_ab(s, tau)
+    return b_c / (a_c ** 2 + b_c ** 2), a_c / b_c
 
 
 # ---------------------------------------------------------------------------
@@ -397,26 +367,16 @@ class FieldSample:
 
     # -- serialization: 17 significant digits, bit-exact decimal round trip --
 
-    def to_csv(self, path) -> None:
-        """Write one row per grid point: coordinates in axis order, then Re, Im."""
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(self.to_csv_text())
-
     def to_csv_text(self) -> str:
+        """One row per grid point: coordinates in axis order, then Re, Im."""
         coords = self.grid.coordinates()
         names = [ax.name for ax in self.grid.axes]
+        cols = [coords[name] for name in names] + [self.values.real, self.values.imag]
+        # "%.17g" % x renders a float exactly as _fmt(x); one format per row is the fast path
+        row = ",".join(["%.17g"] * len(cols))
         lines = [",".join(names + ["re", "im"])]
-        cols = [coords[name] for name in names]
-        for i in range(self.grid.size):
-            row = [_fmt(c[i]) for c in cols]
-            row.append(_fmt(self.values[i].real))
-            row.append(_fmt(self.values[i].imag))
-            lines.append(",".join(row))
+        lines.extend(row % point for point in zip(*cols))
         return "\n".join(lines) + "\n"
-
-    def to_json(self, path) -> None:
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(self.to_json_text())
 
     def to_json_text(self) -> str:
         """Serialize with every float rendered at 17 significant digits."""
@@ -433,9 +393,8 @@ class FieldSample:
             for ax in self.grid.axes
         )
         parts.append('  "grid": [%s]' % axes)
-        vals = ", ".join(
-            "[%s, %s]" % (_fmt(v.real), _fmt(v.imag)) for v in self.values
-        )
+        pairs = zip(self.values.real, self.values.imag)
+        vals = ", ".join("[%.17g, %.17g]" % pair for pair in pairs)
         parts.append('  "values": [%s]\n}' % vals)
         return ",\n".join(parts) + "\n"
 
@@ -461,7 +420,7 @@ class FieldSample:
 
     @classmethod
     def from_csv(cls, path) -> "FieldSample":
-        """Rebuild a sample from CSV written by :meth:`to_csv`.
+        """Rebuild a sample from CSV written by :meth:`to_csv_text`.
 
         Axis structure is recovered from the row-major coordinate columns;
         kernel/params metadata is not stored in CSV and stays empty.
@@ -494,17 +453,17 @@ def _fmt(v: float) -> str:
 # axis bases consumed by each kernel, in argument order
 _KERNEL_AXES = {
     "rho-hat": ("alpha", "beta"),
-    "rho-hat-product": ("alpha", "beta"),
     "rho-tilde": ("x", "y"),
     "heat-kernel": ("xp", "yp", "x", "y"),
 }
 
 _KERNEL_FUNCS = {
     "rho-hat": rho_hat,
-    "rho-hat-product": rho_hat_product,
     "rho-tilde": rho_tilde,
     "heat-kernel": heat_kernel_h,
 }
+
+KERNEL_NAMES = tuple(_KERNEL_FUNCS)
 
 
 def _component_names(base: str, n: int) -> list[str]:
@@ -516,8 +475,8 @@ def evaluate_on_grid(kernel: str, params: KernelParams, grid: GridSpec) -> Field
 
     Grid axes may cover any subset of the kernel's spatial components plus
     "s" and "tau"; spatial components without an axis are held at 0, and
-    s/tau axes override the values in `params` pointwise.  Unknown axis names
-    raise GridMismatchError.
+    s/tau axes override the values in `params` pointwise.  Every grid takes
+    one kernel call.  Unknown axis names raise GridMismatchError.
     """
     if kernel not in _KERNEL_FUNCS:
         raise GridMismatchError(f"unknown kernel {kernel!r}; expected one of {KERNEL_NAMES}")
@@ -533,24 +492,13 @@ def evaluate_on_grid(kernel: str, params: KernelParams, grid: GridSpec) -> Field
             )
 
     coords = grid.coordinates()
-    npts = grid.size
-    func = _KERNEL_FUNCS[kernel]
-
-    def component_block(base: str) -> np.ndarray:
-        block = np.zeros((npts, params.n))
+    blocks = []
+    for base in bases:
+        block = np.zeros((grid.size, params.n))
         for j, name in enumerate(_component_names(base, params.n)):
             if name in coords:
                 block[:, j] = coords[name]
-        return block
-
-    blocks = [component_block(base) for base in bases]
-    if "s" not in coords and "tau" not in coords:
-        values = func(params, *blocks)
-    else:
-        s_vals = coords.get("s", np.full(npts, params.s))
-        tau_vals = coords.get("tau", np.full(npts, params.tau))
-        values = np.empty(npts, dtype=complex)
-        for i in range(npts):
-            pt_params = replace(params, s=float(s_vals[i]), tau=float(tau_vals[i]))
-            values[i] = func(pt_params, *[blk[i] for blk in blocks])
+        blocks.append(block)
+    point_params = replace(params, s=coords.get("s", params.s), tau=coords.get("tau", params.tau))
+    values = _KERNEL_FUNCS[kernel](point_params, *blocks)
     return FieldSample(grid=grid, values=values, kernel=kernel, params=params)

@@ -29,7 +29,7 @@ from numpy.polynomial.legendre import leggauss
 from . import hermite, series
 from .kernels import (
     KernelParams,
-    _envelope_coth_quarter,
+    coefficients_ab,
     heat_kernel_h,
     rho_hat,
     rho_tilde,
@@ -108,88 +108,122 @@ class ResidualReport:
         }
 
 
-def _fit_order(steps, norms) -> float:
-    return float(np.polyfit(np.log(steps), np.log(norms), 1)[0])
+def _fitted_report(equation, step_sizes, norms) -> ResidualReport:
+    """The report whose convergence order is the log-log slope of norms against steps."""
+    return ResidualReport(
+        equation=equation,
+        step_sizes=tuple(step_sizes),
+        residual_norms=tuple(float(v) for v in norms),
+        convergence_order=float(np.polyfit(np.log(step_sizes), np.log(norms), 1)[0]),
+    )
+
+
+# the two probe points of each equation's s x tau x gamma panel
+_PANEL_POINTS = {
+    "u-transformed": ({"alpha": 0.7, "beta": -1.3}, {"alpha": -1.6, "beta": 0.4}),
+    "rho-hat": ({"alpha": 0.7, "beta": -1.3}, {"alpha": -1.6, "beta": 0.4}),
+    "rho-tilde": ({"x": 0.7, "y": -1.3}, {"x": -1.6, "y": 0.4}),
+    "heat-kernel": (
+        {"xp": 0.3, "yp": -0.4, "x": 1.2, "y": 0.8},
+        {"xp": -0.9, "yp": 1.1, "x": -0.9, "y": 1.1},  # diagonal probe
+    ),
+}
+
+# probes beyond the panel: n = 2 (gamma = n - 2q gives {2, 0, -2}) and the series branch of H
+_EXTRA_PROBES = {
+    "rho-tilde": tuple(
+        Probe(1.0, tau, gamma, 2, {"x": (0.6, -1.1), "y": (-0.3, 1.4)})
+        for tau, gamma in ((0.5, 2.0), (-2.0, 1j))
+    ),
+    "heat-kernel": (
+        Probe(1.0, 1e-5, 1.0, 1, {"xp": 0.3, "yp": -0.4, "x": 1.2, "y": 0.8}),
+        Probe(
+            1.0, 0.5, 0.0, 2,
+            {"xp": (0.3, -0.2), "yp": (-0.4, 0.5), "x": (1.2, 0.1), "y": (0.8, -0.6)},
+        ),
+    ),
+}
 
 
 def default_probe_set(equation: str) -> ProbeSet:
     """The documented default probe panel for one of the four equations."""
-    pts_1d = ((0.7, -1.3), (-1.6, 0.4))
-    probes = []
-    if equation == "u-transformed":
-        for s in _S_PANEL:
-            for tau in _TAU_PANEL:
-                if tau == 0.0:
-                    continue  # u = rho_hat * exp(-i alpha beta / tau) needs tau != 0
-                for gamma in _GAMMA_PANEL:
-                    for a, b in pts_1d:
-                        probes.append(Probe(s, tau, gamma, 1, {"alpha": a, "beta": b}))
-    elif equation == "rho-hat":
-        for s in _S_PANEL:
-            for tau in _TAU_PANEL:
-                for gamma in _GAMMA_PANEL:
-                    for a, b in pts_1d:
-                        probes.append(Probe(s, tau, gamma, 1, {"alpha": a, "beta": b}))
-    elif equation == "rho-tilde":
-        for s in _S_PANEL:
-            for tau in _TAU_PANEL:
-                for gamma in _GAMMA_PANEL:
-                    for x, y in pts_1d:
-                        probes.append(Probe(s, tau, gamma, 1, {"x": x, "y": y}))
-        # n = 2 probes through the product structure; gamma = n - 2q gives {2, 0, -2}
-        for tau, gamma in ((0.5, 2.0), (-2.0, 1j)):
-            probes.append(
-                Probe(1.0, tau, gamma, 2, {"x": (0.6, -1.1), "y": (-0.3, 1.4)})
-            )
-    elif equation == "heat-kernel":
-        pairs = (
-            {"xp": 0.3, "yp": -0.4, "x": 1.2, "y": 0.8},
-            {"xp": -0.9, "yp": 1.1, "x": -0.9, "y": 1.1},  # diagonal probe
-        )
-        for s in _S_PANEL:
-            for tau in _TAU_PANEL:
-                for gamma in _GAMMA_PANEL:
-                    for coords in pairs:
-                        probes.append(Probe(s, tau, gamma, 1, dict(coords)))
-        # series-branch path and an n = 2 probe
-        probes.append(Probe(1.0, 1e-5, 1.0, 1, {"xp": 0.3, "yp": -0.4, "x": 1.2, "y": 0.8}))
-        probes.append(
-            Probe(
-                1.0,
-                0.5,
-                0.0,
-                2,
-                {"xp": (0.3, -0.2), "yp": (-0.4, 0.5), "x": (1.2, 0.1), "y": (0.8, -0.6)},
-            )
-        )
-    else:
+    if equation not in _PANEL_POINTS:
         raise ValueError(f"unknown equation {equation!r}")
-    return ProbeSet(equation=equation, probes=tuple(probes))
+    panel = tuple(
+        Probe(s, tau, gamma, 1, dict(coords))
+        for s in _S_PANEL
+        for tau in _TAU_PANEL
+        # u = rho_hat * exp(-i alpha beta / tau) needs tau != 0
+        if tau != 0.0 or equation != "u-transformed"
+        for gamma in _GAMMA_PANEL
+        for coords in _PANEL_POINTS[equation]
+    )
+    return ProbeSet(equation=equation, probes=panel + _EXTRA_PROBES.get(equation, ()))
 
 
 # ---------------------------------------------------------------------------
 # finite-difference residuals
 # ---------------------------------------------------------------------------
 
-def _shift(vec, j, h):
-    arr = np.atleast_1d(np.asarray(vec, dtype=float)).copy()
-    arr[j] += h
-    return arr
+def _stencil(f, s, x, y, h):
+    """Central differences of f(s, x, y) around one point for every step in h.
 
-
-def _residual_report(equation, probe_set, step_sizes, residual_fn) -> ResidualReport:
-    norms = []
-    for h in step_sizes:
-        worst = 0.0
-        for probe in probe_set.probes:
-            worst = max(worst, abs(residual_fn(probe, h)))
-        norms.append(worst)
-    return ResidualReport(
-        equation=equation,
-        step_sizes=tuple(step_sizes),
-        residual_norms=tuple(norms),
-        convergence_order=_fit_order(step_sizes, norms),
+    x and y are length-n vectors and h holds k step sizes; the whole stencil
+    (centre, s +- h, and +- h along each component of x and of y) goes to f
+    in one call.  Returns the centre value and d/ds, each of shape (k,), and
+    the first and second derivatives along each component of x and of y,
+    each of shape (k, n).
+    """
+    n = x.size
+    eye, pad, still = np.eye(n), np.zeros((n, n)), np.zeros((3, n))
+    # rows: centre, s + h, s - h, x + h e_j, x - h e_j, y + h e_j, y - h e_j
+    dir_s = np.concatenate([[0.0, 1.0, -1.0], np.zeros(4 * n)])
+    dir_x = np.concatenate([still, eye, -eye, pad, pad])
+    dir_y = np.concatenate([still, pad, pad, eye, -eye])
+    hk = h[:, np.newaxis]
+    vals = f(s + hk * dir_s, x + hk[..., np.newaxis] * dir_x, y + hk[..., np.newaxis] * dir_y)
+    centre = vals[:, :1]
+    x_up, x_down, y_up, y_down = np.split(vals[:, 3:], 4, axis=1)
+    return (
+        centre[:, 0],
+        (vals[:, 1] - vals[:, 2]) / (2 * h),
+        (x_up - x_down) / (2 * hk),
+        (y_up - y_down) / (2 * hk),
+        (x_up - 2 * centre + x_down) / hk**2,
+        (y_up - 2 * centre + y_down) / hk**2,
     )
+
+
+def _residual_report(equation, probe_set, step_sizes, names, kernel, operator) -> ResidualReport:
+    """max over the probes of |df/ds - operator/4| for each step size.
+
+    f = kernel(params, probe, x, y) with (x, y) the probe coordinates named
+    by `names`, differentiated by :func:`_stencil`;
+    operator(probe, x, y, value, dx, dy, d2x, d2y) is the spatial side of
+    the equation.
+    """
+    probe_set = probe_set or default_probe_set(equation)
+    h = np.asarray(step_sizes, dtype=float)
+    norms = np.zeros(h.size)
+    for p in probe_set.probes:
+        par = KernelParams(s=p.s, tau=p.tau, gamma=p.gamma, n=p.n)
+        x, y = (np.atleast_1d(np.asarray(p.coords[name], dtype=float)) for name in names)
+        value, ds, *derivs = _stencil(
+            lambda s_, x_, y_: kernel(replace(par, s=s_), p, x_, y_), p.s, x, y, h
+        )
+        norms = np.maximum(norms, np.abs(ds - 0.25 * operator(p, x, y, value, *derivs)))
+    return _fitted_report(equation, step_sizes, norms)
+
+
+def _oscillator_op(p, a, b, value, da, db, d2a, d2b):
+    """(tau^2 d^2/dbeta^2 - beta^2 - gamma tau) f."""
+    return p.tau**2 * d2b[:, 0] - (b[0] * b[0] + p.gamma * p.tau) * value
+
+
+def _dbar_op(p, x, y, value, dx, dy, d2x, d2y):
+    """(Lap_{x,y} + 2i tau y.grad_x - (tau^2 |y|^2 + gamma tau)) f."""
+    lap = np.sum(d2x + d2y, axis=1)
+    return lap + 2j * p.tau * (dx @ y) - (p.tau**2 * float(y @ y) + p.gamma * p.tau) * value
 
 
 def residual_rho_hat(probe_set: ProbeSet | None = None, step_sizes=DEFAULT_STEP_SIZES) -> ResidualReport:
@@ -199,26 +233,17 @@ def residual_rho_hat(probe_set: ProbeSet | None = None, step_sizes=DEFAULT_STEP_
                                + (-beta^2) + i gamma (i tau) ] rho_hat
     by second-order central differences; max |R| per step size.
     """
-    probe_set = probe_set or default_probe_set("rho-hat")
 
-    def resid(p: Probe, h: float) -> complex:
-        par = KernelParams(s=p.s, tau=p.tau, gamma=p.gamma, n=1)
-        a, b = p.coords["alpha"], p.coords["beta"]
-        f = lambda s_, b_: rho_hat(replace(par, s=s_), a, b_)
-        center = f(p.s, b)
-        ds = (f(p.s + h, b) - f(p.s - h, b)) / (2 * h)
-        db = (f(p.s, b + h) - f(p.s, b - h)) / (2 * h)
-        d2b = (f(p.s, b + h) - 2 * center + f(p.s, b - h)) / h**2
-        op = (
-            (-a * a) * center
-            - 2j * a * p.tau * db
-            + p.tau**2 * d2b
-            - b * b * center
-            - p.gamma * p.tau * center
+    def operator(p, a, b, value, da, db, d2a, d2b):
+        alpha = a[0]
+        return _oscillator_op(p, a, b, value, da, db, d2a, d2b) - alpha * (
+            alpha * value + 2j * p.tau * db[:, 0]
         )
-        return ds - 0.25 * op
 
-    return _residual_report("rho-hat", probe_set, step_sizes, resid)
+    return _residual_report(
+        "rho-hat", probe_set, step_sizes, ("alpha", "beta"),
+        lambda par, p, a, b: rho_hat(par, a, b), operator,
+    )
 
 
 def residual_u(probe_set: ProbeSet | None = None, step_sizes=DEFAULT_STEP_SIZES) -> ResidualReport:
@@ -226,18 +251,13 @@ def residual_u(probe_set: ProbeSet | None = None, step_sizes=DEFAULT_STEP_SIZES)
 
     R = du/ds - (1/4) (tau^2 d^2/dbeta^2 - beta^2 - gamma tau) u.
     """
-    probe_set = probe_set or default_probe_set("u-transformed")
 
-    def resid(p: Probe, h: float) -> complex:
-        par = KernelParams(s=p.s, tau=p.tau, gamma=p.gamma, n=1)
-        a, b = p.coords["alpha"], p.coords["beta"]
-        u = lambda s_, b_: rho_hat(replace(par, s=s_), a, b_) * np.exp(-1j * a * b_ / p.tau)
-        center = u(p.s, b)
-        ds = (u(p.s + h, b) - u(p.s - h, b)) / (2 * h)
-        d2b = (u(p.s, b + h) - 2 * center + u(p.s, b - h)) / h**2
-        return ds - 0.25 * (p.tau**2 * d2b - b * b * center - p.gamma * p.tau * center)
+    def u(par, p, a, b):
+        return rho_hat(par, a, b) * np.exp(-1j * a[..., 0] * b[..., 0] / p.tau)
 
-    return _residual_report("u-transformed", probe_set, step_sizes, resid)
+    return _residual_report(
+        "u-transformed", probe_set, step_sizes, ("alpha", "beta"), u, _oscillator_op
+    )
 
 
 def residual_rho_tilde(probe_set: ProbeSet | None = None, step_sizes=DEFAULT_STEP_SIZES) -> ResidualReport:
@@ -245,52 +265,18 @@ def residual_rho_tilde(probe_set: ProbeSet | None = None, step_sizes=DEFAULT_STE
 
     R = d rho_tilde/ds - (1/4) (Lap_{x,y} + 2i tau y.grad_x - (tau^2 |y|^2 + gamma tau)) rho_tilde.
     """
-    probe_set = probe_set or default_probe_set("rho-tilde")
-
-    def resid(p: Probe, h: float) -> complex:
-        par = KernelParams(s=p.s, tau=p.tau, gamma=p.gamma, n=p.n)
-        x = np.atleast_1d(np.asarray(p.coords["x"], dtype=float))
-        y = np.atleast_1d(np.asarray(p.coords["y"], dtype=float))
-        f = lambda s_, x_, y_: rho_tilde(replace(par, s=s_), x_, y_)
-        center = f(p.s, x, y)
-        ds = (f(p.s + h, x, y) - f(p.s - h, x, y)) / (2 * h)
-        lap = 0.0
-        ygrad = 0.0
-        for j in range(p.n):
-            lap += (f(p.s, _shift(x, j, h), y) - 2 * center + f(p.s, _shift(x, j, -h), y)) / h**2
-            lap += (f(p.s, x, _shift(y, j, h)) - 2 * center + f(p.s, x, _shift(y, j, -h))) / h**2
-            dxj = (f(p.s, _shift(x, j, h), y) - f(p.s, _shift(x, j, -h), y)) / (2 * h)
-            ygrad += y[j] * dxj
-        op = lap + 2j * p.tau * ygrad - (p.tau**2 * float(y @ y) + p.gamma * p.tau) * center
-        return ds - 0.25 * op
-
-    return _residual_report("rho-tilde", probe_set, step_sizes, resid)
+    return _residual_report(
+        "rho-tilde", probe_set, step_sizes, ("x", "y"),
+        lambda par, p, x, y: rho_tilde(par, x, y), _dbar_op,
+    )
 
 
 def residual_heat_kernel(probe_set: ProbeSet | None = None, step_sizes=DEFAULT_STEP_SIZES) -> ResidualReport:
     """Residual of (d/ds + L~_gamma) H = 0 in the field variables (x, y), source fixed."""
-    probe_set = probe_set or default_probe_set("heat-kernel")
-
-    def resid(p: Probe, h: float) -> complex:
-        par = KernelParams(s=p.s, tau=p.tau, gamma=p.gamma, n=p.n)
-        xp = np.atleast_1d(np.asarray(p.coords["xp"], dtype=float))
-        yp = np.atleast_1d(np.asarray(p.coords["yp"], dtype=float))
-        x = np.atleast_1d(np.asarray(p.coords["x"], dtype=float))
-        y = np.atleast_1d(np.asarray(p.coords["y"], dtype=float))
-        f = lambda s_, x_, y_: heat_kernel_h(replace(par, s=s_), xp, yp, x_, y_)
-        center = f(p.s, x, y)
-        ds = (f(p.s + h, x, y) - f(p.s - h, x, y)) / (2 * h)
-        lap = 0.0
-        ygrad = 0.0
-        for j in range(p.n):
-            lap += (f(p.s, _shift(x, j, h), y) - 2 * center + f(p.s, _shift(x, j, -h), y)) / h**2
-            lap += (f(p.s, x, _shift(y, j, h)) - 2 * center + f(p.s, x, _shift(y, j, -h))) / h**2
-            dxj = (f(p.s, _shift(x, j, h), y) - f(p.s, _shift(x, j, -h), y)) / (2 * h)
-            ygrad += y[j] * dxj
-        op = lap + 2j * p.tau * ygrad - (p.tau**2 * float(y @ y) + p.gamma * p.tau) * center
-        return ds - 0.25 * op
-
-    return _residual_report("heat-kernel", probe_set, step_sizes, resid)
+    return _residual_report(
+        "heat-kernel", probe_set, step_sizes, ("x", "y"),
+        lambda par, p, x, y: heat_kernel_h(par, p.coords["xp"], p.coords["yp"], x, y), _dbar_op,
+    )
 
 
 def eigenfunction_residual_report(step_sizes=DEFAULT_STEP_SIZES) -> ResidualReport:
@@ -319,12 +305,7 @@ def eigenfunction_residual_report(step_sizes=DEFAULT_STEP_SIZES) -> ResidualRepo
             rhs = hermite.oscillator_eigenvalue(m, tau, gamma) * center
             worst = max(worst, abs(lhs - rhs))
         norms.append(worst)
-    return ResidualReport(
-        equation="scaled-hermite-eigenfunction",
-        step_sizes=tuple(step_sizes),
-        residual_norms=tuple(norms),
-        convergence_order=_fit_order(step_sizes, norms),
-    )
+    return _fitted_report("scaled-hermite-eigenfunction", step_sizes, norms)
 
 
 # ---------------------------------------------------------------------------
@@ -440,8 +421,9 @@ def semigroup_check(params1: KernelParams, params2: KernelParams, point_pair) ->
     if params1.n != 1:
         raise ValueError("semigroup_check quadrature is implemented for n = 1")
     (x0, y0), (x1, y1) = point_pair
-    a1 = _envelope_coth_quarter(params1.s, params1.tau)
-    a2 = _envelope_coth_quarter(params2.s, params2.tau)
+    # the last coefficient is the Gaussian envelope (tau/4)*coth(s*tau/4)
+    a1 = coefficients_ab(params1.s, params1.tau)[-1]
+    a2 = coefficients_ab(params2.s, params2.tau)[-1]
     radius = 7.0 / math.sqrt(min(a1, a2))
     box_x = (min(x0, x1) - radius, max(x0, x1) + radius)
     box_y = (min(y0, y1) - radius, max(y0, y1) + radius)
@@ -487,7 +469,7 @@ def apply_kernel_to_function(params: KernelParams, f, point) -> complex:
     if params.n != 1:
         raise ValueError("quadrature application is implemented for n = 1")
     px, py = point
-    radius = 8.0 / math.sqrt(_envelope_coth_quarter(params.s, params.tau))
+    radius = 8.0 / math.sqrt(coefficients_ab(params.s, params.tau)[-1])
     box_x = (px - radius, px + radius)
     box_y = (py - radius, py + radius)
 
@@ -555,12 +537,10 @@ def conjugate_symmetry_sweep(params: KernelParams, pairs=_SYMMETRY_PAIRS) -> flo
     """
     if params.gamma.imag != 0:
         raise ValueError("conjugate symmetry requires real gamma")
-    worst = 0.0
-    for (x0, y0), (x1, y1) in pairs:
-        fwd = heat_kernel_h(params, x0, y0, x1, y1)
-        bwd = heat_kernel_h(params, x1, y1, x0, y0)
-        worst = max(worst, abs(fwd - np.conj(bwd)))
-    return worst
+    (x0, y0), (x1, y1) = np.transpose(pairs, (1, 2, 0))
+    fwd = heat_kernel_h(params, x0, y0, x1, y1)
+    bwd = heat_kernel_h(params, x1, y1, x0, y0)
+    return float(np.max(np.abs(fwd - np.conj(bwd))))
 
 
 # ---------------------------------------------------------------------------

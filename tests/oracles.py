@@ -7,6 +7,8 @@ regenerate them.  The quadrature oracles are computed live because they are
 independent evaluation paths by construction.
 """
 
+from dataclasses import replace
+
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
@@ -101,6 +103,24 @@ def heat_apply_tau0_closed_form(s, ax, ay, cx, cy, x, y):
     gx = (1.0 + ax * s) ** -0.5 * np.exp(-ax * (x - cx) ** 2 / (1.0 + ax * s))
     gy = (1.0 + ay * s) ** -0.5 * np.exp(-ay * (y - cy) ** 2 / (1.0 + ay * s))
     return gx * gy
+
+
+def rho_hat_product(params, alpha, beta):
+    """rho_hat assembled as the product of n one-dimensional kernels.
+
+    Dimension reduction: the n-dimensional kernel with parameter gamma equals
+    the product over j of one-dimensional kernels with parameter gamma/n at
+    (alpha_j, beta_j).
+    """
+    from heisenheat.kernels import rho_hat
+
+    one = replace(params, gamma=params.gamma / params.n, n=1)
+    alpha = np.asarray(alpha, dtype=float)
+    beta = np.asarray(beta, dtype=float)
+    out = 1.0
+    for j in range(params.n):
+        out = out * rho_hat(one, alpha[..., j], beta[..., j])
+    return out
 
 
 def _regenerate_rodrigues_table():  # pragma: no cover - developer utility

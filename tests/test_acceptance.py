@@ -198,22 +198,15 @@ def test_criterion_7_limits_and_parity():
                 got = rho_hat(params, alpha, beta)
                 worst_limit = max(worst_limit, abs(got - expect) / expect)
 
-    # branch continuity: series vs direct evaluation at |s*tau| = 1e-4
+    # branch continuity: series vs direct evaluation of every coefficient at |s*tau| = 1e-4
     worst_branch = 0.0
     for s in (0.5, 2.0):
         for sign in (1.0, -1.0):
             tau = sign * kernels.TAYLOR_BRANCH_THRESHOLD / s
-            a_ser, b_ser = kernels._ab_series(s, tau)
-            a_dir, b_dir = kernels._ab_direct(s, tau)
-            worst_branch = max(
-                worst_branch,
-                abs(a_ser - a_dir) / abs(a_dir),
-                abs(b_ser - b_dir) / abs(b_dir),
-            )
-            for helper in (kernels._log_tau_over_sinh_quarter, kernels._envelope_coth_quarter):
-                below = helper(s, tau * (1 - 1e-12))
-                above = helper(s, tau * (1 + 1e-12))
-                worst_branch = max(worst_branch, abs(below - above) / abs(above))
+            series = kernels._coefficients_series(s, tau)
+            direct = kernels._coefficients_direct(s, tau)
+            for ser, dire in zip(series, direct):
+                worst_branch = max(worst_branch, abs(ser - dire) / abs(dire))
 
     # conjugation parity in tau at roundoff
     worst_parity = 0.0

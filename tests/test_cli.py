@@ -131,6 +131,16 @@ class TestEval:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("flag", (["--s", "nan"], ["--s", "1", "--tau", "inf"]))
+    def test_non_finite_parameter_exit_2(self, tmp_path, capsys, flag):
+        code = run(
+            ["eval", "--kernel", "rho-hat", *flag, "--axis", "alpha:0:1:2",
+             "--output", str(tmp_path / "x.json")]
+        )
+        assert code == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
+
     def test_bad_axis_exit_2(self, tmp_path):
         code = run(
             [
@@ -168,7 +178,7 @@ def _write_gaussian_field(path, count=61, extent=5.0):
     grid = GridSpec(axes)
     coords = grid.coordinates()
     values = np.exp(-(coords["x"] ** 2) - coords["y"] ** 2).astype(complex)
-    FieldSample(grid=grid, values=values, kernel="test-gaussian").to_json(path)
+    path.write_text(FieldSample(grid=grid, values=values, kernel="test-gaussian").to_json_text())
     return grid
 
 
@@ -176,7 +186,8 @@ class TestApply:
     def test_zero_input_gives_zero(self, tmp_path):
         axes = (GridAxis("x", -3, 3, 11), GridAxis("y", -3, 3, 11))
         grid = GridSpec(axes)
-        FieldSample(grid=grid, values=np.zeros(grid.size, complex)).to_json(tmp_path / "z.json")
+        zeros = FieldSample(grid=grid, values=np.zeros(grid.size, complex))
+        (tmp_path / "z.json").write_text(zeros.to_json_text())
         out = tmp_path / "out.json"
         code = run(
             [
@@ -237,8 +248,8 @@ class TestApply:
         coords = grid.coordinates()
         values = np.exp(-(coords["x"] ** 2) - coords["y"] ** 2).astype(complex)
         sample = FieldSample(grid=grid, values=values)
-        sample.to_json(tmp_path / "f.json")
-        sample.to_csv(tmp_path / "f.csv")
+        (tmp_path / "f.json").write_text(sample.to_json_text())
+        (tmp_path / "f.csv").write_text(sample.to_csv_text())
         outs = {}
         for ext in ("json", "csv"):
             out = tmp_path / f"out_{ext}.json"
@@ -255,7 +266,8 @@ class TestApply:
     def test_grid_mismatch_exit_2(self, tmp_path):
         axes = (GridAxis("alpha", -1, 1, 4), GridAxis("beta", -1, 1, 4))
         grid = GridSpec(axes)
-        FieldSample(grid=grid, values=np.ones(grid.size, complex)).to_json(tmp_path / "f.json")
+        ones = FieldSample(grid=grid, values=np.ones(grid.size, complex))
+        (tmp_path / "f.json").write_text(ones.to_json_text())
         code = run(
             [
                 "apply", "--input", str(tmp_path / "f.json"), "--s", "0.5", "--tau", "1",
@@ -305,3 +317,6 @@ class TestIdentities:
 
     def test_seeded_panel(self):
         assert run(["identities", "--seed", "7", "--points", "8"]) == 0
+
+    def test_empty_seeded_panel_exit_2(self):
+        assert run(["identities", "--seed", "7", "--points", "0"]) == 2

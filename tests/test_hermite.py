@@ -12,21 +12,21 @@ PI_QUARTER_INV = math.pi ** -0.25
 
 class TestHermiteBatch:
     def test_psi0_at_origin(self):
-        ev = hermite.eval_hermite_batch(0.0, 0)
-        assert ev.values[0] == pytest.approx(oracles.PSI_0_AT_0, rel=1e-15)
+        values = hermite.hermite_values(0.0, 0)
+        assert values[0] == pytest.approx(oracles.PSI_0_AT_0, rel=1e-15)
 
     def test_psi1_odd_at_origin(self):
-        ev = hermite.eval_hermite_batch(0.0, 1)
-        assert ev.values[1] == 0.0
+        values = hermite.hermite_values(0.0, 1)
+        assert values[1] == 0.0
 
     def test_psi2_at_one(self):
-        ev = hermite.eval_hermite_batch(1.0, 2)
-        assert ev.values[2] == pytest.approx(oracles.PSI_2_AT_1, rel=1e-13)
+        values = hermite.hermite_values(1.0, 2)
+        assert values[2] == pytest.approx(oracles.PSI_2_AT_1, rel=1e-13)
 
     def test_batch_shape_and_finiteness(self):
-        ev = hermite.eval_hermite_batch(np.linspace(-6, 6, 41), 25)
-        assert ev.values.shape == (26, 41)
-        assert np.all(np.isfinite(ev.values))
+        values = hermite.hermite_values(np.linspace(-6, 6, 41), 25)
+        assert values.shape == (26, 41)
+        assert np.all(np.isfinite(values))
 
     @pytest.mark.parametrize("x", sorted(oracles.RODRIGUES_TABLE))
     def test_recurrence_matches_rodrigues(self, x):
@@ -43,12 +43,12 @@ class TestHermiteBatch:
         assert np.max(np.abs(vals)) <= PI_QUARTER_INV * (1 + 1e-12)
 
     def test_underflow_flushes_to_zero(self):
-        ev = hermite.eval_hermite_batch(40.0, 5)
-        assert np.all(ev.values == 0.0)
+        values = hermite.hermite_values(40.0, 5)
+        assert np.all(values == 0.0)
 
     def test_negative_degree_rejected(self):
         with pytest.raises(ValueError):
-            hermite.eval_hermite_batch(0.0, -1)
+            hermite.hermite_values(0.0, -1)
 
     def test_ode_identity_second_order(self):
         # central difference of psi_m'' - (x^2 - (2m+1)) psi_m decays at O(h^2)

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heisenheat import kernels
 from heisenheat.kernels import (
@@ -15,7 +17,6 @@ from heisenheat.kernels import (
     evaluate_on_grid,
     heat_kernel_h,
     rho_hat,
-    rho_hat_product,
     rho_tilde,
     simplification_identities,
 )
@@ -25,18 +26,20 @@ import oracles
 
 class TestCoefficients:
     def test_tau_zero_limit(self):
-        c = coefficients_ab(1.0, 0.0)
-        assert c.a_coef == 0.5
-        assert c.b_coef == 0.0
+        a, b, log_cosh, log_tau_over_sinh, envelope = coefficients_ab(1.0, 0.0)
+        assert (a, b, log_cosh) == (0.5, 0.0, 0.0)
+        assert log_tau_over_sinh == math.log(4.0)
+        assert envelope == 1.0
 
     def test_s_zero(self):
-        c = coefficients_ab(0.0, 3.0)
-        assert (c.a_coef, c.b_coef) == (0.0, 0.0)
+        a, b, log_cosh, log_tau_over_sinh, envelope = coefficients_ab(0.0, 3.0)
+        assert (a, b, log_cosh) == (0.0, 0.0, 0.0)
+        assert log_tau_over_sinh == envelope == math.inf
 
     def test_frozen_values_s1_tau1(self):
-        c = coefficients_ab(1.0, 1.0)
-        assert c.a_coef == pytest.approx(oracles.A_AT_S1_TAU1, rel=1e-14)
-        assert c.b_coef == pytest.approx(oracles.B_AT_S1_TAU1, rel=1e-14)
+        a, b, *_ = coefficients_ab(1.0, 1.0)
+        assert a == pytest.approx(oracles.A_AT_S1_TAU1, rel=1e-14)
+        assert b == pytest.approx(oracles.B_AT_S1_TAU1, rel=1e-14)
 
     def test_negative_s_rejected(self):
         with pytest.raises(ValueError):
@@ -44,41 +47,43 @@ class TestCoefficients:
 
     def test_sign_structure(self):
         for tau in (0.5, -0.5, 3.0, -3.0):
-            c = coefficients_ab(1.5, tau)
-            assert c.a_coef > 0
-            assert math.copysign(1.0, c.b_coef) == math.copysign(1.0, tau)
+            a, b, *_ = coefficients_ab(1.5, tau)
+            assert a > 0
+            assert math.copysign(1.0, b) == math.copysign(1.0, tau)
 
     def test_sum_of_squares_identity(self):
         # A^2 + B^2 = 4 sinh^2(s tau/4) / (tau^2 cosh(s tau/2))
-        worst = 0.0
-        for s in np.linspace(0.25, 10.0, 27):
-            for tau in np.concatenate([np.linspace(-10, -0.05, 19), np.linspace(0.05, 10, 19)]):
-                c = coefficients_ab(float(s), float(tau))
-                lhs = c.a_coef**2 + c.b_coef**2
-                rhs = 4 * math.sinh(s * tau / 4) ** 2 / (tau**2 * math.cosh(s * tau / 2))
-                worst = max(worst, abs(lhs - rhs) / rhs)
-        assert worst < 1e-12
+        s = np.linspace(0.25, 10.0, 27)[:, np.newaxis]
+        tau = np.concatenate([np.linspace(-10, -0.05, 19), np.linspace(0.05, 10, 19)])
+        a, b, *_ = coefficients_ab(s, tau)
+        rhs = 4 * np.sinh(s * tau / 4) ** 2 / (tau**2 * np.cosh(s * tau / 2))
+        assert np.max(np.abs(a**2 + b**2 - rhs) / rhs) < 1e-12
 
     def test_large_argument_regime(self):
         # B -> 1/tau as s*tau -> inf, evaluated through the overflow-free path
-        c = coefficients_ab(500.0, 3.0)
-        assert c.b_coef == pytest.approx(1.0 / 3.0, rel=1e-12)
-        assert c.a_coef == pytest.approx(1.0 / 3.0, rel=1e-12)
+        a, b, *_ = coefficients_ab(500.0, 3.0)
+        assert b == pytest.approx(1.0 / 3.0, rel=1e-12)
+        assert a == pytest.approx(1.0 / 3.0, rel=1e-12)
 
     @pytest.mark.parametrize("sign", (1.0, -1.0))
     def test_branch_continuity_at_threshold(self, sign):
-        # series and direct formulas agree to 1e-10 at |s*tau| = threshold
+        # series and direct formulas agree to 1e-10 at |s*tau| = threshold,
+        # for A, B and the quarter-argument terms of the twisted kernel
         s = 2.0
         tau = sign * kernels.TAYLOR_BRANCH_THRESHOLD / s
-        a_ser, b_ser = kernels._ab_series(s, tau)
-        a_dir, b_dir = kernels._ab_direct(s, tau)
-        assert abs(a_ser - a_dir) / abs(a_dir) < 1e-10
-        assert abs(b_ser - b_dir) / abs(b_dir) < 1e-10
-        # quarter-argument helpers used by the twisted kernel
-        for helper in (kernels._log_tau_over_sinh_quarter, kernels._envelope_coth_quarter):
-            below = helper(s, tau * (1 - 1e-12))
-            above = helper(s, tau * (1 + 1e-12))
-            assert abs(below - above) / abs(above) < 1e-10
+        series = kernels._coefficients_series(s, tau)
+        direct = kernels._coefficients_direct(s, tau)
+        for ser, dire in zip(series, direct):
+            assert abs(ser - dire) / abs(dire) < 1e-10
+
+    def test_branch_chosen_per_element(self):
+        # one array call equals the per-element calls on both sides of the threshold
+        s = np.array([[2.0], [0.5]])
+        tau = np.array([0.0, 0.4e-4, -0.6e-4, 3.0, -250.0])
+        together = coefficients_ab(s, tau)
+        for i, j in np.ndindex(2, 5):
+            alone = coefficients_ab(s[i, 0], tau[j])
+            assert [part[i, j] for part in together] == list(alone)
 
 
 class TestRhoHat:
@@ -104,14 +109,14 @@ class TestRhoHat:
     def test_modulus_phase_split(self):
         p = KernelParams(s=1.3, tau=0.8, gamma=0.4 + 0.7j, n=1)
         a, b = 1.1, -0.6
-        c = coefficients_ab(p.s, p.tau)
+        a_c, b_c, *_ = coefficients_ab(p.s, p.tau)
         val = rho_hat(p, a, b)
         mod = (
             math.exp(-p.gamma.real * p.s * p.tau / 4)
             * math.cosh(p.s * p.tau / 2) ** -0.5
-            * math.exp(-c.a_coef * (a * a + b * b) / 2)
+            * math.exp(-a_c * (a * a + b * b) / 2)
         )
-        phase = -p.gamma.imag * p.s * p.tau / 4 + c.b_coef * a * b
+        phase = -p.gamma.imag * p.s * p.tau / 4 + b_c * a * b
         assert abs(val) == pytest.approx(mod, rel=1e-13)
         assert math.remainder(np.angle(val) - phase, 2 * math.pi) == pytest.approx(0.0, abs=1e-13)
 
@@ -132,12 +137,12 @@ class TestRhoHat:
                 alpha = rng.uniform(-2, 2, n)
                 beta = rng.uniform(-2, 2, n)
                 full = rho_hat(p, alpha, beta)
-                split = rho_hat_product(p, alpha, beta)
+                split = oracles.rho_hat_product(p, alpha, beta)
                 assert abs(split - full) / abs(full) < 1e-13
 
     def test_product_s_zero(self):
         p = KernelParams(s=0.0, tau=1.0, gamma=1.0, n=3)
-        assert rho_hat_product(p, np.zeros(3), np.ones(3)) == 1.0
+        assert oracles.rho_hat_product(p, np.zeros(3), np.ones(3)) == 1.0
 
     def test_broadcast_matches_scalar(self):
         p = KernelParams(s=1.0, tau=0.5, gamma=1j, n=1)
@@ -171,12 +176,19 @@ class TestRhoTilde:
         p = KernelParams(s=1.0, tau=1.0, gamma=0.0, n=1)
         assert rho_tilde(p, 0.0, 0.0) == pytest.approx(oracles.RHO_TILDE_S1_TAU1_ORIGIN, rel=1e-13)
 
+    @pytest.mark.parametrize("s", (1e-300, 1e-200))
+    def test_tiny_s_matches_heat_kernel(self, s):
+        # A^2 + B^2 underflows to 0 here; the value is 1/(pi*s)
+        p = KernelParams(s=s, tau=1.0)
+        expect = heat_kernel_h(p, 0.0, 0.0, 0.0, 0.0)
+        assert rho_tilde(p, 0.0, 0.0) == pytest.approx(expect, rel=1e-12)
+
     @pytest.mark.parametrize("gamma", (0.0, 0.5 + 0.2j))
     @pytest.mark.parametrize("tau", (0.0, 1.0, -2.0))
     def test_mass_equals_rho_hat_at_origin(self, tau, gamma):
         # iint rho_tilde dx dy = rho_hat(alpha=0, beta=0)
         p = KernelParams(s=1.0, tau=tau, gamma=gamma, n=1)
-        radius = 7.5 / math.sqrt(kernels._envelope_coth_quarter(p.s, p.tau))
+        radius = 7.5 / math.sqrt(coefficients_ab(p.s, p.tau)[-1])
         mass = oracles.legendre_integral(
             lambda x: np.array(
                 [
@@ -353,7 +365,7 @@ class TestFieldSampleSerialization:
     def test_json_round_trip_bitwise(self, tmp_path):
         sample = self._sample()
         path = tmp_path / "field.json"
-        sample.to_json(path)
+        path.write_text(sample.to_json_text(), encoding="ascii")
         loaded = FieldSample.from_json(path)
         assert np.array_equal(loaded.values, sample.values)
         assert loaded.grid == sample.grid
@@ -367,7 +379,7 @@ class TestFieldSampleSerialization:
     def test_json_is_parseable(self, tmp_path):
         sample = self._sample()
         path = tmp_path / "field.json"
-        sample.to_json(path)
+        path.write_text(sample.to_json_text(), encoding="ascii")
         doc = json.loads(path.read_text())
         assert doc["kernel"] == "rho-hat"
         assert len(doc["values"]) == sample.grid.size
@@ -375,7 +387,7 @@ class TestFieldSampleSerialization:
     def test_csv_round_trip(self, tmp_path):
         sample = self._sample()
         path = tmp_path / "field.csv"
-        sample.to_csv(path)
+        path.write_text(sample.to_csv_text(), encoding="ascii")
         header = path.read_text().splitlines()[0]
         assert header == "alpha,beta,re,im"
         loaded = FieldSample.from_csv(path)
@@ -395,3 +407,73 @@ class TestKernelParams:
             KernelParams(s=-0.1, tau=0.0)
         with pytest.raises(ValueError):
             KernelParams(s=1.0, tau=0.0, n=0)
+
+    @pytest.mark.parametrize(
+        "s, tau, name",
+        [
+            (math.nan, 1.0, "s"),
+            (math.inf, 1.0, "s"),
+            (1.0, math.inf, "tau"),
+            (1.0, math.nan, "tau"),
+            (1.0, np.array([0.5, math.inf]), "tau"),
+            (np.array([1.0, -1e-3]), 1.0, "heat time s"),
+        ],
+    )
+    def test_rejects_non_finite_and_negative(self, s, tau, name):
+        with pytest.raises(ValueError, match=name):
+            KernelParams(s=s, tau=tau)
+
+
+def _s_tau_pairs(s_zero: bool):
+    """Lists of (s, tau) spanning both branches, both signs of tau, tau = 0 and |s*tau| <= 1e4."""
+    s = st.floats(1e-3, 50.0)
+    if s_zero:
+        s = s | st.just(0.0)
+    z = st.just(0.0) | st.floats(1e-9, 0.99e-4) | st.floats(1e-4, 1e4)
+    sign = st.sampled_from((1.0, -1.0))
+
+    def pair(s, z, sign):
+        return s, sign * (z / s if s > 0 else z)
+
+    return st.lists(st.builds(pair, s, z, sign), min_size=1, max_size=8)
+
+
+class TestArrayParams:
+    """s and tau as arrays give the per-point scalar values to 1e-14 relative."""
+
+    @staticmethod
+    def _check(kernel, pairs, gamma, args):
+        s, tau = (np.array(v) for v in zip(*pairs))
+        together = np.atleast_1d(kernel(KernelParams(s=s, tau=tau, gamma=gamma), *args))
+        for k, (s_k, tau_k) in enumerate(pairs):
+            alone = kernel(KernelParams(s=s_k, tau=tau_k, gamma=gamma), *args)
+            assert abs(together[k] - alone) <= 1e-14 * abs(alone)
+
+    @settings(max_examples=60, deadline=None)
+    @given(pairs=_s_tau_pairs(s_zero=True), alpha=st.floats(-2, 2), beta=st.floats(-2, 2))
+    def test_rho_hat(self, pairs, alpha, beta):
+        self._check(rho_hat, pairs, 0.5 - 0.3j, (alpha, beta))
+
+    @settings(max_examples=60, deadline=None)
+    @given(pairs=_s_tau_pairs(s_zero=False), x=st.floats(-2, 2), y=st.floats(-2, 2))
+    def test_rho_tilde(self, pairs, x, y):
+        self._check(rho_tilde, pairs, 1.0 + 0.2j, (x, y))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        pairs=_s_tau_pairs(s_zero=False),
+        coords=st.lists(st.floats(-2, 2), min_size=4, max_size=4),
+    )
+    def test_heat_kernel(self, pairs, coords):
+        self._check(heat_kernel_h, pairs, -1.0, coords)
+
+    def test_grid_on_s_tau_axes_matches_pointwise(self):
+        p = KernelParams(s=1.0, tau=0.0, gamma=1j, n=2)
+        axes = (GridAxis("s", 0.5, 2.0, 4), GridAxis("tau", -1e-4, 1.0, 5), GridAxis("x2", 0.3, 0.3, 1))
+        grid = GridSpec(axes)
+        sample = evaluate_on_grid("rho-tilde", p, grid)
+        coords = grid.coordinates()
+        for i in range(grid.size):
+            point = KernelParams(s=coords["s"][i], tau=coords["tau"][i], gamma=1j, n=2)
+            expect = rho_tilde(point, (0.0, 0.3), (0.0, 0.0))
+            assert sample.values[i] == pytest.approx(expect, rel=1e-14)
