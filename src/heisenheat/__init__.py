@@ -8,11 +8,7 @@ and initial-condition quadrature checks) that validate every identity used
 in the derivation.
 """
 
-from .hermite import (
-    ScaledHermiteParams,
-    eval_scaled_hermite,
-    gauss_hermite_nodes,
-)
+from .hermite import eval_scaled_hermite, gauss_hermite_nodes
 from .kernels import (
     FieldSample,
     GridAxis,
@@ -37,7 +33,6 @@ from .series import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ScaledHermiteParams",
     "eval_scaled_hermite",
     "gauss_hermite_nodes",
     "FieldSample",

@@ -20,12 +20,10 @@ only meaningful where |psi_m| > 1e-300.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "ScaledHermiteParams",
     "eval_scaled_hermite",
     "gauss_hermite_nodes",
     "hermite_values",
@@ -39,22 +37,10 @@ MAX_GAUSS_HERMITE_ORDER = 200
 _PI_QUARTER_INV = math.pi ** -0.25
 
 
-@dataclass(frozen=True)
-class ScaledHermiteParams:
-    """Parameters of the scaled function Psi^tau_m(x) = |tau|**(-1/4) psi_m(x / sqrt|tau|)."""
-
-    tau: float
-    degree: int
-
-    def __post_init__(self):
-        if self.tau == 0.0:
-            raise ValueError("tau must be nonzero: the |tau|**(-1/4) scaling is undefined at tau=0")
-        if self.degree < 0:
-            raise ValueError(f"degree must be >= 0, got {self.degree}")
-
-
 def _recurrence(x: np.ndarray, max_degree: int, first: np.ndarray) -> np.ndarray:
     """Run the normalized three-term recurrence starting from `first` = row 0."""
+    if max_degree < 0:
+        raise ValueError(f"max_degree must be >= 0, got {max_degree}")
     out = np.zeros((max_degree + 1,) + x.shape, dtype=float)
     out[0] = first
     if max_degree >= 1:
@@ -66,8 +52,6 @@ def _recurrence(x: np.ndarray, max_degree: int, first: np.ndarray) -> np.ndarray
 
 def hermite_values(x, max_degree: int) -> np.ndarray:
     """psi_0(x)..psi_M(x) as an array of shape (M+1,) + shape(x)."""
-    if max_degree < 0:
-        raise ValueError(f"max_degree must be >= 0, got {max_degree}")
     xa = np.asarray(x, dtype=float)
     return _recurrence(xa, max_degree, _PI_QUARTER_INV * np.exp(-0.5 * xa * xa))
 
@@ -80,18 +64,19 @@ def hermite_polynomial_values(x, max_degree: int) -> np.ndarray:
     checks, where the weight exp(-x**2) is supplied by the rule and evaluating
     psi directly would underflow at the outer nodes.
     """
-    if max_degree < 0:
-        raise ValueError(f"max_degree must be >= 0, got {max_degree}")
     xa = np.asarray(x, dtype=float)
     return _recurrence(xa, max_degree, np.full(xa.shape, _PI_QUARTER_INV))
 
 
-def eval_scaled_hermite(params: ScaledHermiteParams, beta) -> float | np.ndarray:
-    """Psi^tau_m(beta) = |tau|**(-1/4) psi_m(beta / sqrt|tau|)."""
-    at = abs(params.tau)
-    vals = hermite_values(np.asarray(beta, dtype=float) / math.sqrt(at), params.degree)
-    scaled = at ** -0.25 * vals[params.degree]
-    return float(scaled) if np.ndim(beta) == 0 else scaled
+def eval_scaled_hermite(beta, tau, max_degree: int) -> np.ndarray:
+    """Psi^tau_m(beta) = |tau|**(-1/4) psi_m(beta / sqrt|tau|) for m = 0..M, tau != 0.
+
+    One recurrence run; rows as in :func:`hermite_values`, over broadcast beta and tau.
+    """
+    at = np.abs(np.asarray(tau, dtype=float))
+    if (at == 0).any():
+        raise ValueError("tau must be nonzero: the |tau|**(-1/4) scaling is undefined at tau=0")
+    return at ** -0.25 * hermite_values(np.asarray(beta, dtype=float) / np.sqrt(at), max_degree)
 
 
 def oscillator_eigenvalue(m: int, tau: float, gamma: complex) -> complex:

@@ -56,6 +56,7 @@ __all__ = [
     "GridSpec",
     "FieldSample",
     "GridMismatchError",
+    "KernelOverflowError",
     "coefficients_ab",
     "rho_hat",
     "rho_tilde",
@@ -77,14 +78,19 @@ class GridMismatchError(ValueError):
     """Grid axes are inconsistent with the requested kernel."""
 
 
+class KernelOverflowError(ValueError):
+    """A kernel value exceeds the double range."""
+
+
 @dataclass(frozen=True)
 class KernelParams:
     """Parameter tuple shared by all kernel evaluations.
 
     gamma may be any complex number; gamma = n - 2q is the value where the
     operator family coincides with the Kohn Laplacian on (0,q)-forms, see
-    :meth:`for_box_b`.  s and tau may be arrays that broadcast against the
-    leading axes of the spatial arguments.
+    :meth:`for_box_b`.  s, tau and gamma may be arrays that broadcast
+    against the leading axes of the spatial arguments; they, s*tau and
+    gamma*s*tau must be finite.
     """
 
     s: float | np.ndarray
@@ -93,9 +99,13 @@ class KernelParams:
     n: int = 1
 
     def __post_init__(self):
-        for name in ("s", "tau"):
-            if not np.isfinite(getattr(self, name)).all():
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        with np.errstate(over="ignore", invalid="ignore"):
+            s_tau = np.multiply(self.s, self.tau)
+            terms = {"s": self.s, "tau": self.tau, "gamma": self.gamma, "s*tau": s_tau,
+                     "gamma*s*tau": self.gamma * s_tau}
+        for name, value in terms.items():
+            if not np.isfinite(value).all():
+                raise ValueError(f"{name} must be finite, got {value}")
         if (np.asarray(self.s) < 0).any():
             raise ValueError(f"heat time s must be >= 0, got {self.s}")
         if self.n < 1:
@@ -190,7 +200,16 @@ def _components(arr, n: int, name: str) -> np.ndarray:
     raise ValueError(f"{name} must have {n} components along the last axis, got shape {a.shape}")
 
 
-def _maybe_scalar(values: np.ndarray):
+def _exp_kernel(expo, params: KernelParams):
+    """exp(expo), a complex for 0-d input; KernelOverflowError past the double range."""
+    try:
+        with np.errstate(over="raise"):
+            values = np.exp(expo)
+    except FloatingPointError:
+        raise KernelOverflowError(
+            f"kernel value exceeds the double range (log|value| up to {np.max(expo.real):.6g}) "
+            f"at gamma={params.gamma}, s={params.s}, tau={params.tau}"
+        ) from None
     return complex(values) if values.ndim == 0 else values
 
 
@@ -214,7 +233,7 @@ def rho_hat(params: KernelParams, alpha, beta):
         - 0.5 * a_c * sq
         + 1j * b_c * dot
     )
-    return _maybe_scalar(np.exp(expo))
+    return _exp_kernel(expo, params)
 
 
 def rho_tilde(params: KernelParams, x, y):
@@ -245,7 +264,7 @@ def rho_tilde(params: KernelParams, x, y):
         - 0.5 * a_over_denom * sq
         - 1j * (ratio * a_over_denom) * dot
     )
-    return _maybe_scalar(np.exp(expo))
+    return _exp_kernel(expo, params)
 
 
 def heat_kernel_h(params: KernelParams, xp, yp, x, y):
@@ -278,7 +297,7 @@ def heat_kernel_h(params: KernelParams, xp, yp, x, y):
         - envelope * r2
         - 0.5j * params.tau * tw
     )
-    return _maybe_scalar(np.exp(expo))
+    return _exp_kernel(expo, params)
 
 
 def simplification_identities(s, tau):

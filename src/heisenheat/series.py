@@ -13,20 +13,28 @@ and expands in the scaled Hermite basis as
 
     u = sum_m a_m(alpha, tau) * exp(-(2m+1+gamma)*s*tau/4) * Psi^tau_m(beta)
 
-with a_m(alpha, tau) = (-i)**m * sqrt(2*pi) * tau**(1/4) * psi_m(alpha/sqrt(tau)).
+with a_m(alpha, tau) = (-i)**m * sqrt(2*pi) * tau**(1/4) * psi_m(alpha/sqrt(tau)),
+that is, u is a Mehler-type sum
+
+    u = sqrt(2*pi) * exp(-(1+gamma)*s*tau/4) * sum_m (-i*S)**m psi_m(a) psi_m(b)
+
+with S = exp(-s*tau/2), a = alpha/sqrt(tau), b = beta/sqrt(tau): the sum on
+the left of Mehler's formula (:func:`mehler_sum`).  One routine sums both,
+elementwise over broadcast arrays, to one degree M per call taken in closed
+form from the tail bound pi**(-1/2) * S**(M+1) / (1-S); terms are added in
+ascending order with compensated (Kahan) summation.
 
 Everything here is implemented on the tau > 0 branch of the derivation;
 tau < 0 correctness of the closed form is established separately through the
-parity property and the PDE residual oracle.  Terms decay geometrically like
-exp(-m*s*tau/2), so ascending-order compensated (Kahan) summation with the
-geometric tail bound as stopping rule is enough.
+parity property and the PDE residual oracle.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .hermite import hermite_values
 
@@ -39,6 +47,7 @@ __all__ = [
     "u_series",
     "rho_hat_series",
     "mehler_sum",
+    "mehler_terms",
     "mehler_closed_form",
     "truncation_tail_bound",
 ]
@@ -49,6 +58,7 @@ _SQRT_PI_INV = math.pi ** -0.5
 _MINUS_I_POW = (1.0 + 0.0j, -1.0j, -1.0 + 0.0j, 1.0j)
 
 MEHLER_TOLERANCE = 1e-11
+MEHLER_MAX_DEGREE = 8000
 
 
 class SeriesConvergenceError(RuntimeError):
@@ -75,9 +85,9 @@ class SeriesConfig:
 
 @dataclass(frozen=True)
 class UValue:
-    """Partial sum of the eigenfunction expansion of u."""
+    """Partial sum of the eigenfunction expansion of u (an array over the broadcast arguments)."""
 
-    value: complex
+    value: complex | np.ndarray
     terms_used: int
     tail_bound: float
 
@@ -98,134 +108,142 @@ def coefficient_a_m(m: int, alpha: float, tau: float) -> complex:
     return _MINUS_I_POW[m % 4] * _SQRT_2PI * tau ** 0.25 * float(psi)
 
 
-def _kahan_add(total: complex, comp: complex, term: complex) -> tuple[complex, complex]:
-    y = term - comp
-    t = total + y
-    comp = (t - total) - y
-    return t, comp
+def _truncation_degree(decay, tail_tol, weight, max_degree: int) -> int:
+    """One degree M for the whole array, at most max_degree (taken where S = 1).
+
+    weight * truncation_tail_bound(S, M) < tail_tol solved for M in closed
+    form and rounded up, which leaves a degree of margin.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.log(tail_tol * (1.0 - decay) / (weight * _SQRT_PI_INV)) / np.log(decay)
+    return int(min(np.max(np.where(decay < 1.0, np.fmax(np.ceil(ratio), 0.0), np.inf)), max_degree))
+
+
+def _hermite_product_sum(decay, x, y, degree: int) -> np.ndarray:
+    """sum_{m <= degree} (-i*S)**m psi_m(x) psi_m(y) over broadcast S, x, y, Kahan-summed in ascending m."""
+    psi_x = hermite_values(x, degree)
+    psi_y = hermite_values(y, degree)
+    total = np.zeros(np.broadcast_shapes(np.shape(decay), psi_x.shape[1:], psi_y.shape[1:]), complex)
+    comp = np.zeros_like(total)
+    power = 1.0
+    for m in range(degree + 1):
+        term = _MINUS_I_POW[m % 4] * (power * psi_x[m] * psi_y[m]) - comp
+        t = total + term
+        comp = (t - total) - term
+        total = t
+        power = power * decay
+    return total
 
 
 def u_series(
     config: SeriesConfig,
-    s: float,
-    alpha: float,
-    beta: float,
-    tau: float,
-    gamma: complex = 0.0,
+    s,
+    alpha,
+    beta,
+    tau,
+    gamma=0.0,
 ) -> UValue:
-    """Partial sum of the expansion of u(s, alpha, beta, tau).
+    """Partial sum of the expansion of u(s, alpha, beta, tau), elementwise over broadcast arguments.
 
-    Summation stops at the first M where the geometric tail bound
-    |prefactor| * pi**(-1/2) * S**(M+1) / (1 - S), S = exp(-s*tau/2), drops
-    below ``config.tail_tol``, or at ``config.max_terms``.  At s = 0 the
-    bound degenerates (S = 1); the full budget is summed and convergence is
-    estimated a posteriori from the half-budget partial sum, raising
-    SeriesConvergenceError when even that estimate misses the tolerance.
+    Sums to the degree M (one past the first) at which the geometric tail
+    bound |prefactor| * truncation_tail_bound(S, M), S = exp(-s*tau/2), is
+    below ``config.tail_tol`` for every element, and raises
+    SeriesConvergenceError when M would exceed ``config.max_terms``.  Where
+    S = 1 (s = 0) the bound degenerates; the full budget is summed and
+    convergence is estimated a posteriori from the half-budget partial sum,
+    raising SeriesConvergenceError when even that estimate misses the
+    tolerance.  terms_used is M + 1; tail_bound the largest bound or estimate.
     """
-    if tau <= 0:
+    s, alpha, beta, tau = (np.asarray(v, dtype=float) for v in (s, alpha, beta, tau))
+    if not (tau > 0).all():
         raise ValueError(f"u_series requires tau > 0, got {tau}")
-    if s < 0:
+    if not (s >= 0).all():
         raise ValueError(f"u_series requires s >= 0, got {s}")
-    sq = math.sqrt(tau)
-    psi_a = hermite_values(alpha / sq, config.max_terms)
-    psi_b = hermite_values(beta / sq, config.max_terms)
-    pref = _SQRT_2PI * cmath.exp(-(1.0 + gamma) * s * tau / 4.0)
-    decay = math.exp(-0.5 * s * tau)
-
-    total = 0.0 + 0.0j
-    comp = 0.0 + 0.0j
-    power = 1.0
-    half_index = config.max_terms // 2
-    half_total = None
-    for m in range(config.max_terms + 1):
-        term = pref * _MINUS_I_POW[m % 4] * float(psi_a[m]) * float(psi_b[m]) * power
-        total, comp = _kahan_add(total, comp, term)
-        power *= decay
-        if s > 0:
-            bound = abs(pref) * _SQRT_PI_INV * power / (1.0 - decay)
-            if bound < config.tail_tol:
-                return UValue(value=total, terms_used=m + 1, tail_bound=bound)
-        elif m == half_index:
-            half_total = total
-    if s == 0:
-        estimate = abs(total - half_total)
-        if estimate > config.tail_tol:
-            raise SeriesConvergenceError(
-                f"s=0 expansion converges only distributionally: residual estimate "
-                f"{estimate:.3e} > tail_tol {config.tail_tol:.3e} at {config.max_terms} terms"
-            )
-        return UValue(value=total, terms_used=config.max_terms + 1, tail_bound=estimate)
-    raise SeriesConvergenceError(
-        f"tail bound still {abs(pref) * _SQRT_PI_INV * power / (1.0 - decay):.3e} "
-        f"> tail_tol {config.tail_tol:.3e} after {config.max_terms} terms "
-        f"(s*tau = {s * tau:.3e})"
-    )
+    x, y = alpha / np.sqrt(tau), beta / np.sqrt(tau)
+    with np.errstate(over="raise"):
+        pref = _SQRT_2PI * np.exp(-(1.0 + gamma) * s * tau / 4.0)
+    decay = np.exp(-0.5 * s * tau)
+    degree = _truncation_degree(decay, config.tail_tol, np.abs(pref), config.max_terms)
+    total = _hermite_product_sum(decay, x, y, degree)
+    if (decay == 1.0).any():
+        tail = np.max(np.abs(pref * (total - _hermite_product_sum(decay, x, y, degree // 2))))
+    else:
+        tail = np.max(np.abs(pref) * truncation_tail_bound(decay, degree))
+    if not tail < config.tail_tol:
+        raise SeriesConvergenceError(
+            f"tail bound {tail:.3e} >= tail_tol {config.tail_tol:.3e} after {degree + 1} terms "
+            f"(smallest s*tau {np.min(s * tau):.3e}; at s = 0 convergence is only distributional)"
+        )
+    return UValue(value=(pref * total)[()], terms_used=degree + 1, tail_bound=float(tail))
 
 
 def rho_hat_series(
     config: SeriesConfig,
-    s: float,
-    alpha: float,
-    beta: float,
-    tau: float,
-    gamma: complex = 0.0,
-) -> complex:
-    """Kernel value reconstructed from the eigenfunction expansion.
+    s,
+    alpha,
+    beta,
+    tau,
+    gamma=0.0,
+):
+    """Kernel value reconstructed from the eigenfunction expansion, elementwise over broadcast arguments.
 
     rho_hat = exp(i*alpha*beta/tau) * u; this is the series route checked
     against the closed form of ``kernels.rho_hat``.
     """
-    if s <= 0:
+    if (np.asarray(s) <= 0).any():
         raise ValueError(f"rho_hat_series requires s > 0, got {s}")
     u = u_series(config, s, alpha, beta, tau, gamma)
-    return cmath.exp(1j * alpha * beta / tau) * u.value
+    return (np.exp(1j * np.multiply(alpha, beta) / tau) * u.value)[()]
 
 
-def truncation_tail_bound(decay: float, terms: int) -> float:
-    """Tail bound pi**(-1/2) * S**(M+1) / (1-S) for the Mehler-type sum."""
-    if not 0 <= decay < 1:
+def truncation_tail_bound(decay, terms: int):
+    """Tail bound pi**(-1/2) * S**(M+1) / (1-S) of the Mehler-type sum after degree M = terms, elementwise."""
+    if not np.all((0 <= decay) & (decay < 1)):
         raise ValueError(f"decay factor must be in [0, 1), got {decay}")
     return _SQRT_PI_INV * decay ** (terms + 1) / (1.0 - decay)
 
 
-def mehler_closed_form(big_s: float, x: float, y: float) -> complex:
-    """Closed form of sum_m (-i*S)**m psi_m(x) psi_m(y) for 0 < S < 1."""
+def mehler_closed_form(big_s, x, y):
+    """Closed form of sum_m (-i*S)**m psi_m(x) psi_m(y) for 0 < S < 1, elementwise."""
     s2 = big_s * big_s
     return (
         _SQRT_PI_INV
         * (1.0 + s2) ** -0.5
-        * cmath.exp(
+        * np.exp(
             -0.5 * (1.0 - s2) / (1.0 + s2) * (x * x + y * y)
             - 2j * big_s / (1.0 + s2) * x * y
         )
     )
 
 
-def mehler_sum(big_s: float, x: float, y: float, max_terms: int = 8000) -> complex:
-    """Truncated oscillator-semigroup sum sum_m (-i*S)**m psi_m(x) psi_m(y).
+def mehler_terms(big_s) -> int:
+    """Terms mehler_sum adds for these S values in (0, 1), one count for the whole array.
 
-    Sums until the geometric tail bound is below 1e-14 of scale, then asserts
-    agreement with the closed form to MEHLER_TOLERANCE relative, raising
+    Past the degree where the tail bound is 1e-14, ~100x under
+    MEHLER_TOLERANCE, up to MEHLER_MAX_DEGREE.
+    """
+    big_s = np.asarray(big_s, dtype=float)
+    if not ((0.0 < big_s) & (big_s < 1.0)).all():
+        raise ValueError(f"requires 0 < S < 1, got {big_s}")
+    return _truncation_degree(big_s, 1e-14, 1.0, MEHLER_MAX_DEGREE) + 1
+
+
+def mehler_sum(big_s, x, y):
+    """Truncated oscillator-semigroup sum sum_m (-i*S)**m psi_m(x) psi_m(y), elementwise.
+
+    Adds mehler_terms(S) terms, then asserts agreement with the closed form
+    to MEHLER_TOLERANCE relative at every element, raising
     MehlerIdentityError on violation.  Returns the truncated sum.
     """
-    if not 0.0 < big_s < 1.0:
-        raise ValueError(f"requires 0 < S < 1, got {big_s}")
-    # choose M so the tail bound is ~100x below the identity tolerance
-    target = 1e-14
-    m_stop = int(math.log(target * (1.0 - big_s) / _SQRT_PI_INV) / math.log(big_s)) + 1
-    m_stop = min(max(m_stop, 8), max_terms)
-    psi_x = hermite_values(x, m_stop)
-    psi_y = hermite_values(y, m_stop)
-    total = 0.0 + 0.0j
-    comp = 0.0 + 0.0j
-    factor = 1.0 + 0.0j
-    for m in range(m_stop + 1):
-        total, comp = _kahan_add(total, comp, factor * float(psi_x[m]) * float(psi_y[m]))
-        factor *= -1j * big_s
+    big_s, x, y = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (big_s, x, y)))
+    total = _hermite_product_sum(big_s, x, y, mehler_terms(big_s) - 1)
     closed = mehler_closed_form(big_s, x, y)
-    if abs(total - closed) > MEHLER_TOLERANCE * abs(closed):
+    gap = np.abs(total - closed)
+    violated = gap > MEHLER_TOLERANCE * np.abs(closed)
+    if violated.any():
+        k = np.argmax(violated)
         raise MehlerIdentityError(
-            f"Mehler identity violated at S={big_s}, x={x}, y={y}: "
-            f"|sum - closed| = {abs(total - closed):.3e}, |closed| = {abs(closed):.3e}"
+            f"Mehler identity violated at S={big_s.flat[k]}, x={x.flat[k]}, y={y.flat[k]}: "
+            f"|sum - closed| = {gap.flat[k]:.3e}, |closed| = {abs(closed.flat[k]):.3e}"
         )
-    return total
+    return total[()]

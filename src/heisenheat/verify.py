@@ -286,25 +286,19 @@ def eigenfunction_residual_report(step_sizes=DEFAULT_STEP_SIZES) -> ResidualRepo
         -((2m+1)|tau| + gamma*tau) Psi^tau_m
     over tau in {+-0.5, +-2}, gamma in {0, 1, -1, i}, m <= 20.
     """
-    panel = [
-        (tau, gamma, m, beta)
-        for tau in (0.5, -0.5, 2.0, -2.0)
-        for gamma in (0.0, 1.0, -1.0, 1j)
-        for m in (0, 3, 7, 20)
-        for beta in (0.45, -1.2)
-    ]
-    norms = []
-    for h in step_sizes:
-        worst = 0.0
-        for tau, gamma, m, beta in panel:
-            p = hermite.ScaledHermiteParams(tau=tau, degree=m)
-            psi = lambda b: hermite.eval_scaled_hermite(p, b)
-            center = psi(beta)
-            d2 = (psi(beta + h) - 2 * center + psi(beta - h)) / h**2
-            lhs = tau**2 * d2 - beta**2 * center - gamma * tau * center
-            rhs = hermite.oscillator_eigenvalue(m, tau, gamma) * center
-            worst = max(worst, abs(lhs - rhs))
-        norms.append(worst)
+    h = np.asarray(step_sizes, dtype=float)
+    # axes: degree, step, tau, gamma, beta; the stencil beta, beta + h, beta - h rides on axis 2 of the call
+    m = np.array((0, 3, 7, 20))[:, np.newaxis, np.newaxis, np.newaxis, np.newaxis]
+    tau = np.array((0.5, -0.5, 2.0, -2.0))[:, np.newaxis, np.newaxis]
+    gamma = np.array((0.0, 1.0, -1.0, 1j))[:, np.newaxis]
+    beta = np.array((0.45, -1.2))
+    stencil = beta + (h[:, np.newaxis] * np.array((0.0, 1.0, -1.0)))[..., np.newaxis, np.newaxis, np.newaxis]
+    psi = hermite.eval_scaled_hermite(stencil, tau, int(m.max()))[m.ravel()]
+    center, up, down = psi[:, :, 0], psi[:, :, 1], psi[:, :, 2]
+    d2 = (up - 2 * center + down) / (h**2)[:, np.newaxis, np.newaxis, np.newaxis]
+    lhs = tau**2 * d2 - beta**2 * center - gamma * tau * center
+    rhs = hermite.oscillator_eigenvalue(m, tau, gamma) * center
+    norms = np.max(np.abs(lhs - rhs), axis=(0, 2, 3, 4))
     return _fitted_report("scaled-hermite-eigenfunction", step_sizes, norms)
 
 
@@ -563,70 +557,48 @@ def _check(name, worst, tolerance, passed=None, **extra) -> dict:
     return entry
 
 
+def _order_check(name, rep: ResidualReport) -> dict:
+    """Passes when the fitted convergence order lies in _ORDER_WINDOW."""
+    order = rep.convergence_order
+    passed = _ORDER_WINDOW[0] <= order <= _ORDER_WINDOW[1]
+    return _check(name, order, list(_ORDER_WINDOW), passed=passed, report=rep.as_dict())
+
+
 def _suite_hermite() -> list[dict]:
-    checks = [_check("orthonormality-deviation-deg60", orthonormality_suite(60), 1e-10)]
-    rep = eigenfunction_residual_report()
-    order_ok = _ORDER_WINDOW[0] <= rep.convergence_order <= _ORDER_WINDOW[1]
-    checks.append(
-        _check(
-            "eigenfunction-fd-order",
-            rep.convergence_order,
-            list(_ORDER_WINDOW),
-            passed=order_ok,
-            report=rep.as_dict(),
-        )
-    )
-    return checks
-
-
-def _series_agreement_panel() -> float:
-    config = series.SeriesConfig(max_terms=400, tail_tol=1e-13)
-    worst = 0.0
-    for s in (0.5, 1.0, 2.0):
-        for tau in (0.5, 1.0, 3.0):
-            for gamma in (0.0, 1.0, 1j):
-                par = KernelParams(s=s, tau=tau, gamma=gamma, n=1)
-                for a in (-3.0, -1.0, 0.0, 1.0, 3.0):
-                    for b in (-3.0, -1.0, 0.0, 1.0, 3.0):
-                        closed = rho_hat(par, a, b)
-                        summed = series.rho_hat_series(config, s, a, b, tau, gamma)
-                        worst = max(worst, abs(summed - closed) / abs(closed))
-    return worst
-
-
-def _mehler_panel() -> float:
-    worst = 0.0
-    grid = np.linspace(-3.0, 3.0, 13)
-    for big_s in (0.1, 0.5, 0.9):
-        for x in grid:
-            for y in grid:
-                total = series.mehler_sum(big_s, float(x), float(y))
-                closed = series.mehler_closed_form(big_s, float(x), float(y))
-                worst = max(worst, abs(total - closed) / abs(closed))
-    return worst
+    return [
+        _check("orthonormality-deviation-deg60", orthonormality_suite(60), 1e-10),
+        _order_check("eigenfunction-fd-order", eigenfunction_residual_report()),
+    ]
 
 
 def _suite_series() -> list[dict]:
+    # rho_hat from one u_series call over the whole panel against the closed form
+    config = series.SeriesConfig(max_terms=400, tail_tol=1e-13)
+    coords = (-3.0, -1.0, 0.0, 1.0, 3.0)
+    s, tau, gamma, a, b = (
+        g.ravel()
+        for g in np.meshgrid((0.5, 1.0, 2.0), (0.5, 1.0, 3.0), (0.0, 1.0, 1j), coords, coords, indexing="ij")
+    )
+    closed = rho_hat(KernelParams(s=s, tau=tau, gamma=gamma, n=1), a, b)
+    u = series.u_series(config, s, a, b, tau, gamma)
+    agreement = np.max(np.abs(np.exp(1j * a * b / tau) * u.value - closed) / np.abs(closed))
+    # one mehler_sum call over S in {0.1, 0.5, 0.9} and a 13 x 13 grid on [-3, 3]^2
+    grid = np.linspace(-3.0, 3.0, 13)
+    big_s, x, y = (g.ravel() for g in np.meshgrid((0.1, 0.5, 0.9), grid, grid, indexing="ij"))
+    closed = series.mehler_closed_form(big_s, x, y)
+    mehler = np.max(np.abs(series.mehler_sum(big_s, x, y) - closed) / np.abs(closed))
     return [
-        _check("series-vs-closed-form", _series_agreement_panel(), 1e-10),
-        _check("mehler-identity", _mehler_panel(), 1e-11),
+        _check(
+            "series-vs-closed-form", float(agreement), 1e-10,
+            terms_used=u.terms_used, tail_bound=u.tail_bound,
+        ),
+        _check("mehler-identity", float(mehler), 1e-11, terms_used=series.mehler_terms(big_s)),
     ]
 
 
 def _suite_pde() -> list[dict]:
-    checks = []
-    for rep in (residual_u(), residual_rho_hat(), residual_rho_tilde(), residual_heat_kernel()):
-        order_ok = _ORDER_WINDOW[0] <= rep.convergence_order <= _ORDER_WINDOW[1]
-        checks.append(
-            _check(
-                f"residual-order-{rep.equation}",
-                rep.convergence_order,
-                list(_ORDER_WINDOW),
-                passed=order_ok,
-                report=rep.as_dict(),
-            )
-        )
-    return checks
+    reports = (residual_u(), residual_rho_hat(), residual_rho_tilde(), residual_heat_kernel())
+    return [_order_check(f"residual-order-{rep.equation}", rep) for rep in reports]
 
 
 def _suite_inversion() -> list[dict]:

@@ -63,11 +63,16 @@ A0_ALPHA0_TAU1 = 1.8827925275534296        # sqrt(2 pi) * pi**(-1/4)
 
 
 def legendre_integral(f, lo: float, hi: float, order: int = 400) -> complex:
-    """Gauss-Legendre quadrature of a (possibly complex) integrand on [lo, hi]."""
+    """Gauss-Legendre quadrature of a (possibly complex) integrand on [lo, hi].
+
+    f maps the node array to values whose last axis runs over the nodes, so
+    one call integrates a whole family; a scalar integrand gives a complex.
+    """
     nodes, weights = leggauss(order)
     mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
     x = mid + half * nodes
-    return complex(np.sum(half * weights * f(x)))
+    total = np.sum(half * weights * f(x), axis=-1)
+    return complex(total) if total.ndim == 0 else total
 
 
 def coefficient_a_m_quadrature(m: int, alpha: float, tau: float) -> complex:
@@ -76,14 +81,13 @@ def coefficient_a_m_quadrature(m: int, alpha: float, tau: float) -> complex:
     a_m(alpha, tau) = int exp(-i*alpha*beta/tau) Psi^tau_m(beta) dbeta,
     truncated where the Hermite envelope is past double precision.
     """
-    from heisenheat.hermite import ScaledHermiteParams, eval_scaled_hermite
+    from heisenheat.hermite import eval_scaled_hermite
 
-    params = ScaledHermiteParams(tau=tau, degree=m)
     # classically allowed region |beta| < sqrt((2m+1) tau), generous margin
     radius = np.sqrt(tau) * (np.sqrt(2 * m + 1) + 14.0)
 
     def integrand(beta):
-        return np.exp(-1j * alpha * beta / tau) * eval_scaled_hermite(params, beta)
+        return np.exp(-1j * alpha * beta / tau) * eval_scaled_hermite(beta, tau, m)[m]
 
     return legendre_integral(integrand, -radius, radius, order=600)
 

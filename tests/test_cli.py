@@ -141,6 +141,23 @@ class TestEval:
         assert "must be finite" in capsys.readouterr().err
         assert not (tmp_path / "x.json").exists()
 
+    @pytest.mark.parametrize(
+        "flags, name",
+        [
+            (["--s", "1", "--tau", "1", "--gamma", "nan"], "gamma must be finite"),
+            (["--s", "1", "--tau", "1000", "--gamma", "-10"], "exceeds the double range"),
+        ],
+    )
+    def test_bad_gamma_value_exit_2(self, tmp_path, capsys, flags, name):
+        code = run(
+            ["eval", "--kernel", "rho-hat", *flags, "--axis", "alpha:0:1:2",
+             "--output", str(tmp_path / "x.json")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert name in err and "gamma" in err
+        assert not (tmp_path / "x.json").exists()
+
     def test_bad_axis_exit_2(self, tmp_path):
         code = run(
             [

@@ -70,26 +70,43 @@ class TestHermiteBatch:
 
 class TestScaledHermite:
     def test_unit_tau_reduces_to_psi(self):
-        p = hermite.ScaledHermiteParams(tau=1.0, degree=0)
-        assert hermite.eval_scaled_hermite(p, 0.0) == pytest.approx(oracles.PSI_0_AT_0, rel=1e-15)
+        assert hermite.eval_scaled_hermite(0.0, 1.0, 0)[0] == pytest.approx(
+            oracles.PSI_0_AT_0, rel=1e-15
+        )
 
     def test_tau_four_scaling(self):
-        p = hermite.ScaledHermiteParams(tau=4.0, degree=0)
-        assert hermite.eval_scaled_hermite(p, 0.0) == pytest.approx(
+        assert hermite.eval_scaled_hermite(0.0, 4.0, 0)[0] == pytest.approx(
             oracles.SCALED_TAU4_M0_AT_0, rel=1e-15
         )
 
     def test_negative_tau_uses_absolute_value(self):
-        p = hermite.ScaledHermiteParams(tau=-1.0, degree=1)
-        assert hermite.eval_scaled_hermite(p, 0.0) == 0.0
-        pm = hermite.ScaledHermiteParams(tau=-2.5, degree=4)
-        pp = hermite.ScaledHermiteParams(tau=2.5, degree=4)
+        assert hermite.eval_scaled_hermite(0.0, -1.0, 1)[1] == 0.0
         beta = 0.8
-        assert hermite.eval_scaled_hermite(pm, beta) == hermite.eval_scaled_hermite(pp, beta)
+        assert hermite.eval_scaled_hermite(beta, -2.5, 4)[4] == hermite.eval_scaled_hermite(
+            beta, 2.5, 4
+        )[4]
 
     def test_zero_tau_rejected(self):
         with pytest.raises(ValueError):
-            hermite.ScaledHermiteParams(tau=0.0, degree=0)
+            hermite.eval_scaled_hermite(0.0, 0.0, 0)
+        with pytest.raises(ValueError, match="tau"):
+            hermite.eval_scaled_hermite(0.0, np.array([1.0, 0.0]), 3)
+
+    def test_negative_degree_rejected(self):
+        with pytest.raises(ValueError):
+            hermite.eval_scaled_hermite(0.0, 1.0, -1)
+
+    def test_rows_match_single_degree_recurrence(self):
+        # row m of the all-degree call equals a run of the recurrence stopped at m,
+        # for broadcast beta (3,) against tau (2, 1)
+        beta = np.array([-1.7, 0.2, 2.9])
+        tau = np.array([[0.5], [-3.0]])
+        got = hermite.eval_scaled_hermite(beta, tau, 12)
+        assert got.shape == (13, 2, 3)
+        at = np.abs(tau)
+        for m in (0, 1, 5, 12):
+            expect = at**-0.25 * hermite.hermite_values(beta / np.sqrt(at), m)[m]
+            assert np.array_equal(got[m], expect)
 
     @pytest.mark.parametrize("tau", (0.5, -0.5, 2.0, -2.0))
     @pytest.mark.parametrize("gamma", (0.0, 1.0, -1.0, 1j))
@@ -99,17 +116,14 @@ class TestScaledHermite:
         worst = []
         for h in steps:
             resid = 0.0
-            for m in (0, 4, 11, 20):
-                p = hermite.ScaledHermiteParams(tau=tau, degree=m)
-                for beta in (0.45, -1.2):
-                    c = hermite.eval_scaled_hermite(p, beta)
-                    d2 = (
-                        hermite.eval_scaled_hermite(p, beta + h)
-                        - 2 * c
-                        + hermite.eval_scaled_hermite(p, beta - h)
-                    ) / h**2
-                    lhs = tau**2 * d2 - beta**2 * c - gamma * tau * c
-                    rhs = hermite.oscillator_eigenvalue(m, tau, gamma) * c
+            for beta in (0.45, -1.2):
+                c, up, down = hermite.eval_scaled_hermite(
+                    np.array([beta, beta + h, beta - h]), tau, 20
+                ).T
+                d2 = (up - 2 * c + down) / h**2
+                for m in (0, 4, 11, 20):
+                    lhs = tau**2 * d2[m] - beta**2 * c[m] - gamma * tau * c[m]
+                    rhs = hermite.oscillator_eigenvalue(m, tau, gamma) * c[m]
                     resid = max(resid, abs(lhs - rhs))
             worst.append(resid)
         order = np.polyfit(np.log(steps), np.log(worst), 1)[0]

@@ -12,6 +12,7 @@ from heisenheat.kernels import (
     GridAxis,
     GridMismatchError,
     GridSpec,
+    KernelOverflowError,
     KernelParams,
     coefficients_ab,
     evaluate_on_grid,
@@ -422,6 +423,41 @@ class TestKernelParams:
     def test_rejects_non_finite_and_negative(self, s, tau, name):
         with pytest.raises(ValueError, match=name):
             KernelParams(s=s, tau=tau)
+
+    @pytest.mark.parametrize(
+        "s, tau, gamma, name",
+        [
+            (1.0, 1.0, complex(math.nan, 0.0), "gamma must be finite"),
+            (1.0, 1.0, complex(0.0, math.inf), "gamma must be finite"),
+            (1.0, 1.0, np.array([0.5, math.nan]), "gamma must be finite"),
+            (1e300, 1e10, 0.0, r"s\*tau must be finite"),
+            (np.array([1.0, 1e300]), -1e10, 0.0, r"s\*tau"),
+            (1.0, 1e10, 1e300, r"gamma\*s\*tau"),
+        ],
+    )
+    def test_rejects_non_finite_gamma_and_overflowing_products(self, s, tau, gamma, name):
+        with pytest.raises(ValueError, match=name):
+            KernelParams(s=s, tau=tau, gamma=gamma)
+
+
+class TestKernelOverflow:
+    """A value past the double range is a named error, not inf with a RuntimeWarning."""
+
+    PARAMS = KernelParams(s=1.0, tau=1000.0, gamma=-10.0)
+
+    @pytest.mark.parametrize(
+        "kernel, args",
+        [(rho_hat, (0.0, 0.0)), (rho_tilde, (0.0, 0.0)), (heat_kernel_h, (0.0, 0.0, 0.0, 0.0))],
+    )
+    def test_named_error(self, kernel, args):
+        with pytest.raises(KernelOverflowError, match=r"gamma=-10.0, s=1.0, tau=1000.0"):
+            kernel(self.PARAMS, *args)
+
+    def test_just_inside_the_range(self):
+        # e**(-gamma*s*tau/4) with gamma*s*tau/4 = -709 is finite; the check lets it through
+        value = rho_hat(KernelParams(s=0.0, tau=1.0), 0.0, 0.0) * math.exp(709.0)
+        got = rho_hat(KernelParams(s=1e-6, tau=1.0, gamma=-4 * 709.0 * 1e6), 0.0, 0.0)
+        assert got == pytest.approx(value, rel=1e-9)
 
 
 def _s_tau_pairs(s_zero: bool):

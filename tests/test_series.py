@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from heisenheat.hermite import ScaledHermiteParams, eval_scaled_hermite
+from heisenheat.hermite import eval_scaled_hermite, hermite_values
 from heisenheat.kernels import KernelParams, rho_hat
 from heisenheat.series import (
     SeriesConfig,
@@ -12,6 +14,7 @@ from heisenheat.series import (
     coefficient_a_m,
     mehler_closed_form,
     mehler_sum,
+    mehler_terms,
     rho_hat_series,
     truncation_tail_bound,
     u_series,
@@ -53,7 +56,7 @@ class TestUSeries:
         leading = (
             coefficient_a_m(0, alpha, tau)
             * cmath.exp(-(1 + gamma) * s * tau / 4)
-            * eval_scaled_hermite(ScaledHermiteParams(tau=tau, degree=0), beta)
+            * eval_scaled_hermite(beta, tau, 0)[0]
         )
         assert got.value == pytest.approx(leading, rel=1e-14)
         assert got.terms_used <= 3
@@ -89,20 +92,30 @@ class TestUSeries:
         with pytest.raises(ValueError):
             u_series(cfg, -1.0, 0.0, 0.0, 1.0, 0.0)
 
+    def test_non_finite_or_overflowing_arguments_raise(self):
+        cfg = SeriesConfig()
+        with pytest.raises(ValueError, match="s >= 0"):
+            u_series(cfg, math.nan, 0.0, 0.0, 1.0, 0.0)
+        with pytest.raises(ValueError, match="tau > 0"):
+            u_series(cfg, 1.0, 0.0, 0.0, np.array([1.0, math.nan]), 0.0)
+        with pytest.raises(SeriesConvergenceError):
+            u_series(cfg, 1.0, 0.0, 0.0, 1.0, complex(math.nan, 0.0))
+        # exp(-(1+gamma)*s*tau/4) = exp(1500) is past the double range
+        with pytest.raises(FloatingPointError):
+            u_series(cfg, 1.0, 0.0, 0.0, 3000.0, -3.0)
+
     def test_s_zero_weak_reconstruction(self):
         # pair the expansion at s = 0 with a Gaussian test function:
         # sum_m a_m(alpha, tau) <Psi^tau_m, phi> = int e^{-i alpha beta/tau} phi(beta) dbeta
         tau = 2.0
+        # <Psi^tau_m, phi> for all m < 120 from one all-degree call
+        inner = oracles.legendre_integral(
+            lambda b: eval_scaled_hermite(b, tau, 119) * np.exp(-0.5 * b * b), -12.0, 12.0
+        )
         for alpha in (0.0, 0.7, -1.3):
             total = 0.0 + 0.0j
             for m in range(0, 120):
-                inner = oracles.legendre_integral(
-                    lambda b, m=m: eval_scaled_hermite(ScaledHermiteParams(tau=tau, degree=m), b)
-                    * np.exp(-0.5 * b * b),
-                    -12.0,
-                    12.0,
-                )
-                total += coefficient_a_m(m, alpha, tau) * inner
+                total += coefficient_a_m(m, alpha, tau) * inner[m]
             expect = oracles.gaussian_pair_integral(alpha, tau)
             assert abs(total - expect) < 1e-6
 
@@ -148,8 +161,6 @@ class TestRhoHatSeries:
         cfg_even = SeriesConfig(max_terms=401, tail_tol=1e-13)
         val = rho_hat_series(cfg_even, 1.0, 0.0, 0.0, 1.0, 0.0)
         total = 0.0 + 0.0j
-        from heisenheat.hermite import hermite_values
-
         psi0 = hermite_values(0.0, 400)
         pref = math.sqrt(2 * math.pi) * math.exp(-0.25)
         for m in range(0, 401, 2):
@@ -200,8 +211,6 @@ class TestMehler:
 
     def test_truncation_bound_is_a_posteriori_valid(self):
         # |sum_M - sum_2M| must sit below the geometric tail bound at M
-        from heisenheat.hermite import hermite_values
-
         x, y = 0.8, -0.5
         for big_s, m_terms in ((0.5, 20), (0.9, 60)):
             psi_x = hermite_values(x, 2 * m_terms)
@@ -218,3 +227,78 @@ class TestMehler:
     def test_bound_validation(self):
         with pytest.raises(ValueError):
             truncation_tail_bound(1.0, 10)
+        with pytest.raises(ValueError):
+            truncation_tail_bound(np.array([0.5, 1.0]), 10)
+
+    def test_term_count_is_one_for_the_whole_array(self):
+        # the largest count any S needs, one degree past the 1e-14 tail bound
+        assert mehler_terms(1e-9) == 3
+        assert mehler_terms(np.array([0.1, 0.9, 0.5])) == mehler_terms(0.9)
+        assert truncation_tail_bound(0.9, mehler_terms(0.9) - 2) < 1e-14
+        with pytest.raises(ValueError):
+            mehler_terms(np.array([0.5, 1.0]))
+
+
+_COORD = st.floats(-3.0, 3.0)
+
+
+class TestArrayValued:
+    """Array calls give the per-point scalar calls to 1e-12 absolute."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        points=st.lists(
+            st.tuples(
+                st.floats(0.3, 3.0),
+                st.floats(0.3, 3.0, exclude_min=True),
+                st.complex_numbers(max_magnitude=1.0),
+                _COORD,
+                _COORD,
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    def test_u_series(self, points):
+        # s*tau down to 0.09 needs ~740 terms, past the default 400
+        cfg = SeriesConfig(max_terms=1000)
+        s, tau, gamma, alpha, beta = (np.array(v) for v in zip(*points))
+        together = u_series(cfg, s, alpha, beta, tau, gamma)
+        assert together.value.shape == s.shape
+        assert isinstance(together.terms_used, int)
+        for k, (s_k, tau_k, gamma_k, alpha_k, beta_k) in enumerate(points):
+            alone = u_series(cfg, s_k, alpha_k, beta_k, tau_k, gamma_k)
+            assert abs(together.value[k] - alone.value) <= 1e-12
+            assert alone.terms_used <= together.terms_used
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        points=st.lists(st.tuples(st.floats(0.05, 0.95), _COORD, _COORD), min_size=1, max_size=8)
+    )
+    def test_mehler_sum(self, points):
+        big_s, x, y = (np.array(v) for v in zip(*points))
+        together = mehler_sum(big_s, x, y)
+        assert together.shape == big_s.shape
+        for k, point in enumerate(points):
+            assert abs(together[k] - mehler_sum(*point)) <= 1e-12
+
+    def test_s_zero_element_takes_the_whole_budget(self):
+        # one S = 1 element puts the whole array on the s = 0 rule
+        cfg = SeriesConfig(max_terms=500, tail_tol=0.2)
+        together = u_series(cfg, np.array([0.0, 1.0]), 0.5, 0.3, 1.0, 0.0)
+        assert together.terms_used == 501
+        alone = u_series(cfg, 0.0, 0.5, 0.3, 1.0, 0.0)
+        assert together.tail_bound == alone.tail_bound
+        assert abs(together.value[0] - alone.value) <= 1e-12
+        # the s = 1 element is summed far past its own 0.2 tolerance
+        tight = u_series(SeriesConfig(), 1.0, 0.5, 0.3, 1.0, 0.0)
+        assert abs(together.value[1] - tight.value) <= 1e-12
+
+    def test_rho_hat_series_broadcasts(self):
+        cfg = SeriesConfig()
+        alpha = np.array([-1.0, 0.5])[:, np.newaxis]
+        beta = np.array([0.0, 1.0, 2.5])
+        got = rho_hat_series(cfg, 0.8, alpha, beta, 1.3, 0.5j)
+        assert got.shape == (2, 3)
+        closed = rho_hat(KernelParams(s=0.8, tau=1.3, gamma=0.5j), np.broadcast_to(alpha, (2, 3)), beta)
+        assert np.max(np.abs(got - closed) / np.abs(closed)) < 1e-10

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from heisenheat import verify
+from heisenheat import hermite, series, verify
 from heisenheat.kernels import KernelParams, rho_hat, rho_tilde
 from heisenheat.verify import (
     GaussianTestFunction,
@@ -217,3 +217,33 @@ class TestSuiteRunner:
     def test_unknown_suite_rejected(self):
         with pytest.raises(ValueError):
             verify.run_suite("nonsense")
+
+    def test_series_suite_is_one_call_per_panel(self, monkeypatch):
+        calls = {"u_series": 0, "mehler_sum": 0, "hermite_values": 0}
+
+        def counted(name, func):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return func(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("u_series", "mehler_sum", "hermite_values"):
+            monkeypatch.setattr(series, name, counted(name, getattr(series, name)))
+        report = verify.run_suite("series")
+        assert report["passed"]
+        assert calls == {"u_series": 1, "mehler_sum": 1, "hermite_values": 4}
+        agreement, mehler = report["checks"]
+        assert agreement["check"] == "series-vs-closed-form"
+        assert isinstance(agreement["terms_used"], int) and 1 < agreement["terms_used"] <= 401
+        assert 0 < agreement["tail_bound"] < 1e-13
+        assert mehler["check"] == "mehler-identity"
+        assert mehler["terms_used"] == series.mehler_terms(0.9)
+
+    def test_eigenfunction_report_is_one_hermite_call(self, monkeypatch):
+        calls = []
+        original = hermite.hermite_values
+        monkeypatch.setattr(hermite, "hermite_values", lambda *a: calls.append(a) or original(*a))
+        rep = verify.eigenfunction_residual_report()
+        assert len(calls) == 1
+        assert 1.8 < rep.convergence_order < 2.2
