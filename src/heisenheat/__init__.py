@@ -14,6 +14,7 @@ from .kernels import (
     GridAxis,
     GridSpec,
     KernelParams,
+    apply_kernel,
     coefficients_ab,
     evaluate_on_grid,
     heat_kernel_h,
@@ -39,6 +40,7 @@ __all__ = [
     "GridAxis",
     "GridSpec",
     "KernelParams",
+    "apply_kernel",
     "coefficients_ab",
     "evaluate_on_grid",
     "heat_kernel_h",

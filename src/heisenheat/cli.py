@@ -33,6 +33,9 @@ from .kernels import (
     GridMismatchError,
     GridSpec,
     KernelParams,
+    _component_blocks,
+    _component_names,
+    apply_kernel,
     evaluate_on_grid,
     heat_kernel_h,
     rho_tilde,
@@ -119,9 +122,18 @@ def _atomic_write_text(path: str, text: str) -> None:
         raise
 
 
-def _write_field(sample: FieldSample, path: str, fmt: str) -> None:
-    text = sample.to_json_text() if fmt == "json" else sample.to_csv_text()
-    _atomic_write_text(path, text)
+def _write_field(sample: FieldSample, args, default_name: str, summary: str) -> int:
+    """Write sample to --output (default_name in the output dir) and print a summary line."""
+    out = _resolve_output(args.output, default_name)
+    text = sample.to_json_text() if args.format == "json" else sample.to_csv_text()
+    try:
+        _atomic_write_text(out, text)
+    except OSError as exc:
+        print(f"error: cannot write {out}: {exc}", file=sys.stderr)
+        return EXIT_IO
+    moduli = np.abs(sample.values)
+    print(f"{summary}, |value| in [{moduli.min():.6e}, {moduli.max():.6e}] -> {out}")
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -137,19 +149,9 @@ def _cmd_eval(args) -> int:
         sample = evaluate_on_grid(args.kernel, params, grid)
     except (GridMismatchError, ValueError) as exc:
         raise CliError(str(exc)) from exc
-    out = _resolve_output(args.output, f"{args.kernel}.{args.format}")
-    try:
-        _write_field(sample, out, args.format)
-    except OSError as exc:
-        print(f"error: cannot write {out}: {exc}", file=sys.stderr)
-        return EXIT_IO
-    moduli = np.abs(sample.values)
     shape = "x".join(str(ax.count) for ax in grid.axes)
-    print(
-        f"{args.kernel}: {shape} grid ({grid.size} points), "
-        f"|value| in [{moduli.min():.6e}, {moduli.max():.6e}] -> {out}"
-    )
-    return EXIT_OK
+    summary = f"{args.kernel}: {shape} grid ({grid.size} points)"
+    return _write_field(sample, args, f"{args.kernel}.{args.format}", summary)
 
 
 def _load_field(path: str) -> FieldSample:
@@ -181,12 +183,9 @@ def _cmd_apply(args) -> int:
         raise CliError("apply requires s > 0")
     field_in = _load_field(args.input)
     names = [ax.name for ax in field_in.grid.axes]
-    comp_x = ["x"] if params.n == 1 else [f"x{j}" for j in range(1, params.n + 1)]
-    comp_y = ["y"] if params.n == 1 else [f"y{j}" for j in range(1, params.n + 1)]
-    if names != comp_x + comp_y:
-        raise CliError(
-            f"input grid axes {names} do not match the expected {comp_x + comp_y}"
-        )
+    expected = _component_names("x", params.n) + _component_names("y", params.n)
+    if names != expected:
+        raise CliError(f"input grid axes {names} do not match the expected {expected}")
     if not args.axis:
         raise CliError("apply requires output --axis flags")
     out_grid = GridSpec(tuple(_parse_axis(a) for a in args.axis))
@@ -196,39 +195,11 @@ def _cmd_apply(args) -> int:
 
     axis_points = [ax.points() for ax in field_in.grid.axes]
     weights = [_trapezoid_weights(p) for p in axis_points]
-    meshes = np.meshgrid(*axis_points, indexing="ij")
-    wmesh = np.ones_like(meshes[0])
-    for k, w in enumerate(weights):
-        shape = [1] * len(weights)
-        shape[k] = len(w)
-        wmesh = wmesh * w.reshape(shape)
-    f_vals = field_in.values.reshape(wmesh.shape)
-    src = {name: mesh.ravel() for name, mesh in zip(names, meshes)}
-    wf = (wmesh.ravel() * f_vals.ravel())
-
-    xp = np.stack([src[name] for name in comp_x], axis=-1)
-    yp = np.stack([src[name] for name in comp_y], axis=-1)
-
-    out_coords = out_grid.coordinates()
-    out_vals = np.empty(out_grid.size, dtype=complex)
-    for i in range(out_grid.size):
-        x_pt = np.array([out_coords.get(nm, np.zeros(out_grid.size))[i] for nm in comp_x])
-        y_pt = np.array([out_coords.get(nm, np.zeros(out_grid.size))[i] for nm in comp_y])
-        kern = heat_kernel_h(params, xp, yp, x_pt, y_pt)
-        out_vals[i] = np.sum(wf * kern)
+    x, y = _component_blocks(out_grid.coordinates(), out_grid.size, ("x", "y"), params.n)
+    out_vals = apply_kernel(params, axis_points, weights, field_in.values, x, y)
     sample = FieldSample(grid=out_grid, values=out_vals, kernel="heat-kernel-apply", params=params)
-    out = _resolve_output(args.output, f"apply.{args.format}")
-    try:
-        _write_field(sample, out, args.format)
-    except OSError as exc:
-        print(f"error: cannot write {out}: {exc}", file=sys.stderr)
-        return EXIT_IO
-    moduli = np.abs(sample.values)
-    print(
-        f"heat-kernel-apply: {out_grid.size} points, "
-        f"|value| in [{moduli.min():.6e}, {moduli.max():.6e}] -> {out}"
-    )
-    return EXIT_OK
+    summary = f"heat-kernel-apply: {out_grid.size} points"
+    return _write_field(sample, args, f"apply.{args.format}", summary)
 
 
 def _json_default(obj):

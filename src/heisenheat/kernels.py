@@ -35,13 +35,19 @@ and the real power cosh(s*tau/2)**(n/2) never touches a complex branch cut
 (gamma enters only through the exponential).
 
 Spatial arguments are length-n vectors; every kernel also broadcasts over
-leading axes of inputs shaped (..., n), and for n == 1 plain scalars or
-arrays of any shape are taken elementwise.  s and tau may be arrays too;
-they broadcast against those leading axes.
+leading axes of inputs shaped (..., n).  For n == 1 one rule covers all
+spatial arguments of a call: the last axis is the component axis only when
+every non-scalar argument ends in length 1, otherwise every argument is
+taken elementwise, so (M, 1) against (1, N) gives an (M, N) result.  s and
+tau may be arrays too; they broadcast against the leading axes.
+
+:func:`apply_kernel` is the one weighted sum over H, behind the CLI's
+``apply`` and the semigroup and initial-condition checks of ``verify``.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, replace
@@ -61,6 +67,7 @@ __all__ = [
     "rho_hat",
     "rho_tilde",
     "heat_kernel_h",
+    "apply_kernel",
     "simplification_identities",
     "evaluate_on_grid",
 ]
@@ -188,16 +195,20 @@ def coefficients_ab(s, tau):
 # kernel evaluation
 # ---------------------------------------------------------------------------
 
-def _components(arr, n: int, name: str) -> np.ndarray:
-    """Coerce a spatial argument to shape (..., n)."""
-    a = np.asarray(arr, dtype=float)
-    if a.ndim == 0:
-        a = a.reshape(1)
-    if a.shape[-1] == n:
-        return a
-    if n == 1:
-        return a[..., np.newaxis]
-    raise ValueError(f"{name} must have {n} components along the last axis, got shape {a.shape}")
+def _components(n: int, **args) -> list[np.ndarray]:
+    """Coerce the spatial arguments of one kernel call to shape (..., n).
+
+    For n == 1 the last axis is the component axis only when every
+    non-scalar argument ends in length 1; otherwise every argument is taken
+    elementwise and gains a trailing component axis.
+    """
+    arrays = {name: np.asarray(a, dtype=float) for name, a in args.items()}
+    elementwise = n == 1 and any(a.ndim and a.shape[-1] != 1 for a in arrays.values())
+    coerced = [a[..., np.newaxis] if elementwise or a.ndim == 0 else a for a in arrays.values()]
+    for name, a in zip(arrays, coerced):
+        if a.shape[-1] != n:
+            raise ValueError(f"{name} must have {n} components along the last axis, got shape {a.shape}")
+    return coerced
 
 
 def _exp_kernel(expo, params: KernelParams):
@@ -222,8 +233,7 @@ def rho_hat(params: KernelParams, alpha, beta):
     At s = 0 this is identically 1 (transform of the delta distribution); at
     tau = 0 it reduces to the Gaussian exp(-s*(|alpha|^2+|beta|^2)/4).
     """
-    a = _components(alpha, params.n, "alpha")
-    b = _components(beta, params.n, "beta")
+    a, b = _components(params.n, alpha=alpha, beta=beta)
     a_c, b_c, log_cosh, _, _ = coefficients_ab(params.s, params.tau)
     sq = np.sum(a * a, axis=-1) + np.sum(b * b, axis=-1)
     dot = np.sum(a * b, axis=-1)
@@ -248,8 +258,7 @@ def rho_tilde(params: KernelParams, x, y):
     """
     if (np.asarray(params.s) <= 0).any():
         raise ValueError(f"rho_tilde requires s > 0, got s={params.s}")
-    xv = _components(x, params.n, "x")
-    yv = _components(y, params.n, "y")
+    xv, yv = _components(params.n, x=x, y=y)
     a_c, b_c, log_cosh, _, _ = coefficients_ab(params.s, params.tau)
     # A^2+B^2 = A^2 (1 + q) with q = (B/A)^2; A^2 itself underflows for tiny s
     ratio = b_c / a_c
@@ -282,10 +291,7 @@ def heat_kernel_h(params: KernelParams, xp, yp, x, y):
     """
     if (np.asarray(params.s) <= 0).any():
         raise ValueError(f"heat_kernel_h requires s > 0, got s={params.s}")
-    xs = _components(xp, params.n, "xp")
-    ys = _components(yp, params.n, "yp")
-    xf = _components(x, params.n, "x")
-    yf = _components(y, params.n, "y")
+    xs, ys, xf, yf = _components(params.n, xp=xp, yp=yp, x=x, y=y)
     u = xf - xs
     v = yf - ys
     r2 = np.sum(u * u, axis=-1) + np.sum(v * v, axis=-1)
@@ -298,6 +304,28 @@ def heat_kernel_h(params: KernelParams, xp, yp, x, y):
         - 0.5j * params.tau * tw
     )
     return _exp_kernel(expo, params)
+
+
+def apply_kernel(params: KernelParams, nodes, weights, values, x, y) -> np.ndarray:
+    """H[f](s, x, y) = sum over a tensor rule of w * H(s, x', y', x, y) * f(x', y').
+
+    nodes and weights are 2n one-dimensional arrays, one per source axis in
+    the order x'_1..x'_n, y'_1..y'_n; values holds f on their row-major mesh
+    (any shape with the mesh's size).  x and y are the m output points, of
+    shape (m, n).  Returns the m sums.  Each output point takes one
+    heat_kernel_h call over the whole input mesh, so memory stays at the
+    mesh size whatever m is.
+    """
+    n = params.n
+    if len(nodes) != 2 * n or len(weights) != 2 * n:
+        raise ValueError(f"apply_kernel needs {2 * n} node and weight arrays for n={n}")
+    meshes = np.meshgrid(*nodes, indexing="ij")
+    wmesh = functools.reduce(np.multiply.outer, weights)
+    wf = wmesh.ravel() * np.reshape(values, wmesh.shape).ravel()
+    xp = np.stack([mesh.ravel() for mesh in meshes[:n]], axis=-1)
+    yp = np.stack([mesh.ravel() for mesh in meshes[n:]], axis=-1)
+    points = zip(np.reshape(x, (-1, n)), np.reshape(y, (-1, n)))
+    return np.array([np.sum(wf * heat_kernel_h(params, xp, yp, *pt)) for pt in points], dtype=complex)
 
 
 def simplification_identities(s, tau):
@@ -489,6 +517,14 @@ def _component_names(base: str, n: int) -> list[str]:
     return [base] if n == 1 else [f"{base}{j}" for j in range(1, n + 1)]
 
 
+def _component_blocks(coords, size: int, bases, n: int) -> list[np.ndarray]:
+    """One (size, n) block per base from grid coordinates; components without an axis are 0."""
+    return [
+        np.stack([coords.get(name, np.zeros(size)) for name in _component_names(base, n)], axis=-1)
+        for base in bases
+    ]
+
+
 def evaluate_on_grid(kernel: str, params: KernelParams, grid: GridSpec) -> FieldSample:
     """Evaluate a named kernel at every grid point, row-major over the axes.
 
@@ -511,13 +547,7 @@ def evaluate_on_grid(kernel: str, params: KernelParams, grid: GridSpec) -> Field
             )
 
     coords = grid.coordinates()
-    blocks = []
-    for base in bases:
-        block = np.zeros((grid.size, params.n))
-        for j, name in enumerate(_component_names(base, params.n)):
-            if name in coords:
-                block[:, j] = coords[name]
-        blocks.append(block)
+    blocks = _component_blocks(coords, grid.size, bases, params.n)
     point_params = replace(params, s=coords.get("s", params.s), tau=coords.get("tau", params.tau))
     values = _KERNEL_FUNCS[kernel](point_params, *blocks)
     return FieldSample(grid=grid, values=values, kernel=kernel, params=params)

@@ -21,14 +21,17 @@ functions, because pointwise delta recovery is meaningless numerically.
 from __future__ import annotations
 
 import math
+import platform
+import time
 from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from . import hermite, series
+from . import __version__, hermite, series
 from .kernels import (
     KernelParams,
+    apply_kernel,
     coefficients_ab,
     heat_kernel_h,
     rho_hat,
@@ -372,24 +375,21 @@ def dft_inversion_check(params: KernelParams, grid_extent: float = 40.0, grid_co
 _QUAD_ORDERS = (64, 96, 144, 216)
 
 
-def _gauss_legendre_2d(box_x, box_y, order):
-    nodes, weights = leggauss(order)
-    xm, xr = 0.5 * (box_x[1] + box_x[0]), 0.5 * (box_x[1] - box_x[0])
-    ym, yr = 0.5 * (box_y[1] + box_y[0]), 0.5 * (box_y[1] - box_y[0])
-    xs = xm + xr * nodes
-    ys = ym + yr * nodes
-    wx = xr * weights
-    wy = yr * weights
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    gw = np.outer(wx, wy)
-    return gx, gy, gw
+def _adaptive_apply(params, f, box, point, rel_tol=1e-9) -> complex:
+    """H[f](s, point) by apply_kernel on tensor Gauss-Legendre rules over box.
 
-
-def _adaptive_tensor_quad(integrand, box_x, box_y, rel_tol=1e-9):
+    box is ((x_lo, x_hi), (y_lo, y_hi)); the order runs through _QUAD_ORDERS
+    until two successive sums agree to rel_tol.
+    """
     prev = None
     for order in _QUAD_ORDERS:
-        gx, gy, gw = _gauss_legendre_2d(box_x, box_y, order)
-        total = complex(np.sum(gw * integrand(gx, gy)))
+        unit_nodes, unit_weights = leggauss(order)
+        nodes, weights = zip(*(
+            (0.5 * (hi + lo) + 0.5 * (hi - lo) * unit_nodes, 0.5 * (hi - lo) * unit_weights)
+            for lo, hi in box
+        ))
+        values = f(*np.meshgrid(*nodes, indexing="ij"))
+        total = complex(apply_kernel(params, nodes, weights, values, *point)[0])
         if prev is not None and abs(total - prev) <= rel_tol * max(abs(total), 1e-300):
             return total
         prev = total
@@ -419,15 +419,11 @@ def semigroup_check(params1: KernelParams, params2: KernelParams, point_pair) ->
     a1 = coefficients_ab(params1.s, params1.tau)[-1]
     a2 = coefficients_ab(params2.s, params2.tau)[-1]
     radius = 7.0 / math.sqrt(min(a1, a2))
-    box_x = (min(x0, x1) - radius, max(x0, x1) + radius)
-    box_y = (min(y0, y1) - radius, max(y0, y1) + radius)
-
-    def integrand(w, v):
-        k1 = heat_kernel_h(params1, x0, y0, w, v)
-        k2 = heat_kernel_h(params2, w, v, x1, y1)
-        return k1 * k2
-
-    composed = _adaptive_tensor_quad(integrand, box_x, box_y)
+    box = tuple((min(a, b) - radius, max(a, b) + radius) for a, b in ((x0, x1), (y0, y1)))
+    # H_{s2}[H_{s1}(x0, y0; .)](x1, y1)
+    composed = _adaptive_apply(
+        params2, lambda w, v: heat_kernel_h(params1, x0, y0, w, v), box, (x1, y1)
+    )
     exact = heat_kernel_h(replace(params1, s=params1.s + params2.s), x0, y0, x1, y1)
     return abs(composed - exact) / abs(exact)
 
@@ -462,15 +458,8 @@ def apply_kernel_to_function(params: KernelParams, f, point) -> complex:
     """
     if params.n != 1:
         raise ValueError("quadrature application is implemented for n = 1")
-    px, py = point
     radius = 8.0 / math.sqrt(coefficients_ab(params.s, params.tau)[-1])
-    box_x = (px - radius, px + radius)
-    box_y = (py - radius, py + radius)
-
-    def integrand(w, v):
-        return heat_kernel_h(params, w, v, px, py) * f(w, v)
-
-    return _adaptive_tensor_quad(integrand, box_x, box_y)
+    return _adaptive_apply(params, f, tuple((c - radius, c + radius) for c in point), point)
 
 
 def initial_condition_check(
@@ -601,42 +590,37 @@ def _suite_pde() -> list[dict]:
     return [_order_check(f"residual-order-{rep.equation}", rep) for rep in reports]
 
 
+def _worst_checks(name, errors_by_tau) -> list[dict]:
+    """Checks on the worst error of all (tau, error) pairs (< 1e-6) and of those at tau = 0 (< 1e-8)."""
+    worst = max((err for _, err in errors_by_tau), default=0.0)
+    worst_tau0 = max((err for tau, err in errors_by_tau if tau == 0.0), default=0.0)
+    return [_check(name, worst, 1e-6), _check(f"{name}-tau0", worst_tau0, 1e-8)]
+
+
 def _suite_inversion() -> list[dict]:
-    checks = []
-    worst = 0.0
-    worst_tau0 = 0.0
-    for s in (0.5, 1.0, 2.0):
-        for tau in (-2.0, -0.5, 0.0, 0.5, 2.0):
-            for gamma in (0.0, 1.0, 1j):
-                par = KernelParams(s=s, tau=tau, gamma=gamma, n=1)
-                err = dft_inversion_check(par, grid_extent=40.0, grid_count=512)
-                worst = max(worst, err)
-                if tau == 0.0:
-                    worst_tau0 = max(worst_tau0, err)
-    checks.append(_check("dft-inversion", worst, 1e-6))
-    checks.append(_check("dft-inversion-tau0", worst_tau0, 1e-8))
-    return checks
+    return _worst_checks("dft-inversion", [
+        (tau, dft_inversion_check(KernelParams(s=s, tau=tau, gamma=gamma, n=1), 40.0, 512))
+        for s in (0.5, 1.0, 2.0)
+        for tau in (-2.0, -0.5, 0.0, 0.5, 2.0)
+        for gamma in (0.0, 1.0, 1j)
+    ])
 
 
 def _suite_semigroup() -> list[dict]:
-    checks = []
     panel = [
         (0.5, 0.5, 1.0, 0.0, ((0.2, -0.3), (0.2, -0.3))),
         (0.7, 0.3, 0.0, 0.0, ((0.0, 0.0), (0.6, -0.4))),
         (0.5, 0.5, 1.0, 2.0, ((0.2, -0.3), (-0.1, 0.5))),
         (0.4, 0.6, -0.5, 1j, ((0.3, 0.1), (-0.2, 0.4))),
     ]
-    worst = 0.0
-    worst_tau0 = 0.0
-    for s1, s2, tau, gamma, points in panel:
-        p1 = KernelParams(s=s1, tau=tau, gamma=gamma, n=1)
-        p2 = KernelParams(s=s2, tau=tau, gamma=gamma, n=1)
-        err = semigroup_check(p1, p2, points)
-        worst = max(worst, err)
-        if tau == 0.0:
-            worst_tau0 = max(worst_tau0, err)
-    checks.append(_check("semigroup-composition", worst, 1e-6))
-    checks.append(_check("semigroup-composition-tau0", worst_tau0, 1e-8))
+    checks = _worst_checks("semigroup-composition", [
+        (tau, semigroup_check(
+            KernelParams(s=s1, tau=tau, gamma=gamma, n=1),
+            KernelParams(s=s2, tau=tau, gamma=gamma, n=1),
+            points,
+        ))
+        for s1, s2, tau, gamma, points in panel
+    ])
 
     params = KernelParams(s=1.0, tau=1.0, gamma=0.0, n=1)
     errors = initial_condition_check(
@@ -681,18 +665,28 @@ def run_suite(name: str) -> dict:
         "semigroup": _suite_semigroup,
     }
     if name == "all":
-        checks = []
-        for key in ("hermite", "series", "pde", "inversion", "semigroup"):
-            checks.extend(runners[key]())
+        keys = tuple(runners)
         panel = _SUITE_PANELS
     elif name in runners:
-        checks = runners[name]()
+        keys = (name,)
         panel = _SUITE_PANELS[name]
     else:
         raise ValueError(f"unknown suite {name!r}; expected one of {SUITE_NAMES}")
+    checks = []
+    elapsed = {}
+    for key in keys:
+        start = time.perf_counter()
+        checks.extend(runners[key]())
+        elapsed[key] = time.perf_counter() - start
     return {
         "suite": name,
         "panel": panel,
         "checks": checks,
         "passed": all(c["passed"] for c in checks),
+        "elapsed_s": elapsed,
+        "environment": {
+            "heisenheat": __version__,
+            "numpy": np.__version__,
+            "python": platform.python_version(),
+        },
     }

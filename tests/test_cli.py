@@ -1,8 +1,10 @@
 import json
+import platform
 
 import numpy as np
 import pytest
 
+import heisenheat
 from heisenheat import cli
 from heisenheat.kernels import FieldSample, GridAxis, GridSpec, KernelParams, evaluate_on_grid
 
@@ -280,6 +282,28 @@ class TestApply:
             outs[ext] = FieldSample.from_json(out).values
         assert np.array_equal(outs["json"], outs["csv"])
 
+    def _apply(self, tmp_path, field, axes, name):
+        out = tmp_path / f"{name}.json"
+        argv = ["apply", "--input", str(field), "--s", "0.3", "--tau", "0.7", "--gamma", "0.2+0.1i"]
+        for axis in axes:
+            argv += ["--axis", axis]
+        assert run(argv + ["--output", str(out)]) == 0
+        return FieldSample.from_json(out).values
+
+    def test_swapped_output_axes_give_the_transpose(self, tmp_path):
+        _write_gaussian_field(tmp_path / "f.json", count=41, extent=4.0)
+        x_axis, y_axis = "x:-1:1:3", "y:-0.5:0.7:4"
+        xy = self._apply(tmp_path, tmp_path / "f.json", (x_axis, y_axis), "xy").reshape(3, 4)
+        yx = self._apply(tmp_path, tmp_path / "f.json", (y_axis, x_axis), "yx").reshape(4, 3)
+        assert np.max(np.abs(yx - xy.T)) <= 1e-14 * np.max(np.abs(xy))
+
+    def test_missing_output_axis_is_held_at_zero(self, tmp_path):
+        _write_gaussian_field(tmp_path / "f.json", count=41, extent=4.0)
+        full = self._apply(tmp_path, tmp_path / "f.json", ("x:-1:1:5", "y:-1:1:3"), "full")
+        x_only = self._apply(tmp_path, tmp_path / "f.json", ("x:-1:1:5",), "x_only")
+        row = full.reshape(5, 3)[:, 1]  # y = 0
+        assert np.max(np.abs(x_only - row)) <= 1e-14 * np.max(np.abs(row))
+
     def test_grid_mismatch_exit_2(self, tmp_path):
         axes = (GridAxis("alpha", -1, 1, 4), GridAxis("beta", -1, 1, 4))
         grid = GridSpec(axes)
@@ -314,6 +338,12 @@ class TestVerify:
         assert doc["suite"] == "hermite"
         assert doc["passed"] is True
         assert all("worst" in c and "tolerance" in c for c in doc["checks"])
+        assert list(doc["elapsed_s"]) == ["hermite"] and doc["elapsed_s"]["hermite"] > 0
+        assert doc["environment"] == {
+            "heisenheat": heisenheat.__version__,
+            "numpy": np.__version__,
+            "python": platform.python_version(),
+        }
 
     def test_unknown_suite_exit_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -14,6 +14,7 @@ from heisenheat.kernels import (
     GridSpec,
     KernelOverflowError,
     KernelParams,
+    apply_kernel,
     coefficients_ab,
     evaluate_on_grid,
     heat_kernel_h,
@@ -258,6 +259,78 @@ class TestHeatKernel:
     def test_underflows_to_zero_far_away(self):
         p = KernelParams(s=0.01, tau=1.0, gamma=0.0, n=1)
         assert heat_kernel_h(p, 0.0, 0.0, 120.0, 0.0) == 0.0
+
+
+# the n = 1 kernels as functions of two spatial arguments; H holds its source point fixed
+_TWO_ARGUMENT_KERNELS = {
+    "rho_hat": rho_hat,
+    "rho_tilde": rho_tilde,
+    "heat_kernel_h": lambda p, x, y: heat_kernel_h(p, 0.2, -0.1, x, y),
+}
+
+
+class TestShapeRule:
+    @pytest.mark.parametrize("name", list(_TWO_ARGUMENT_KERNELS))
+    def test_column_against_row_is_elementwise(self, name):
+        kernel = _TWO_ARGUMENT_KERNELS[name]
+        p = KernelParams(s=1.0, tau=1.0, gamma=0.3)
+        col = np.linspace(-1.0, 1.0, 3)[:, np.newaxis]
+        row = np.linspace(-2.0, 2.0, 4)[np.newaxis, :]
+        got = kernel(p, col, row)
+        assert got.shape == (3, 4)
+        expect = np.array([[kernel(p, a, b) for b in row[0]] for a in col[:, 0]])
+        np.testing.assert_allclose(got, expect, rtol=1e-14, atol=0.0)
+        assert np.shape(kernel(KernelParams(s=1.0, tau=1.0), np.zeros((3, 1)), np.zeros((1, 4)))) == (3, 4)
+
+    @pytest.mark.parametrize("name", list(_TWO_ARGUMENT_KERNELS))
+    def test_trailing_length_one_is_the_component_axis(self, name):
+        kernel = _TWO_ARGUMENT_KERNELS[name]
+        p = KernelParams(s=1.0, tau=1.0, gamma=0.3)
+        col = np.linspace(-1.0, 1.0, 3)[:, np.newaxis]
+        got = kernel(p, col, 0.5)
+        assert got.shape == (3,)
+        np.testing.assert_allclose(got, [kernel(p, a, 0.5) for a in col[:, 0]], rtol=1e-14, atol=0.0)
+
+    def test_n2_needs_two_components(self):
+        with pytest.raises(ValueError, match="beta must have 2 components"):
+            rho_hat(KernelParams(s=1.0, tau=1.0, n=2), np.zeros((3, 2)), np.zeros((3, 1)))
+
+
+class TestApplyKernel:
+    def test_n2_is_outer_product_of_two_n1_applies(self):
+        # H for n = 2 is the product of two n = 1 kernels with gamma/2 each, so on a
+        # product rule a product field applies factor by factor
+        s, tau, gamma = 0.4, -0.8, 0.6 + 0.3j
+        rng = np.random.default_rng(5)
+        x1, x2, y1, y2 = (
+            np.linspace(lo, lo + 5.0, k) for lo, k in ((-3, 9), (-2.5, 8), (-2, 7), (-2.5, 10))
+        )
+        wx1, wx2, wy1, wy2 = (rng.uniform(0.2, 0.8, len(a)) for a in (x1, x2, y1, y2))
+        f1 = np.exp(-np.add.outer(x1**2, y1**2)) * (1 + 0.3j * x1[:, np.newaxis])
+        f2 = np.exp(-np.add.outer(x2**2, 0.5 * y2**2)) * (1 - 0.2j * y2)
+        out1_x, out1_y = np.array([[-0.5], [0.0], [0.8]]), np.array([[0.3], [-0.4], [0.1]])
+        out2_x, out2_y = np.array([[0.2], [-1.0], [0.5], [0.0]]), np.array([[0.0], [0.6], [-0.3], [0.9]])
+        half = KernelParams(s=s, tau=tau, gamma=gamma / 2, n=1)
+        g1 = apply_kernel(half, [x1, y1], [wx1, wy1], f1, out1_x, out1_y)
+        g2 = apply_kernel(half, [x2, y2], [wx2, wy2], f2, out2_x, out2_y)
+        pairs = [(i, j) for i in range(3) for j in range(4)]
+        x = np.array([(out1_x[i, 0], out2_x[j, 0]) for i, j in pairs])
+        y = np.array([(out1_y[i, 0], out2_y[j, 0]) for i, j in pairs])
+        f = np.einsum("ac,bd->abcd", f1, f2)  # mesh order x'_1, x'_2, y'_1, y'_2
+        g = apply_kernel(
+            KernelParams(s=s, tau=tau, gamma=gamma, n=2),
+            [x1, x2, y1, y2], [wx1, wx2, wy1, wy2], f, x, y,
+        )
+        assert g.shape == (12,)
+        assert np.max(np.abs(g - np.outer(g1, g2).ravel())) <= 1e-12 * np.max(np.abs(g))
+
+    def test_rule_count_must_be_2n(self):
+        axis = np.linspace(-1.0, 1.0, 5)
+        with pytest.raises(ValueError, match="4 node and weight arrays"):
+            apply_kernel(
+                KernelParams(s=1.0, tau=1.0, n=2), [axis, axis], [axis, axis],
+                np.ones((5, 5)), np.zeros((1, 2)), np.zeros((1, 2)),
+            )
 
 
 class TestSimplificationIdentities:

@@ -1,0 +1,66 @@
+"""The benchmark tracer still finds every lookup site it wraps.
+
+``perfbench/tracing.py`` wraps the package's functions at each place the
+package looks them up (module attributes, names imported into other modules,
+the kernel table).  A refactor that drops one of those names makes
+``perfbench/run.py --trace 1`` raise ``KeyError``; building the tracer here,
+on the same package table ``perfbench/run.py`` uses, fails first.
+"""
+
+import pathlib
+import types
+
+import numpy as np
+
+from heisenheat import cli, hermite, kernels, series, verify
+from heisenheat.kernels import FieldSample, GridAxis, GridSpec
+
+TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def _tracer():
+    # compiled from the source text, so nothing is written next to the benchmark
+    module = types.ModuleType("tracing")
+    exec(compile(TRACING.read_text(encoding="ascii"), str(TRACING), "exec"), module.__dict__)
+    package = {"kernels": kernels, "cli": cli, "verify": verify, "series": series,
+               "hermite": hermite, "FieldSample": kernels.FieldSample}
+    return module.Tracer(package)
+
+
+def _lookup_sites():
+    owners = (kernels, cli, verify, series, hermite, kernels.FieldSample)
+    sites = {(owner.__name__, key): value for owner in owners for key, value in vars(owner).items()}
+    sites.update({("table", key): value for key, value in kernels._KERNEL_FUNCS.items()})
+    return sites
+
+
+def test_install_and_uninstall_restore_every_site():
+    before = _lookup_sites()
+    tracer = _tracer()
+    tracer.install()
+    try:
+        assert kernels.heat_kernel_h is not before[("heisenheat.kernels", "heat_kernel_h")]
+        assert cli.heat_kernel_h is kernels.heat_kernel_h is kernels._KERNEL_FUNCS["heat-kernel"]
+    finally:
+        tracer.uninstall()
+    after = _lookup_sites()
+    assert after.keys() == before.keys()
+    assert all(after[key] is value for key, value in before.items())
+
+
+def test_traced_apply_counts_one_kernel_call_per_output_point(tmp_path):
+    grid = GridSpec((GridAxis("x", -3, 3, 13), GridAxis("y", -3, 3, 13)))
+    coords = grid.coordinates()
+    field = FieldSample(grid=grid, values=np.exp(-coords["x"] ** 2 - coords["y"] ** 2))
+    (tmp_path / "f.json").write_text(field.to_json_text())
+    argv = [
+        "apply", "--input", str(tmp_path / "f.json"), "--s", "0.5", "--tau", "1",
+        "--axis", "x:-1:1:3", "--axis", "y:-1:1:2", "--output", str(tmp_path / "out.json"),
+    ]
+    tracer = _tracer()
+    code, _ = tracer.run_op(0, lambda: cli.main(argv))
+    assert code == 0
+    assert tracer.totals["cli.main"]["calls"] == 1
+    assert tracer.totals["kernels.heat_kernel_h"]["calls"] == 6
+    assert tracer.totals["kernels.heat_kernel_h"]["points"] == 6 * grid.size
+    assert tracer.unbalanced_ops() == []

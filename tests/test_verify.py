@@ -240,6 +240,20 @@ class TestSuiteRunner:
         assert mehler["check"] == "mehler-identity"
         assert mehler["terms_used"] == series.mehler_terms(0.9)
 
+    def test_semigroup_suite_quadratures_are_apply_kernel_calls(self, monkeypatch):
+        calls = []
+        original = verify.apply_kernel
+        monkeypatch.setattr(verify, "apply_kernel", lambda *a: calls.append(a) or original(*a))
+        report = verify.run_suite("semigroup")
+        assert report["passed"]
+        assert [(c["check"], c["tolerance"]) for c in report["checks"]] == [
+            ("semigroup-composition", 1e-6),
+            ("semigroup-composition-tau0", 1e-8),
+            ("initial-condition-final-error", 5e-3),
+        ]
+        # at least two Gauss-Legendre orders per composition pair and per initial-condition probe
+        assert len(calls) >= 2 * (4 + 6 * 2)
+
     def test_eigenfunction_report_is_one_hermite_call(self, monkeypatch):
         calls = []
         original = hermite.hermite_values
