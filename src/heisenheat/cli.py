@@ -212,19 +212,26 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
-def _cmd_verify(args) -> int:
-    report = verify.run_suite(args.suite)
+def _emit_report(report: dict, out: str | None) -> int:
+    """Print one line per check, write the report to out when given, map it to an exit code."""
     for check in report["checks"]:
         status = "pass" if check["passed"] else "FAIL"
         print(f"[{status}] {check['check']}: worst={check['worst']} tolerance={check['tolerance']}")
-    out = _resolve_output(args.report, f"verify_{args.suite}.json")
-    try:
-        _atomic_write_text(out, json.dumps(report, indent=2, default=_json_default) + "\n")
-    except OSError as exc:
-        print(f"error: cannot write {out}: {exc}", file=sys.stderr)
-        return EXIT_IO
-    print(f"suite {args.suite}: {'pass' if report['passed'] else 'FAIL'} -> {out}")
+    verdict = f"suite {report['suite']}: {'pass' if report['passed'] else 'FAIL'}"
+    if out is not None:
+        try:
+            _atomic_write_text(out, json.dumps(report, indent=2, default=_json_default) + "\n")
+        except OSError as exc:
+            print(f"error: cannot write {out}: {exc}", file=sys.stderr)
+            return EXIT_IO
+        verdict += f" -> {out}"
+    print(verdict)
     return EXIT_OK if report["passed"] else EXIT_SUITE_FAILURE
+
+
+def _cmd_verify(args) -> int:
+    report = verify.run_suite(args.suite)
+    return _emit_report(report, _resolve_output(args.report, f"verify_{args.suite}.json"))
 
 
 def _identities_sweep() -> dict:
@@ -236,8 +243,8 @@ def _identities_sweep() -> dict:
     expect_b = tau / 2.0
     expect_ab = np.cosh(s * tau / 4.0) / np.sinh(s * tau / 4.0)
     return {
-        "ratio_b_vs_half_tau": float(np.max(np.abs(ratio_b - expect_b) / np.abs(expect_b))),
-        "ratio_ab_vs_coth": float(np.max(np.abs(ratio_ab - expect_ab) / np.abs(expect_ab))),
+        "ratio-b-vs-half-tau": float(np.max(np.abs(ratio_b - expect_b) / np.abs(expect_b))),
+        "ratio-ab-vs-coth": float(np.max(np.abs(ratio_ab - expect_ab) / np.abs(expect_ab))),
     }
 
 
@@ -250,8 +257,12 @@ def _twist_factorization(points) -> float:
     return float(np.max(np.abs(lhs - rhs) / np.abs(rhs)))
 
 
+def _identity_checks(points) -> list[dict]:
+    worst = {**_identities_sweep(), "twist-factorization": _twist_factorization(points)}
+    return [verify._check(name, value, IDENTITY_TOLERANCE) for name, value in worst.items()]
+
+
 def _cmd_identities(args) -> int:
-    sweep = _identities_sweep()
     points = _TWIST_POINTS
     if args.seed is not None:
         if args.points < 1:
@@ -266,24 +277,8 @@ def _cmd_identities(args) -> int:
             )
             for _ in range(args.points)
         )
-    twist = float(_twist_factorization(points))
-    results = {
-        "identities": sweep,
-        "twist_factorization": twist,
-        "tolerance": IDENTITY_TOLERANCE,
-    }
-    passed = bool(max(sweep.values()) < IDENTITY_TOLERANCE and twist < IDENTITY_TOLERANCE)
-    results["passed"] = passed
-    for key, val in sweep.items():
-        print(f"[{'pass' if val < IDENTITY_TOLERANCE else 'FAIL'}] {key}: {val:.3e}")
-    print(f"[{'pass' if twist < IDENTITY_TOLERANCE else 'FAIL'}] twist-factorization: {twist:.3e}")
-    if args.report is not None:
-        try:
-            _atomic_write_text(args.report, json.dumps(results, indent=2) + "\n")
-        except OSError as exc:
-            print(f"error: cannot write {args.report}: {exc}", file=sys.stderr)
-            return EXIT_IO
-    return EXIT_OK if passed else EXIT_SUITE_FAILURE
+    report = verify.build_report("identities", {"identities": lambda: _identity_checks(points)})
+    return _emit_report(report, args.report)
 
 
 # ---------------------------------------------------------------------------

@@ -360,6 +360,8 @@ class GridAxis:
     def __post_init__(self):
         if self.count < 1:
             raise ValueError(f"axis {self.name}: count must be >= 1, got {self.count}")
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise ValueError(f"axis {self.name}: min {self.lo} and max {self.hi} must be finite")
         if self.lo > self.hi:
             raise ValueError(f"axis {self.name}: min {self.lo} exceeds max {self.hi}")
 

@@ -57,6 +57,7 @@ __all__ = [
     "orthonormality_suite",
     "conjugate_symmetry_sweep",
     "eigenfunction_residual_report",
+    "build_report",
     "run_suite",
     "SUITE_NAMES",
 ]
@@ -327,14 +328,12 @@ def dft_inversion_check(params: KernelParams, grid_extent: float = 40.0, grid_co
     if params.s <= 0:
         raise ValueError(f"requires s > 0, got s={params.s}")
     if grid_count < 16 or grid_count % 2:
-        # the checkerboard/phase reduction below centers the dual grid on 0
-        # only for even N
+        # the frequency grid holds alpha = 0 at index N/2, where ifftshift
+        # expects it, only for even N
         raise ValueError(f"grid_count must be even and >= 16, got {grid_count}")
-    n_pts = grid_count
-    step = grid_extent / n_pts
-    freqs = -0.5 * grid_extent + step * np.arange(n_pts)
-    alpha, beta = np.meshgrid(freqs, freqs, indexing="ij")
-    f_hat = rho_hat(params, alpha, beta)
+    step = grid_extent / grid_count
+    freqs = -0.5 * grid_extent + step * np.arange(grid_count)
+    f_hat = rho_hat(params, freqs[:, np.newaxis], freqs)
 
     boundary = max(
         float(np.max(np.abs(f_hat[0, :]))),
@@ -349,20 +348,16 @@ def dft_inversion_check(params: KernelParams, grid_extent: float = 40.0, grid_co
         )
 
     # I(x_m) = step * sum_j rho_hat(alpha_j) e^{i alpha_j x_m} with
-    # alpha_j = -L/2 + j*step and x_m = (m - N/2) * 2 pi / L reduces to an
-    # inverse DFT after (-1)^j / (-1)^m checkerboards and an i**N constant.
-    sign = (-1.0) ** np.arange(n_pts)
-    checker = np.outer(sign, sign)
-    transform = np.fft.ifft2(f_hat * checker) * (n_pts * n_pts)
-    phase_const = (1j ** n_pts) ** 2
-    inverted = (step * step / (2.0 * math.pi) ** 2) * checker * phase_const * transform
+    # alpha_j = (j - N/2) * step and x_m = (m - N/2) * 2 pi / L is the
+    # inverse DFT of rho_hat with both index ranges centred on 0; ifft2
+    # divides by N^2, so the prefactor step^2 N^2 / (2 pi)^2 is (L / 2 pi)^2.
+    transform = np.fft.fftshift(np.fft.ifft2(np.fft.ifftshift(f_hat)))
+    inverted = (grid_extent / (2.0 * math.pi)) ** 2 * transform
 
-    dx = 2.0 * math.pi / grid_extent
-    m_idx = np.arange(n_pts) - n_pts // 2
-    keep = np.abs(m_idx) <= n_pts // 8  # central quarter of the spatial window
-    x = m_idx[keep] * dx
-    xg, yg = np.meshgrid(x, x, indexing="ij")
-    exact = rho_tilde(params, xg, yg)
+    m_idx = np.arange(grid_count) - grid_count // 2
+    keep = np.abs(m_idx) <= grid_count // 8  # central quarter of the spatial window
+    x = m_idx[keep] * (2.0 * math.pi / grid_extent)
+    exact = rho_tilde(params, x[:, np.newaxis], x)
     num = inverted[np.ix_(keep, keep)]
     scale = float(np.max(np.abs(exact)))
     return float(np.max(np.abs(num - exact)) / scale)
@@ -530,6 +525,7 @@ def conjugate_symmetry_sweep(params: KernelParams, pairs=_SYMMETRY_PAIRS) -> flo
 # named suites with pinned tolerances (consumed by the CLI)
 # ---------------------------------------------------------------------------
 
+# "all" comes last: it runs every suite before it, in this order
 SUITE_NAMES = ("hermite", "series", "pde", "inversion", "semigroup", "all")
 
 _ORDER_WINDOW = (1.8, 2.2)
@@ -640,47 +636,20 @@ def _suite_semigroup() -> list[dict]:
     return checks
 
 
-_SUITE_PANELS = {
-    "hermite": "orthonormality to degree 60; eigenfunction identity over "
-    "tau in {+-0.5, +-2}, gamma in {0, 1, -1, i}, m <= 20",
-    "series": "s in {0.5, 1, 2}, tau in {0.5, 1, 3}, gamma in {0, 1, i}, "
-    "alpha, beta in {-3, -1, 0, 1, 3}; Mehler S in {0.1, 0.5, 0.9} on [-3, 3]^2",
-    "pde": "s in {0.25, 1, 4}, tau in {-2, -0.5, 0, 0.5, 2}, "
-    "gamma in {0, 1, -1, i} (+ n=2 probes), coordinates in [-2, 2], "
-    "steps {1e-2, 5e-3, 2.5e-3}",
-    "inversion": "s in {0.5, 1, 2}, tau in {-2, -0.5, 0, 0.5, 2}, "
-    "gamma in {0, 1, i}, 512^2 grid, extent 40",
-    "semigroup": "composition pairs with tau in {0, 1, -0.5}, gamma in {0, 2, i}; "
-    "initial condition on a Gaussian down to s = 1e-3",
-}
+def build_report(suite: str, runners: dict) -> dict:
+    """Run each check runner, timed, and assemble the JSON-ready report.
 
-
-def run_suite(name: str) -> dict:
-    """Run one named verification suite; returns a JSON-ready report dict."""
-    runners = {
-        "hermite": _suite_hermite,
-        "series": _suite_series,
-        "pde": _suite_pde,
-        "inversion": _suite_inversion,
-        "semigroup": _suite_semigroup,
-    }
-    if name == "all":
-        keys = tuple(runners)
-        panel = _SUITE_PANELS
-    elif name in runners:
-        keys = (name,)
-        panel = _SUITE_PANELS[name]
-    else:
-        raise ValueError(f"unknown suite {name!r}; expected one of {SUITE_NAMES}")
+    runners maps a name to a callable returning a list of check entries;
+    each name gets its wall time in elapsed_s.
+    """
     checks = []
     elapsed = {}
-    for key in keys:
+    for key, runner in runners.items():
         start = time.perf_counter()
-        checks.extend(runners[key]())
+        checks.extend(runner())
         elapsed[key] = time.perf_counter() - start
     return {
-        "suite": name,
-        "panel": panel,
+        "suite": suite,
         "checks": checks,
         "passed": all(c["passed"] for c in checks),
         "elapsed_s": elapsed,
@@ -690,3 +659,12 @@ def run_suite(name: str) -> dict:
             "python": platform.python_version(),
         },
     }
+
+
+def run_suite(name: str) -> dict:
+    """Run one named verification suite; returns a JSON-ready report dict."""
+    if name not in SUITE_NAMES:
+        raise ValueError(f"unknown suite {name!r}; expected one of {SUITE_NAMES}")
+    keys = SUITE_NAMES[:-1] if name == "all" else (name,)
+    # looked up at call time, so a wrapper installed on _suite_<key> is the one run
+    return build_report(name, {key: globals()[f"_suite_{key}"] for key in keys})

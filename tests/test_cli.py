@@ -1,5 +1,6 @@
 import json
 import platform
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,13 @@ import pytest
 import heisenheat
 from heisenheat import cli
 from heisenheat.kernels import FieldSample, GridAxis, GridSpec, KernelParams, evaluate_on_grid
+
+
+ENVIRONMENT = {
+    "heisenheat": heisenheat.__version__,
+    "numpy": np.__version__,
+    "python": platform.python_version(),
+}
 
 
 def run(argv):
@@ -158,6 +166,20 @@ class TestEval:
         assert code == 2
         err = capsys.readouterr().err
         assert name in err and "gamma" in err
+        assert not (tmp_path / "x.json").exists()
+
+    @pytest.mark.parametrize("axis", ("alpha:nan:1:5", "alpha:0:inf:5", "alpha:-inf:0:5"))
+    def test_non_finite_axis_bound_exit_2(self, tmp_path, capsys, axis):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(
+                ["eval", "--kernel", "rho-hat", "--s", "1", "--tau", "1", "--axis", axis,
+                 "--axis", "beta:0:0:1", "--output", str(tmp_path / "x.json")]
+            )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "axis alpha" in err and "must be finite" in err
+        assert caught == []
         assert not (tmp_path / "x.json").exists()
 
     def test_bad_axis_exit_2(self, tmp_path):
@@ -339,11 +361,7 @@ class TestVerify:
         assert doc["passed"] is True
         assert all("worst" in c and "tolerance" in c for c in doc["checks"])
         assert list(doc["elapsed_s"]) == ["hermite"] and doc["elapsed_s"]["hermite"] > 0
-        assert doc["environment"] == {
-            "heisenheat": heisenheat.__version__,
-            "numpy": np.__version__,
-            "python": platform.python_version(),
-        }
+        assert doc["environment"] == ENVIRONMENT
 
     def test_unknown_suite_exit_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -357,8 +375,14 @@ class TestIdentities:
         code = run(["identities", "--report", str(report)])
         assert code == 0
         doc = json.loads(report.read_text())
+        assert doc["suite"] == "identities"
+        assert [c["check"] for c in doc["checks"]] == [
+            "ratio-b-vs-half-tau", "ratio-ab-vs-coth", "twist-factorization",
+        ]
+        assert all(c["worst"] < 1e-12 and c["tolerance"] == 1e-12 for c in doc["checks"])
         assert doc["passed"] is True
-        assert doc["twist_factorization"] < 1e-12
+        assert list(doc["elapsed_s"]) == ["identities"] and doc["elapsed_s"]["identities"] > 0
+        assert doc["environment"] == ENVIRONMENT
         out = capsys.readouterr().out
         assert "twist-factorization" in out
 
@@ -367,3 +391,10 @@ class TestIdentities:
 
     def test_empty_seeded_panel_exit_2(self):
         assert run(["identities", "--seed", "7", "--points", "0"]) == 2
+
+
+@pytest.mark.parametrize("argv", (["verify", "--suite", "hermite"], ["identities"]))
+def test_unwritable_report_exit_3(tmp_path, argv):
+    code = run(argv + ["--report", str(tmp_path / "no-such-dir" / "report.json")])
+    assert code == 3
+    assert list(tmp_path.iterdir()) == []

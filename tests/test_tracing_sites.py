@@ -64,3 +64,24 @@ def test_traced_apply_counts_one_kernel_call_per_output_point(tmp_path):
     assert tracer.totals["kernels.heat_kernel_h"]["calls"] == 6
     assert tracer.totals["kernels.heat_kernel_h"]["points"] == 6 * grid.size
     assert tracer.unbalanced_ops() == []
+
+
+def test_traced_verify_runs_the_suite_through_its_traced_name(tmp_path):
+    # run_suite must look _suite_<name> up when called, after the tracer wrapped it
+    argv = ["verify", "--suite", "hermite", "--report", str(tmp_path / "r.json")]
+    tracer = _tracer()
+    code, _ = tracer.run_op(0, lambda: cli.main(argv))
+    assert code == 0
+    assert tracer.totals["verify.run_suite"]["calls"] == 1
+    assert tracer.totals["verify.suite.hermite"]["calls"] == 1
+    assert tracer.unbalanced_ops() == []
+
+
+def test_traced_identities_evaluates_the_twist_through_cli_names():
+    tracer = _tracer()
+    code, _ = tracer.run_op(0, lambda: cli.main(["identities"]))
+    assert code == 0
+    for name in ("kernels.heat_kernel_h", "kernels.rho_tilde"):
+        assert tracer.totals[name]["calls"] == 1
+        assert tracer.totals[name]["points"] == 5
+    assert tracer.unbalanced_ops() == []

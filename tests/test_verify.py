@@ -92,6 +92,10 @@ class TestDftInversion:
         err = dft_inversion_check(KernelParams(s=1.0, tau=0.0, gamma=0.0), 40.0, 512)
         assert err < 1e-8
 
+    def test_error_at_roundoff(self):
+        # the centred FFT adds nothing but roundoff to the closed form
+        assert dft_inversion_check(KernelParams(1.0, 1.0), 40.0, 512) < 1e-14
+
     def test_parseval_mass_at_origin(self):
         # the inverted transform at (0, 0) matches rho_tilde(0, 0)
         params = KernelParams(s=1.0, tau=1.0, gamma=0.0)
