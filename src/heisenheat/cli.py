@@ -32,6 +32,7 @@ from .kernels import (
     GridAxis,
     GridMismatchError,
     GridSpec,
+    KernelOverflowError,
     KernelParams,
     _component_blocks,
     _component_names,
@@ -51,13 +52,18 @@ EXIT_IO = 3
 
 IDENTITY_TOLERANCE = 1e-12
 
-# fixed default panel for the twist-factorization check (no RNG by default)
+# seeded twist panel: points drawn by default and at most (one kernel call over all of them)
+DEFAULT_TWIST_POINTS = 16
+MAX_TWIST_POINTS = 100_000
+
+# fixed default panel for the twist-factorization check (no RNG by default);
+# one row (s, tau, x', y', x, y) per point
 _TWIST_POINTS = (
-    (1.0, 1.0, (0.3, -0.4), (1.2, 0.8)),
-    (0.5, -2.0, (-1.6, 0.4), (0.7, -1.3)),
-    (2.0, 0.5, (0.0, 0.0), (1.9, -0.7)),
-    (1.5, -0.5, (0.5, 0.5), (-0.5, 1.1)),
-    (0.25, 3.0, (-0.8, 1.3), (0.6, 0.2)),
+    (1.0, 1.0, 0.3, -0.4, 1.2, 0.8),
+    (0.5, -2.0, -1.6, 0.4, 0.7, -1.3),
+    (2.0, 0.5, 0.0, 0.0, 1.9, -0.7),
+    (1.5, -0.5, 0.5, 0.5, -0.5, 1.1),
+    (0.25, 3.0, -0.8, 1.3, 0.6, 0.2),
 )
 
 
@@ -196,7 +202,10 @@ def _cmd_apply(args) -> int:
     axis_points = [ax.points() for ax in field_in.grid.axes]
     weights = [_trapezoid_weights(p) for p in axis_points]
     x, y = _component_blocks(out_grid.coordinates(), out_grid.size, ("x", "y"), params.n)
-    out_vals = apply_kernel(params, axis_points, weights, field_in.values, x, y)
+    try:
+        out_vals = apply_kernel(params, axis_points, weights, field_in.values, x, y)
+    except KernelOverflowError as exc:
+        raise CliError(str(exc)) from exc
     sample = FieldSample(grid=out_grid, values=out_vals, kernel="heat-kernel-apply", params=params)
     summary = f"heat-kernel-apply: {out_grid.size} points"
     return _write_field(sample, args, f"apply.{args.format}", summary)
@@ -249,8 +258,7 @@ def _identities_sweep() -> dict:
 
 
 def _twist_factorization(points) -> float:
-    s, tau, source, field = (np.array(col, dtype=float) for col in zip(*points))
-    (xp, yp), (x, y) = source.T, field.T
+    s, tau, xp, yp, x, y = np.asarray(points, dtype=float).T
     params = KernelParams(s=s, tau=tau, gamma=0.3 + 0.1j, n=1)
     lhs = heat_kernel_h(params, xp, yp, x, y)
     rhs = rho_tilde(params, x - xp, y - yp) * np.exp(-1j * tau * (x - xp) * yp)
@@ -264,19 +272,17 @@ def _identity_checks(points) -> list[dict]:
 
 def _cmd_identities(args) -> int:
     points = _TWIST_POINTS
+    if args.seed is None and args.points is not None:
+        raise CliError("--points needs --seed; the default twist panel is fixed")
     if args.seed is not None:
-        if args.points < 1:
-            raise CliError(f"--points must be >= 1, got {args.points}")
-        rng = np.random.default_rng(args.seed)
-        points = tuple(
-            (
-                float(rng.uniform(0.1, 4.0)),
-                float(rng.uniform(-3.0, 3.0)) or 0.5,
-                (float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2))),
-                (float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2))),
-            )
-            for _ in range(args.points)
+        count = DEFAULT_TWIST_POINTS if args.points is None else args.points
+        if not 1 <= count <= MAX_TWIST_POINTS:
+            raise CliError(f"--points must be in [1, {MAX_TWIST_POINTS}], got {count}")
+        # row-major, so the draws come point by point, each in column order
+        points = np.random.default_rng(args.seed).uniform(
+            (0.1, -3.0, -2, -2, -2, -2), (4.0, 3.0, 2, 2, 2, 2), size=(count, 6)
         )
+        points[points[:, 1] == 0.0, 1] = 0.5
     report = verify.build_report("identities", {"identities": lambda: _identity_checks(points)})
     return _emit_report(report, args.report)
 
@@ -328,7 +334,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ident = sub.add_parser("identities", help="check the simplification identities")
     p_ident.add_argument("--seed", type=int, default=None, help="randomize the twist panel")
-    p_ident.add_argument("--points", type=int, default=16, help="random twist points with --seed")
+    p_ident.add_argument(
+        "--points", type=int, default=None,
+        help=f"random twist points with --seed (default {DEFAULT_TWIST_POINTS}, at most {MAX_TWIST_POINTS})",
+    )
     p_ident.add_argument("--report", default=None, help="optional JSON report path")
     p_ident.set_defaults(func=_cmd_identities)
     return parser

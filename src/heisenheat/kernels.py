@@ -42,7 +42,13 @@ taken elementwise, so (M, 1) against (1, N) gives an (M, N) result.  s and
 tau may be arrays too; they broadcast against the leading axes.
 
 :func:`apply_kernel` is the one weighted sum over H, behind the CLI's
-``apply`` and the semigroup and initial-condition checks of ``verify``.
+``apply`` and the semigroup and initial-condition checks of ``verify``.  It
+uses that H is a twisted convolution whose Gaussian and phase factor over
+the axes: per output point it evaluates J+K exponentials per component and
+the double sum is one GEMM per chunk of output points.
+
+Coefficients past the double range (the envelope or 1/A at subnormal s) and
+kernel values past it raise KernelOverflowError, never inf or NaN.
 """
 
 from __future__ import annotations
@@ -77,8 +83,14 @@ __all__ = [
 TAYLOR_BRANCH_THRESHOLD = 1e-4
 
 _LOG_2 = math.log(2.0)
+_LOG_4 = math.log(4.0)
 _LOG_2PI = math.log(2.0 * math.pi)
 _LOG_4PI = math.log(4.0 * math.pi)
+
+_ENVELOPE = "the Gaussian envelope (tau/4)*coth(s*tau/4)"
+
+# output points per apply_kernel chunk, as a multiple of the first source axis length
+_APPLY_CHUNK_MESHES = 4
 
 
 class GridMismatchError(ValueError):
@@ -139,9 +151,10 @@ def _coefficients_series(s, tau):
         1.0 - 5.0 * z2 / 48.0 + 61.0 * z2 * z2 / 5760.0 - 277.0 * z2 ** 3 / 258048.0
     )
     p = 1.0 - z2 / 96.0 + 7.0 * z2 * z2 / 92160.0 - 31.0 * z2 ** 3 / 61931520.0
-    # at s = 0 (reached only by rho_hat) both quarter-argument terms are +inf, their limit
-    with np.errstate(divide="ignore"):
-        log_tau_over_sinh = np.log(4.0 / s) + np.log(p)
+    # at s = 0 (reached only by rho_hat) both quarter-argument terms are +inf, their limit;
+    # at subnormal s the envelope overflows to +inf, which the kernels using it report
+    with np.errstate(divide="ignore", over="ignore"):
+        log_tau_over_sinh = _LOG_4 - np.log(s) + np.log(p)
         envelope = (1.0 + z2 / 48.0 - z2 * z2 / 11520.0 + 2.0 * z2 ** 3 / 3870720.0) / s
     return a, b, log_tau_over_sinh, envelope
 
@@ -211,16 +224,26 @@ def _components(n: int, **args) -> list[np.ndarray]:
     return coerced
 
 
+def _overflow(what: str, params: KernelParams) -> KernelOverflowError:
+    return KernelOverflowError(
+        f"{what} exceeds the double range at gamma={params.gamma}, s={params.s}, tau={params.tau}"
+    )
+
+
+def _finite(value, what: str, params: KernelParams):
+    """value, or KernelOverflowError when an element is past the double range (subnormal s)."""
+    if not np.isfinite(value).all():
+        raise _overflow(what, params)
+    return value
+
+
 def _exp_kernel(expo, params: KernelParams):
     """exp(expo), a complex for 0-d input; KernelOverflowError past the double range."""
     try:
         with np.errstate(over="raise"):
             values = np.exp(expo)
     except FloatingPointError:
-        raise KernelOverflowError(
-            f"kernel value exceeds the double range (log|value| up to {np.max(expo.real):.6g}) "
-            f"at gamma={params.gamma}, s={params.s}, tau={params.tau}"
-        ) from None
+        raise _overflow(f"kernel value (log|value| up to {np.max(expo.real):.6g})", params) from None
     return complex(values) if values.ndim == 0 else values
 
 
@@ -260,10 +283,12 @@ def rho_tilde(params: KernelParams, x, y):
         raise ValueError(f"rho_tilde requires s > 0, got s={params.s}")
     xv, yv = _components(params.n, x=x, y=y)
     a_c, b_c, log_cosh, _, _ = coefficients_ab(params.s, params.tau)
-    # A^2+B^2 = A^2 (1 + q) with q = (B/A)^2; A^2 itself underflows for tiny s
-    ratio = b_c / a_c
-    q = ratio * ratio
-    a_over_denom = 1.0 / (a_c * (1.0 + q))
+    # A^2+B^2 = A^2 (1 + q) with q = (B/A)^2; A^2 itself underflows for tiny s,
+    # and at subnormal s so does A (B/A is nan) or 1/A overflows
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        ratio = b_c / a_c
+        q = ratio * ratio
+        a_over_denom = _finite(1.0 / (a_c * (1.0 + q)), "1/(A*(1+(B/A)**2))", params)
     sq = np.sum(xv * xv, axis=-1) + np.sum(yv * yv, axis=-1)
     dot = np.sum(xv * yv, axis=-1)
     expo = (
@@ -300,7 +325,7 @@ def heat_kernel_h(params: KernelParams, xp, yp, x, y):
     expo = (
         -params.gamma * params.s * params.tau / 4.0
         + params.n * (log_tau_over_sinh - _LOG_4PI)
-        - envelope * r2
+        - _finite(envelope, _ENVELOPE, params) * r2
         - 0.5j * params.tau * tw
     )
     return _exp_kernel(expo, params)
@@ -312,20 +337,56 @@ def apply_kernel(params: KernelParams, nodes, weights, values, x, y) -> np.ndarr
     nodes and weights are 2n one-dimensional arrays, one per source axis in
     the order x'_1..x'_n, y'_1..y'_n; values holds f on their row-major mesh
     (any shape with the mesh's size).  x and y are the m output points, of
-    shape (m, n).  Returns the m sums.  Each output point takes one
-    heat_kernel_h call over the whole input mesh, so memory stays at the
-    mesh size whatever m is.
+    shape (m, n).  Returns the m sums.
+
+    H is a twisted convolution and factors over the axes: per component,
+    with t = tau/2 and (x-x')(y+y') = xy + xy' - x'y - x'y',
+
+        H = e^{itx'y'} * P(x'; x, y) * Q(y'; x, y),
+        P = C * exp(-envelope*(x-x')^2 + itx'y),
+        Q = exp(-envelope*(y-y')^2 - itx(y+y')),
+
+    C the n = 1 constant with gamma/n.  The weights and e^{itx'y'} are
+    folded into f once per call (mesh-size exponentials), so each output
+    point takes J+K exponentials per component, its rows of P and Q,
+    instead of one per mesh point.  Per chunk of output points the sum is
+    one GEMM over x'_1 and one row-wise contraction per remaining axis.  A
+    chunk holds _APPLY_CHUNK_MESHES times len(x'_1) points, so the GEMM
+    result stays within that many mesh sizes whatever m is.
     """
     n = params.n
     if len(nodes) != 2 * n or len(weights) != 2 * n:
         raise ValueError(f"apply_kernel needs {2 * n} node and weight arrays for n={n}")
-    meshes = np.meshgrid(*nodes, indexing="ij")
+    if (np.asarray(params.s) <= 0).any():
+        raise ValueError(f"apply_kernel requires s > 0, got s={params.s}")
+    _, _, _, log_tau_over_sinh, envelope = coefficients_ab(params.s, params.tau)
+    envelope = _finite(envelope, _ENVELOPE, params)
+    # each component is the n = 1 kernel with gamma/n
+    log_c = -params.gamma * params.s * params.tau / (4.0 * n) + log_tau_over_sinh - _LOG_4PI
+    t = 0.5 * params.tau
+    sparse = np.meshgrid(*nodes, indexing="ij", sparse=True)
+    coupling = sum(sparse[c] * sparse[n + c] for c in range(n))
     wmesh = functools.reduce(np.multiply.outer, weights)
-    wf = wmesh.ravel() * np.reshape(values, wmesh.shape).ravel()
-    xp = np.stack([mesh.ravel() for mesh in meshes[:n]], axis=-1)
-    yp = np.stack([mesh.ravel() for mesh in meshes[n:]], axis=-1)
-    points = zip(np.reshape(x, (-1, n)), np.reshape(y, (-1, n)))
-    return np.array([np.sum(wf * heat_kernel_h(params, xp, yp, *pt)) for pt in points], dtype=complex)
+    g = (wmesh * np.reshape(values, wmesh.shape) * np.exp(1j * t * coupling)).reshape(len(nodes[0]), -1)
+    x, y = np.reshape(x, (-1, n)), np.reshape(y, (-1, n))
+    out = np.empty(len(x), dtype=complex)
+    chunk = _APPLY_CHUNK_MESHES * len(nodes[0])
+    for lo in range(0, len(x), chunk):
+        xc, yc = x[lo:lo + chunk].T[..., np.newaxis], y[lo:lo + chunk].T[..., np.newaxis]
+        # P for x'_1..x'_n, then Q for y'_1..y'_n: the mesh's axis order.  Every factor is
+        # exponentiated before the GEMM: right after OpenBLAS's zgemm the complex exp ran
+        # ~20x slower (AVX-SSE transition penalty, x86-64), and numpy's own array arithmetic
+        # clears that state again.
+        factors = [_exp_kernel(expo, params) for expo in (
+            [log_c - envelope * (xc[c] - nodes[c]) ** 2 + 1j * t * (yc[c] * nodes[c]) for c in range(n)]
+            + [-envelope * (yc[c] - nodes[n + c]) ** 2 - 1j * t * (xc[c] * (yc[c] + nodes[n + c]))
+               for c in range(n)]
+        )]
+        acc = factors[0] @ g
+        for factor in factors[1:]:
+            acc = np.einsum("mj,mjr->mr", factor, acc.reshape(len(acc), factor.shape[1], -1))
+        out[lo:lo + chunk] = acc[:, 0]
+    return out
 
 
 def simplification_identities(s, tau):

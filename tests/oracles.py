@@ -7,6 +7,7 @@ regenerate them.  The quadrature oracles are computed live because they are
 independent evaluation paths by construction.
 """
 
+import functools
 from dataclasses import replace
 
 import numpy as np
@@ -107,6 +108,24 @@ def heat_apply_tau0_closed_form(s, ax, ay, cx, cy, x, y):
     gx = (1.0 + ax * s) ** -0.5 * np.exp(-ax * (x - cx) ** 2 / (1.0 + ax * s))
     gy = (1.0 + ay * s) ** -0.5 * np.exp(-ay * (y - cy) ** 2 / (1.0 + ay * s))
     return gx * gy
+
+
+def apply_per_point(params, nodes, weights, values, x, y):
+    """H[f] at each output point as one heat_kernel_h call over the whole mesh.
+
+    The direct sum of w * H(s, x', y', x, y) * f(x', y') over the tensor
+    rule, with no factorization of the kernel; x and y are (m, n).
+    """
+    from heisenheat.kernels import heat_kernel_h
+
+    n = params.n
+    meshes = np.meshgrid(*nodes, indexing="ij")
+    wmesh = functools.reduce(np.multiply.outer, weights)
+    wf = wmesh.ravel() * np.reshape(values, wmesh.shape).ravel()
+    xp = np.stack([mesh.ravel() for mesh in meshes[:n]], axis=-1)
+    yp = np.stack([mesh.ravel() for mesh in meshes[n:]], axis=-1)
+    points = zip(np.reshape(x, (-1, n)), np.reshape(y, (-1, n)))
+    return np.array([np.sum(wf * heat_kernel_h(params, xp, yp, *pt)) for pt in points], dtype=complex)
 
 
 def rho_hat_product(params, alpha, beta):

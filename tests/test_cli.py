@@ -340,6 +340,20 @@ class TestApply:
         )
         assert code == 2
 
+    def test_subnormal_s_overflow_exit_2(self, tmp_path, capsys):
+        # the kernel's Gaussian envelope ~1/s is past the double range
+        _write_gaussian_field(tmp_path / "f.json", count=11, extent=3.0)
+        out = tmp_path / "out.json"
+        code = run(
+            [
+                "apply", "--input", str(tmp_path / "f.json"), "--s", "1e-310", "--tau", "1",
+                "--axis", "x:0:0:1", "--output", str(out),
+            ]
+        )
+        assert code == 2
+        assert "exceeds the double range" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_input_exit_2(self, tmp_path):
         code = run(
             [
@@ -386,11 +400,23 @@ class TestIdentities:
         out = capsys.readouterr().out
         assert "twist-factorization" in out
 
-    def test_seeded_panel(self):
-        assert run(["identities", "--seed", "7", "--points", "8"]) == 0
+    def test_seeded_panel(self, tmp_path):
+        report = tmp_path / "ident.json"
+        assert run(["identities", "--seed", "7", "--points", "8", "--report", str(report)]) == 0
+        # the panel drawn as one array equals the former point-by-point draws
+        twist = json.loads(report.read_text())["checks"][-1]
+        assert twist["check"] == "twist-factorization"
+        assert f"{twist['worst']:.3g}" == "5.35e-15"
 
     def test_empty_seeded_panel_exit_2(self):
         assert run(["identities", "--seed", "7", "--points", "0"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv", (["--seed", "7", "--points", str(cli.MAX_TWIST_POINTS + 1)], ["--points", "8"])
+    )
+    def test_points_too_many_or_without_seed_exit_2(self, argv, capsys):
+        assert run(["identities", *argv]) == 2
+        assert "--points" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", (["verify", "--suite", "hermite"], ["identities"]))

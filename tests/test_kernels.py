@@ -178,7 +178,7 @@ class TestRhoTilde:
         p = KernelParams(s=1.0, tau=1.0, gamma=0.0, n=1)
         assert rho_tilde(p, 0.0, 0.0) == pytest.approx(oracles.RHO_TILDE_S1_TAU1_ORIGIN, rel=1e-13)
 
-    @pytest.mark.parametrize("s", (1e-300, 1e-200))
+    @pytest.mark.parametrize("s", (2e-308, 1e-300, 1e-200))
     def test_tiny_s_matches_heat_kernel(self, s):
         # A^2 + B^2 underflows to 0 here; the value is 1/(pi*s)
         p = KernelParams(s=s, tau=1.0)
@@ -192,16 +192,8 @@ class TestRhoTilde:
         p = KernelParams(s=1.0, tau=tau, gamma=gamma, n=1)
         radius = 7.5 / math.sqrt(coefficients_ab(p.s, p.tau)[-1])
         mass = oracles.legendre_integral(
-            lambda x: np.array(
-                [
-                    oracles.legendre_integral(
-                        lambda y, xv=xv: rho_tilde(p, np.full_like(y, xv), y),
-                        -radius,
-                        radius,
-                        order=160,
-                    )
-                    for xv in x
-                ]
+            lambda x: oracles.legendre_integral(
+                lambda y: rho_tilde(p, x[:, np.newaxis], y), -radius, radius, order=160
             ),
             -radius,
             radius,
@@ -323,6 +315,28 @@ class TestApplyKernel:
         )
         assert g.shape == (12,)
         assert np.max(np.abs(g - np.outer(g1, g2).ravel())) <= 1e-12 * np.max(np.abs(g))
+
+    @pytest.mark.parametrize("n, longest", ((1, 40), (2, 8)))
+    @settings(max_examples=40, deadline=None)
+    @given(
+        data=st.data(),
+        s=st.floats(0.1, 2.0),
+        tau=st.just(0.0) | st.floats(-1e-5, 1e-5) | st.floats(-3.0, 3.0),
+        gamma=st.complex_numbers(max_magnitude=2.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_per_point_sum(self, n, longest, data, s, tau, gamma, seed):
+        # unequal axis lengths; random non-tensor output points, some outside the input box
+        lengths = data.draw(st.lists(st.integers(2, longest), min_size=2 * n, max_size=2 * n))
+        rng = np.random.default_rng(seed)
+        nodes = [np.linspace(rng.uniform(-3.0, -0.5), rng.uniform(0.5, 3.0), k) for k in lengths]
+        weights = [rng.uniform(0.1, 1.0, k) for k in lengths]
+        values = rng.normal(size=lengths) + 1j * rng.normal(size=lengths)
+        x, y = rng.uniform(-4.0, 4.0, (2, int(rng.integers(1, 13)), n))
+        params = KernelParams(s=s, tau=tau, gamma=gamma, n=n)
+        got = apply_kernel(params, nodes, weights, values, x, y)
+        expect = oracles.apply_per_point(params, nodes, weights, values, x, y)
+        assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
 
     def test_rule_count_must_be_2n(self):
         axis = np.linspace(-1.0, 1.0, 5)
@@ -525,6 +539,19 @@ class TestKernelOverflow:
     def test_named_error(self, kernel, args):
         with pytest.raises(KernelOverflowError, match=r"gamma=-10.0, s=1.0, tau=1000.0"):
             kernel(self.PARAMS, *args)
+
+    @pytest.mark.parametrize(
+        "kernel, args",
+        [
+            (rho_tilde, (0.0, 0.0)),
+            (heat_kernel_h, (0.0, 0.0, 0.0, 0.0)),
+            (apply_kernel, ([np.zeros(2)] * 2, [np.ones(2)] * 2, np.ones(4), 0.0, 0.0)),
+        ],
+    )
+    def test_subnormal_s(self, kernel, args):
+        # the envelope ~1/s and 1/A are past the double range: a named error, not NaN
+        with pytest.raises(KernelOverflowError, match=r"exceeds the double range .* s=1e-310"):
+            kernel(KernelParams(s=1e-310, tau=1.0), *args)
 
     def test_just_inside_the_range(self):
         # e**(-gamma*s*tau/4) with gamma*s*tau/4 = -709 is finite; the check lets it through

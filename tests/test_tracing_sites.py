@@ -48,7 +48,8 @@ def test_install_and_uninstall_restore_every_site():
     assert all(after[key] is value for key, value in before.items())
 
 
-def test_traced_apply_counts_one_kernel_call_per_output_point(tmp_path):
+def test_traced_apply_evaluates_coefficients_once(tmp_path):
+    # apply_kernel factors the twisted convolution: no heat_kernel_h call, one coefficient call
     grid = GridSpec((GridAxis("x", -3, 3, 13), GridAxis("y", -3, 3, 13)))
     coords = grid.coordinates()
     field = FieldSample(grid=grid, values=np.exp(-coords["x"] ** 2 - coords["y"] ** 2))
@@ -61,8 +62,8 @@ def test_traced_apply_counts_one_kernel_call_per_output_point(tmp_path):
     code, _ = tracer.run_op(0, lambda: cli.main(argv))
     assert code == 0
     assert tracer.totals["cli.main"]["calls"] == 1
-    assert tracer.totals["kernels.heat_kernel_h"]["calls"] == 6
-    assert tracer.totals["kernels.heat_kernel_h"]["points"] == 6 * grid.size
+    assert tracer.totals["kernels.heat_kernel_h"]["calls"] == 0
+    assert tracer.totals["kernels.coefficients_ab"]["calls"] == 1
     assert tracer.unbalanced_ops() == []
 
 
