@@ -167,7 +167,7 @@ def _load_field(path: str) -> FieldSample:
         if path.endswith(".csv"):
             return FieldSample.from_csv(path)
         return FieldSample.from_json(path)
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         raise CliError(f"cannot load field sample {path!r}: {exc}") from exc
 
 
@@ -211,16 +211,6 @@ def _cmd_apply(args) -> int:
     return _write_field(sample, args, f"apply.{args.format}", summary)
 
 
-def _json_default(obj):
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
-
-
 def _emit_report(report: dict, out: str | None) -> int:
     """Print one line per check, write the report to out when given, map it to an exit code."""
     for check in report["checks"]:
@@ -229,7 +219,7 @@ def _emit_report(report: dict, out: str | None) -> int:
     verdict = f"suite {report['suite']}: {'pass' if report['passed'] else 'FAIL'}"
     if out is not None:
         try:
-            _atomic_write_text(out, json.dumps(report, indent=2, default=_json_default) + "\n")
+            _atomic_write_text(out, json.dumps(report, indent=2) + "\n")
         except OSError as exc:
             print(f"error: cannot write {out}: {exc}", file=sys.stderr)
             return EXIT_IO

@@ -54,6 +54,7 @@ kernel values past it raise KernelOverflowError, never inf or NaN.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass, replace
@@ -516,7 +517,13 @@ class FieldSample:
             GridAxis(a["name"], float(a["min"]), float(a["max"]), int(a["count"]))
             for a in doc["grid"]
         )
-        values = np.array([complex(re, im) for re, im in doc["values"]])
+        # every entry is typed before the one float conversion, which takes numeric strings
+        rows = doc["values"]
+        all_pairs = set(map(type, rows)) <= {list} and set(map(len, rows)) <= {2}
+        flat = list(itertools.chain.from_iterable(rows)) if all_pairs else []
+        if not all_pairs or not set(map(type, flat)) <= {int, float}:
+            raise ValueError("values must be a list of [re, im] pairs of JSON numbers")
+        values = np.array(flat, dtype=float).view(complex)
         params = None
         if "params" in doc:
             p = doc["params"]

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import platform
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -42,7 +43,6 @@ __all__ = [
     "DEFAULT_STEP_SIZES",
     "ResidualReport",
     "Probe",
-    "ProbeSet",
     "GaussianTestFunction",
     "InsufficientDecayError",
     "QuadratureError",
@@ -91,12 +91,6 @@ class Probe:
 
 
 @dataclass(frozen=True)
-class ProbeSet:
-    equation: str
-    probes: tuple[Probe, ...]
-
-
-@dataclass(frozen=True)
 class ResidualReport:
     equation: str
     step_sizes: tuple[float, ...]
@@ -122,37 +116,103 @@ def _fitted_report(equation, step_sizes, norms) -> ResidualReport:
     )
 
 
-# the two probe points of each equation's s x tau x gamma panel
-_PANEL_POINTS = {
-    "u-transformed": ({"alpha": 0.7, "beta": -1.3}, {"alpha": -1.6, "beta": 0.4}),
-    "rho-hat": ({"alpha": 0.7, "beta": -1.3}, {"alpha": -1.6, "beta": 0.4}),
-    "rho-tilde": ({"x": 0.7, "y": -1.3}, {"x": -1.6, "y": 0.4}),
-    "heat-kernel": (
-        {"xp": 0.3, "yp": -0.4, "x": 1.2, "y": 0.8},
-        {"xp": -0.9, "yp": 1.1, "x": -0.9, "y": 1.1},  # diagonal probe
-    ),
-}
+# ---------------------------------------------------------------------------
+# finite-difference residuals
+# ---------------------------------------------------------------------------
 
-# probes beyond the panel: n = 2 (gamma = n - 2q gives {2, 0, -2}) and the series branch of H
-_EXTRA_PROBES = {
-    "rho-tilde": tuple(
-        Probe(1.0, tau, gamma, 2, {"x": (0.6, -1.1), "y": (-0.3, 1.4)})
-        for tau, gamma in ((0.5, 2.0), (-2.0, 1j))
+def _stencil(f, s, x, y, h):
+    """Central differences of f(s, x, y) around P points for every step in h.
+
+    s has shape (P,), x and y (P, n), h holds k steps.  All stencils (centre,
+    s +- h, +- h along each component of x and of y) go to f in one call,
+    probe axis last: s as (3 + 4n, k, P), x and y as (3 + 4n, k, P, n), so (P,)
+    parameters broadcast.  Returns the centre value and d/ds, each (k, P), and
+    the first and second derivatives along each component of x and y, (k, P, n).
+    """
+    n = x.shape[-1]
+    eye, pad, still = np.eye(n), np.zeros((n, n)), np.zeros((3, n))
+    # rows: centre, s + h, s - h, x + h e_j, x - h e_j, y + h e_j, y - h e_j
+    dir_s = np.concatenate([[0.0, 1.0, -1.0], np.zeros(4 * n)])[:, np.newaxis, np.newaxis]
+    dir_x = np.concatenate([still, eye, -eye, pad, pad])[:, np.newaxis, np.newaxis]
+    dir_y = np.concatenate([still, pad, pad, eye, -eye])[:, np.newaxis, np.newaxis]
+    hk, hkn = h[:, np.newaxis], h[:, np.newaxis, np.newaxis]
+    vals = f(s + hk * dir_s, x + hkn * dir_x, y + hkn * dir_y)
+    centre = vals[0][..., np.newaxis]
+    x_up, x_down, y_up, y_down = np.split(np.moveaxis(vals[3:], 0, -1), 4, axis=-1)
+    return (
+        vals[0],
+        (vals[1] - vals[2]) / (2 * hk),
+        (x_up - x_down) / (2 * hkn),
+        (y_up - y_down) / (2 * hkn),
+        (x_up - 2 * centre + x_down) / hkn**2,
+        (y_up - 2 * centre + y_down) / hkn**2,
+    )
+
+
+def _oscillator_op(par, a, b, value, da, db, d2a, d2b):
+    """(tau^2 d^2/dbeta^2 - beta^2 - gamma tau) f."""
+    return par.tau**2 * d2b[..., 0] - (b[:, 0] * b[:, 0] + par.gamma * par.tau) * value
+
+
+def _rho_hat_op(par, a, b, value, da, db, d2a, d2b):
+    """(-alpha^2 - 2i alpha tau d/dbeta + tau^2 d^2/dbeta^2 - beta^2 - gamma tau) f."""
+    alpha = a[:, 0]
+    oscillator = _oscillator_op(par, a, b, value, da, db, d2a, d2b)
+    return oscillator - alpha * (alpha * value + 2j * par.tau * db[..., 0])
+
+
+def _dbar_op(par, x, y, value, dx, dy, d2x, d2y):
+    """(Lap_{x,y} + 2i tau y.grad_x - (tau^2 |y|^2 + gamma tau)) f."""
+    lap = np.sum(d2x + d2y, axis=-1)
+    potential = par.tau**2 * np.sum(y * y, axis=-1) + par.gamma * par.tau
+    return lap + 2j * par.tau * np.sum(dx * y, axis=-1) - potential * value
+
+
+# One row per equation: the differentiated coordinate names (x, y); the kernel
+# f(params, coords, x, y), coords the (P, n) probe coordinates by name, looked up
+# when called; the operator op(params, x, y, value, dx, dy, d2x, d2y) on the
+# _stencil outputs; the two points of the s x tau x gamma panel; and the probes
+# beyond it: n = 2 (gamma = n - 2q gives {2, 0, -2}) and the series branch of H.
+_FREQUENCY_POINTS = ({"alpha": 0.7, "beta": -1.3}, {"alpha": -1.6, "beta": 0.4})
+_EQUATIONS = {
+    "u-transformed": (
+        ("alpha", "beta"),
+        lambda par, c, a, b: rho_hat(par, a, b) * np.exp(-1j * a[..., 0] * b[..., 0] / par.tau),
+        _oscillator_op, _FREQUENCY_POINTS, (),
+    ),
+    "rho-hat": (
+        ("alpha", "beta"), lambda par, c, a, b: rho_hat(par, a, b), _rho_hat_op, _FREQUENCY_POINTS, (),
+    ),
+    "rho-tilde": (
+        ("x", "y"), lambda par, c, x, y: rho_tilde(par, x, y), _dbar_op,
+        ({"x": 0.7, "y": -1.3}, {"x": -1.6, "y": 0.4}),
+        tuple(
+            Probe(1.0, tau, gamma, 2, {"x": (0.6, -1.1), "y": (-0.3, 1.4)})
+            for tau, gamma in ((0.5, 2.0), (-2.0, 1j))
+        ),
     ),
     "heat-kernel": (
-        Probe(1.0, 1e-5, 1.0, 1, {"xp": 0.3, "yp": -0.4, "x": 1.2, "y": 0.8}),
-        Probe(
-            1.0, 0.5, 0.0, 2,
-            {"xp": (0.3, -0.2), "yp": (-0.4, 0.5), "x": (1.2, 0.1), "y": (0.8, -0.6)},
+        ("x", "y"), lambda par, c, x, y: heat_kernel_h(par, c["xp"], c["yp"], x, y), _dbar_op,
+        (
+            {"xp": 0.3, "yp": -0.4, "x": 1.2, "y": 0.8},
+            {"xp": -0.9, "yp": 1.1, "x": -0.9, "y": 1.1},  # diagonal probe
+        ),
+        (
+            Probe(1.0, 1e-5, 1.0, 1, {"xp": 0.3, "yp": -0.4, "x": 1.2, "y": 0.8}),
+            Probe(
+                1.0, 0.5, 0.0, 2,
+                {"xp": (0.3, -0.2), "yp": (-0.4, 0.5), "x": (1.2, 0.1), "y": (0.8, -0.6)},
+            ),
         ),
     ),
 }
 
 
-def default_probe_set(equation: str) -> ProbeSet:
+def default_probe_set(equation: str) -> tuple[Probe, ...]:
     """The documented default probe panel for one of the four equations."""
-    if equation not in _PANEL_POINTS:
+    if equation not in _EQUATIONS:
         raise ValueError(f"unknown equation {equation!r}")
+    *_, points, extra = _EQUATIONS[equation]
     panel = tuple(
         Probe(s, tau, gamma, 1, dict(coords))
         for s in _S_PANEL
@@ -160,127 +220,73 @@ def default_probe_set(equation: str) -> ProbeSet:
         # u = rho_hat * exp(-i alpha beta / tau) needs tau != 0
         if tau != 0.0 or equation != "u-transformed"
         for gamma in _GAMMA_PANEL
-        for coords in _PANEL_POINTS[equation]
+        for coords in points
     )
-    return ProbeSet(equation=equation, probes=panel + _EXTRA_PROBES.get(equation, ()))
+    return panel + extra
 
 
-# ---------------------------------------------------------------------------
-# finite-difference residuals
-# ---------------------------------------------------------------------------
-
-def _stencil(f, s, x, y, h):
-    """Central differences of f(s, x, y) around one point for every step in h.
-
-    x and y are length-n vectors and h holds k step sizes; the whole stencil
-    (centre, s +- h, and +- h along each component of x and of y) goes to f
-    in one call.  Returns the centre value and d/ds, each of shape (k,), and
-    the first and second derivatives along each component of x and of y,
-    each of shape (k, n).
-    """
-    n = x.size
-    eye, pad, still = np.eye(n), np.zeros((n, n)), np.zeros((3, n))
-    # rows: centre, s + h, s - h, x + h e_j, x - h e_j, y + h e_j, y - h e_j
-    dir_s = np.concatenate([[0.0, 1.0, -1.0], np.zeros(4 * n)])
-    dir_x = np.concatenate([still, eye, -eye, pad, pad])
-    dir_y = np.concatenate([still, pad, pad, eye, -eye])
-    hk = h[:, np.newaxis]
-    vals = f(s + hk * dir_s, x + hk[..., np.newaxis] * dir_x, y + hk[..., np.newaxis] * dir_y)
-    centre = vals[:, :1]
-    x_up, x_down, y_up, y_down = np.split(vals[:, 3:], 4, axis=1)
-    return (
-        centre[:, 0],
-        (vals[:, 1] - vals[:, 2]) / (2 * h),
-        (x_up - x_down) / (2 * hk),
-        (y_up - y_down) / (2 * hk),
-        (x_up - 2 * centre + x_down) / hk**2,
-        (y_up - 2 * centre + y_down) / hk**2,
-    )
-
-
-def _residual_report(equation, probe_set, step_sizes, names, kernel, operator) -> ResidualReport:
+def _residual_report(equation, probes, step_sizes) -> ResidualReport:
     """max over the probes of |df/ds - operator/4| for each step size.
 
-    f = kernel(params, probe, x, y) with (x, y) the probe coordinates named
-    by `names`, differentiated by :func:`_stencil`;
-    operator(probe, x, y, value, dx, dy, d2x, d2y) is the spatial side of
-    the equation.
+    f and the operator are the equation's _EQUATIONS row; probes None takes
+    default_probe_set(equation).  Each dimension n takes one _stencil call,
+    with s, tau and gamma arrays over its probes.
     """
-    probe_set = probe_set or default_probe_set(equation)
+    names, kernel, operator, _, _ = _EQUATIONS[equation]
+    probes = default_probe_set(equation) if probes is None else tuple(probes)
+    if not probes:
+        raise ValueError(f"probes for {equation!r} must hold at least one Probe")
     h = np.asarray(step_sizes, dtype=float)
     norms = np.zeros(h.size)
-    for p in probe_set.probes:
-        par = KernelParams(s=p.s, tau=p.tau, gamma=p.gamma, n=p.n)
-        x, y = (np.atleast_1d(np.asarray(p.coords[name], dtype=float)) for name in names)
+    for n in sorted({p.n for p in probes}):
+        group = [p for p in probes if p.n == n]
+        s, tau, gamma = (np.array(v) for v in zip(*((p.s, p.tau, p.gamma) for p in group)))
+        par = KernelParams(s=s, tau=tau, gamma=gamma, n=n)
+        coords = {
+            name: np.array([np.atleast_1d(p.coords[name]) for p in group], dtype=float)
+            for name in group[0].coords
+        }
+        x, y = (coords[name] for name in names)
         value, ds, *derivs = _stencil(
-            lambda s_, x_, y_: kernel(replace(par, s=s_), p, x_, y_), p.s, x, y, h
+            lambda s_, x_, y_: kernel(replace(par, s=s_), coords, x_, y_), par.s, x, y, h
         )
-        norms = np.maximum(norms, np.abs(ds - 0.25 * operator(p, x, y, value, *derivs)))
+        norms = np.maximum(norms, np.abs(ds - 0.25 * operator(par, x, y, value, *derivs)).max(axis=-1))
     return _fitted_report(equation, step_sizes, norms)
 
 
-def _oscillator_op(p, a, b, value, da, db, d2a, d2b):
-    """(tau^2 d^2/dbeta^2 - beta^2 - gamma tau) f."""
-    return p.tau**2 * d2b[:, 0] - (b[0] * b[0] + p.gamma * p.tau) * value
-
-
-def _dbar_op(p, x, y, value, dx, dy, d2x, d2y):
-    """(Lap_{x,y} + 2i tau y.grad_x - (tau^2 |y|^2 + gamma tau)) f."""
-    lap = np.sum(d2x + d2y, axis=1)
-    return lap + 2j * p.tau * (dx @ y) - (p.tau**2 * float(y @ y) + p.gamma * p.tau) * value
-
-
-def residual_rho_hat(probe_set: ProbeSet | None = None, step_sizes=DEFAULT_STEP_SIZES) -> ResidualReport:
+def residual_rho_hat(probes: Sequence[Probe] | None = None, step_sizes=DEFAULT_STEP_SIZES) -> ResidualReport:
     """Residual of the transformed one-dimensional heat equation for rho_hat.
 
     R = d rho_hat/ds - (1/4) [ (-alpha^2 - 2i alpha tau d/dbeta + tau^2 d^2/dbeta^2)
                                + (-beta^2) + i gamma (i tau) ] rho_hat
     by second-order central differences; max |R| per step size.
     """
-
-    def operator(p, a, b, value, da, db, d2a, d2b):
-        alpha = a[0]
-        return _oscillator_op(p, a, b, value, da, db, d2a, d2b) - alpha * (
-            alpha * value + 2j * p.tau * db[:, 0]
-        )
-
-    return _residual_report(
-        "rho-hat", probe_set, step_sizes, ("alpha", "beta"),
-        lambda par, p, a, b: rho_hat(par, a, b), operator,
-    )
+    return _residual_report("rho-hat", probes, step_sizes)
 
 
-def residual_u(probe_set: ProbeSet | None = None, step_sizes=DEFAULT_STEP_SIZES) -> ResidualReport:
+def residual_u(probes: Sequence[Probe] | None = None, step_sizes=DEFAULT_STEP_SIZES) -> ResidualReport:
     """Residual of the transformed heat equation for u = rho_hat * exp(-i alpha beta / tau).
 
     R = du/ds - (1/4) (tau^2 d^2/dbeta^2 - beta^2 - gamma tau) u.
     """
-
-    def u(par, p, a, b):
-        return rho_hat(par, a, b) * np.exp(-1j * a[..., 0] * b[..., 0] / p.tau)
-
-    return _residual_report(
-        "u-transformed", probe_set, step_sizes, ("alpha", "beta"), u, _oscillator_op
-    )
+    return _residual_report("u-transformed", probes, step_sizes)
 
 
-def residual_rho_tilde(probe_set: ProbeSet | None = None, step_sizes=DEFAULT_STEP_SIZES) -> ResidualReport:
+def residual_rho_tilde(
+    probes: Sequence[Probe] | None = None, step_sizes=DEFAULT_STEP_SIZES
+) -> ResidualReport:
     """Residual of the weighted dbar heat equation for rho_tilde.
 
     R = d rho_tilde/ds - (1/4) (Lap_{x,y} + 2i tau y.grad_x - (tau^2 |y|^2 + gamma tau)) rho_tilde.
     """
-    return _residual_report(
-        "rho-tilde", probe_set, step_sizes, ("x", "y"),
-        lambda par, p, x, y: rho_tilde(par, x, y), _dbar_op,
-    )
+    return _residual_report("rho-tilde", probes, step_sizes)
 
 
-def residual_heat_kernel(probe_set: ProbeSet | None = None, step_sizes=DEFAULT_STEP_SIZES) -> ResidualReport:
+def residual_heat_kernel(
+    probes: Sequence[Probe] | None = None, step_sizes=DEFAULT_STEP_SIZES
+) -> ResidualReport:
     """Residual of (d/ds + L~_gamma) H = 0 in the field variables (x, y), source fixed."""
-    return _residual_report(
-        "heat-kernel", probe_set, step_sizes, ("x", "y"),
-        lambda par, p, x, y: heat_kernel_h(par, p.coords["xp"], p.coords["yp"], x, y), _dbar_op,
-    )
+    return _residual_report("heat-kernel", probes, step_sizes)
 
 
 def eigenfunction_residual_report(step_sizes=DEFAULT_STEP_SIZES) -> ResidualReport:
@@ -439,10 +445,6 @@ class GaussianTestFunction:
     def __call__(self, x, y):
         return np.exp(-self.ax * (x - self.cx) ** 2 - self.ay * (y - self.cy) ** 2)
 
-    @property
-    def peak(self) -> tuple[float, float]:
-        return (self.cx, self.cy)
-
 
 def apply_kernel_to_function(params: KernelParams, f, point) -> complex:
     """H[f](s, point) = iint H(s, w, v, point) f(w, v) dw dv by adaptive quadrature.
@@ -468,7 +470,7 @@ def initial_condition_check(
     of f and one offset point).  For the kernel to satisfy its delta initial
     condition these must decrease and vanish linearly in s.
     """
-    probes = (test_fn.peak, (test_fn.cx + 0.35, test_fn.cy - 0.25))
+    probes = ((test_fn.cx, test_fn.cy), (test_fn.cx + 0.35, test_fn.cy - 0.25))
     errors = []
     for s in s_sequence:
         par = replace(params, s=float(s))

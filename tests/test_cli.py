@@ -354,6 +354,30 @@ class TestApply:
         assert "exceeds the double range" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("case", ("string-row", "null-row", "integer-gamma", "top-level-list"))
+    def test_malformed_json_input_exit_2(self, tmp_path, capsys, case):
+        _write_gaussian_field(tmp_path / "f.json", count=5, extent=2.0)
+        doc = json.loads((tmp_path / "f.json").read_text())
+        if case == "string-row":
+            doc["values"][0] = ["1", "2"]
+        elif case == "null-row":
+            doc["values"][0] = None
+        elif case == "integer-gamma":
+            doc["params"] = {"s": 1.0, "tau": 1.0, "gamma": 5, "n": 1}
+        else:
+            doc = [1, 2]
+        (tmp_path / "bad.json").write_text(json.dumps(doc))
+        out = tmp_path / "out.json"
+        code = run(
+            [
+                "apply", "--input", str(tmp_path / "bad.json"), "--s", "0.5", "--tau", "1",
+                "--axis", "x:-1:1:3", "--output", str(out),
+            ]
+        )
+        assert code == 2
+        assert "cannot load field sample" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_input_exit_2(self, tmp_path):
         code = run(
             [
@@ -376,6 +400,16 @@ class TestVerify:
         assert all("worst" in c and "tolerance" in c for c in doc["checks"])
         assert list(doc["elapsed_s"]) == ["hermite"] and doc["elapsed_s"]["hermite"] > 0
         assert doc["environment"] == ENVIRONMENT
+
+    @pytest.mark.parametrize("suite", ("series", "pde", "semigroup"))
+    def test_suite_report_is_plain_json(self, tmp_path, suite):
+        # the report holds only JSON types: written without a default= hook, read back whole
+        report_path = tmp_path / f"{suite}.json"
+        assert run(["verify", "--suite", suite, "--report", str(report_path)]) == 0
+        doc = json.loads(report_path.read_text())
+        assert doc["suite"] == suite
+        assert doc["passed"] is True
+        assert doc["checks"] and all(c["passed"] is True for c in doc["checks"])
 
     def test_unknown_suite_exit_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -131,6 +131,24 @@ class TestRhoHat:
             rev = rho_hat(p_rev, 0.9, -1.2)
             assert rev == pytest.approx(np.conj(fwd), rel=1e-14)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(1, 3),
+        s=st.just(0.0) | st.floats(1e-3, 4.0),
+        z=st.just(0.0) | st.floats(1e-12, 0.99e-4) | st.floats(1e-4, 20.0),
+        sign=st.sampled_from((1.0, -1.0)),
+        gamma=st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False),
+        coords=st.lists(st.floats(-3.0, 3.0), min_size=6, max_size=6),
+    )
+    def test_conjugation_parity_property(self, n, s, z, sign, gamma, coords):
+        # |s*tau| = z picks the coefficient branch (Taylor below 1e-4); negating tau and
+        # conjugating gamma only flips the signs of imaginary parts, so equality is exact
+        tau = sign * (z / s if s > 0 else z)
+        alpha, beta = np.array(coords[:n]), np.array(coords[3:3 + n])
+        fwd = rho_hat(KernelParams(s=s, tau=tau, gamma=gamma, n=n), alpha, beta)
+        rev = rho_hat(KernelParams(s=s, tau=-tau, gamma=-np.conj(gamma), n=n), alpha, beta)
+        assert rev == np.conj(fwd)
+
     def test_product_law(self):
         rng = np.random.default_rng(1234)
         for n in (1, 2, 3, 4):
@@ -463,6 +481,29 @@ class TestFieldSampleSerialization:
         for a, b in zip(loaded.values, sample.values):
             assert format(a.real, ".17g") == format(b.real, ".17g")
             assert format(a.imag, ".17g") == format(b.imag, ".17g")
+
+    def test_json_values_keep_every_bit(self, tmp_path):
+        grid = GridSpec((GridAxis("x", 0.0, 1.0, 3),))
+        doc = {"grid": [{"name": "x", "min": 0.0, "max": 1.0, "count": 3}],
+               "values": [[-0.0, -0.0], [5e-324, -1.5], [1, 0.1]]}
+        path = tmp_path / "field.json"
+        path.write_text(json.dumps(doc), encoding="ascii")
+        loaded = FieldSample.from_json(path)
+        expect = np.array([complex(-0.0, -0.0), complex(5e-324, -1.5), complex(1.0, 0.1)])
+        assert loaded.grid == grid
+        assert np.array_equal(loaded.values.view(np.uint64), expect.view(np.uint64))
+
+    @pytest.mark.parametrize(
+        "row", (["1", "2"], None, [1.0], [1.0, 2.0, 3.0], [True, 0.0], [1.0, [2.0]], "ab", {"re": 1.0}),
+    )
+    def test_json_values_must_be_number_pairs(self, tmp_path, row):
+        sample = self._sample()
+        doc = json.loads(sample.to_json_text())
+        doc["values"][1] = row
+        path = tmp_path / "field.json"
+        path.write_text(json.dumps(doc), encoding="ascii")
+        with pytest.raises(ValueError, match="^values must be a list of"):
+            FieldSample.from_json(path)
 
     def test_json_is_parseable(self, tmp_path):
         sample = self._sample()

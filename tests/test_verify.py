@@ -9,7 +9,6 @@ from heisenheat.verify import (
     GaussianTestFunction,
     InsufficientDecayError,
     Probe,
-    ProbeSet,
     apply_kernel_to_function,
     conjugate_symmetry_sweep,
     default_probe_set,
@@ -37,44 +36,58 @@ class TestResidualSuites:
     def test_rho_hat_tau_zero_ratio_near_four(self):
         # analytic solution e^{-s(alpha^2+beta^2)/4}: halving h divides the
         # residual by ~4 (pure O(h^2))
-        probes = ProbeSet(
-            "rho-hat", (Probe(1.0, 0.0, 0.0, 1, {"alpha": 0.7, "beta": -1.3}),)
-        )
+        probes = (Probe(1.0, 0.0, 0.0, 1, {"alpha": 0.7, "beta": -1.3}),)
         rep = residual_rho_hat(probes, step_sizes=(1e-2, 5e-3))
         ratio = rep.residual_norms[0] / rep.residual_norms[1]
         assert ratio == pytest.approx(4.0, abs=0.2)
 
     def test_complex_gamma_probe_included(self):
         probes = default_probe_set("rho-hat")
-        assert any(p.gamma == 1j for p in probes.probes)
-        only_complex = ProbeSet(
-            "rho-hat", tuple(p for p in probes.probes if p.gamma == 1j)
-        )
+        assert any(p.gamma == 1j for p in probes)
+        only_complex = tuple(p for p in probes if p.gamma == 1j)
         rep = residual_rho_hat(only_complex)
         assert 1.8 < rep.convergence_order < 2.2
 
     def test_negative_tau_probes_included(self):
         for equation in ("u-transformed", "rho-hat", "rho-tilde", "heat-kernel"):
-            assert any(p.tau < 0 for p in default_probe_set(equation).probes)
+            assert any(p.tau < 0 for p in default_probe_set(equation))
 
     def test_u_probes_skip_tau_zero(self):
-        assert all(p.tau != 0 for p in default_probe_set("u-transformed").probes)
+        assert all(p.tau != 0 for p in default_probe_set("u-transformed"))
 
     def test_rho_tilde_n2_probe(self):
-        probes = ProbeSet(
-            "rho-tilde",
-            (Probe(1.0, 0.5, 2.0, 2, {"x": (0.6, -1.1), "y": (-0.3, 1.4)}),),
-        )
+        probes = (Probe(1.0, 0.5, 2.0, 2, {"x": (0.6, -1.1), "y": (-0.3, 1.4)}),)
         rep = residual_rho_tilde(probes)
         assert 1.8 < rep.convergence_order < 2.2
 
     def test_heat_kernel_series_branch_probe(self):
-        probes = ProbeSet(
-            "heat-kernel",
-            (Probe(1.0, 1e-5, 1.0, 1, {"xp": 0.3, "yp": -0.4, "x": 1.2, "y": 0.8}),),
-        )
+        probes = (Probe(1.0, 1e-5, 1.0, 1, {"xp": 0.3, "yp": -0.4, "x": 1.2, "y": 0.8}),)
         rep = residual_heat_kernel(probes)
         assert 1.8 < rep.convergence_order < 2.2
+
+    def test_batched_norms_are_the_max_of_single_probe_reports(self):
+        # n = 1 and n = 2 probes, Taylor and closed-form branches, in one batched call per n
+        probes = (
+            Probe(
+                1.0, 0.5, 2.0, 2,
+                {"xp": (0.3, -0.2), "yp": (-0.4, 0.5), "x": (1.2, 0.1), "y": (0.8, -0.6)},
+            ),
+            Probe(0.25, -2.0, 1j, 1, {"xp": 0.3, "yp": -0.4, "x": 1.2, "y": 0.8}),
+            Probe(1.0, 1e-5, 1.0, 1, {"xp": -0.9, "yp": 1.1, "x": -0.9, "y": 1.1}),
+            Probe(4.0, 0.0, -1.0, 1, {"xp": 0.3, "yp": -0.4, "x": 1.2, "y": 0.8}),
+            Probe(
+                0.5, -1.5, 0.5j, 2,
+                {"xp": (0.1, 0.4), "yp": (0.2, -0.7), "x": (-0.3, 0.6), "y": (1.0, 0.2)},
+            ),
+        )
+        batched = residual_heat_kernel(probes).residual_norms
+        single = np.max([residual_heat_kernel((p,)).residual_norms for p in probes], axis=0)
+        assert batched == tuple(single)
+
+    def test_empty_probes_rejected(self):
+        for fn in (residual_u, residual_rho_hat, residual_rho_tilde, residual_heat_kernel):
+            with pytest.raises(ValueError, match="probes"):
+                fn(())
 
     def test_report_dict_round_trip(self):
         rep = residual_u()
@@ -209,6 +222,22 @@ class TestConjugateSymmetry:
             conjugate_symmetry_sweep(KernelParams(s=1.0, tau=1.0, gamma=1j))
 
 
+def _count_calls(monkeypatch, module, names):
+    """Wrap module.<name> for each name with a call counter; returns the live counts."""
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name, func):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return func(*args, **kwargs)
+
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    return calls
+
+
 class TestSuiteRunner:
     def test_hermite_suite_passes(self):
         report = verify.run_suite("hermite")
@@ -223,17 +252,7 @@ class TestSuiteRunner:
             verify.run_suite("nonsense")
 
     def test_series_suite_is_one_call_per_panel(self, monkeypatch):
-        calls = {"u_series": 0, "mehler_sum": 0, "hermite_values": 0}
-
-        def counted(name, func):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return func(*args, **kwargs)
-
-            return wrapper
-
-        for name in ("u_series", "mehler_sum", "hermite_values"):
-            monkeypatch.setattr(series, name, counted(name, getattr(series, name)))
+        calls = _count_calls(monkeypatch, series, ("u_series", "mehler_sum", "hermite_values"))
         report = verify.run_suite("series")
         assert report["passed"]
         assert calls == {"u_series": 1, "mehler_sum": 1, "hermite_values": 4}
@@ -243,6 +262,19 @@ class TestSuiteRunner:
         assert 0 < agreement["tail_bound"] < 1e-13
         assert mehler["check"] == "mehler-identity"
         assert mehler["terms_used"] == series.mehler_terms(0.9)
+
+    def test_pde_suite_is_one_kernel_call_per_probe_dimension(self, monkeypatch):
+        calls = _count_calls(monkeypatch, verify, ("rho_hat", "rho_tilde", "heat_kernel_h"))
+        report = verify.run_suite("pde")
+        assert report["passed"]
+        # u and rho-hat probe n = 1 only; rho-tilde and heat-kernel probe n = 1 and n = 2
+        assert calls == {"rho_hat": 2, "rho_tilde": 2, "heat_kernel_h": 2}
+        assert [c["check"] for c in report["checks"]] == [
+            "residual-order-u-transformed",
+            "residual-order-rho-hat",
+            "residual-order-rho-tilde",
+            "residual-order-heat-kernel",
+        ]
 
     def test_semigroup_suite_quadratures_are_apply_kernel_calls(self, monkeypatch):
         calls = []
