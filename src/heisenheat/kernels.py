@@ -93,6 +93,10 @@ _ENVELOPE = "the Gaussian envelope (tau/4)*coth(s*tau/4)"
 # output points per apply_kernel chunk, as a multiple of the first source axis length
 _APPLY_CHUNK_MESHES = 4
 
+# rows per filled template of the CSV and JSON writers: bounds the template, value
+# tuple and formatted chunk held at once, whatever the length of the grid's last axis
+_WRITE_CHUNK_ROWS = 4096
+
 
 class GridMismatchError(ValueError):
     """Grid axes are inconsistent with the requested kernel."""
@@ -426,6 +430,8 @@ class GridAxis:
             raise ValueError(f"axis {self.name}: min {self.lo} and max {self.hi} must be finite")
         if self.lo > self.hi:
             raise ValueError(f"axis {self.name}: min {self.lo} exceeds max {self.hi}")
+        if not math.isfinite(self.hi - self.lo):
+            raise ValueError(f"axis {self.name}: span max - min from {self.lo} to {self.hi} exceeds the double range")
 
     def points(self) -> np.ndarray:
         if self.count == 1:
@@ -479,15 +485,35 @@ class FieldSample:
     # -- serialization: 17 significant digits, bit-exact decimal round trip --
 
     def to_csv_text(self) -> str:
-        """One row per grid point: coordinates in axis order, then Re, Im."""
-        coords = self.grid.coordinates()
-        names = [ax.name for ax in self.grid.axes]
-        cols = [coords[name] for name in names] + [self.values.real, self.values.imag]
-        # "%.17g" % x renders a float exactly as _fmt(x); one format per row is the fast path
-        row = ",".join(["%.17g"] * len(cols))
-        lines = [",".join(names + ["re", "im"])]
-        lines.extend(row % point for point in zip(*cols))
-        return "\n".join(lines) + "\n"
+        """One row per grid point: coordinates in axis order, then Re, Im.
+
+        Each axis point is formatted once.  Per chunk of the last axis, one
+        template holds its rows' coordinates and "%.17g" slots for Re and Im;
+        per point of the leading axes its coordinates go in front of every
+        row, and one % fills the template with the chunk's values.  Chunks
+        hold at most _WRITE_CHUNK_ROWS rows, so memory beyond the output
+        stays bounded for a long last axis.
+        """
+        *lead, last = self.grid.axes
+        # each row starts with "\n", so a leading-axis point's coordinates go in by one replace
+        tails = [
+            (("\n%.17g,%%.17g,%%.17g" * len(piece)) % tuple(piece.tolist()), 2 * len(piece))
+            for piece in np.split(last.points(), range(_WRITE_CHUNK_ROWS, last.count, _WRITE_CHUNK_ROWS))
+        ]
+        # a short last axis takes several of its runs per template, one when it spans several chunks
+        runs = max(1, _WRITE_CHUNK_ROWS // last.count)
+        heads = itertools.product(*(["%.17g," % v for v in ax.points().tolist()] for ax in lead))
+        flat = np.ascontiguousarray(self.values).view(float)
+        parts = [",".join([ax.name for ax in self.grid.axes] + ["re", "im"])]
+        lo = 0
+        while starts := ["\n" + "".join(head) for head in itertools.islice(heads, runs)]:
+            for tail, width in tails:
+                hi = lo + width * len(starts)
+                template = "".join([tail.replace("\n", start) for start in starts])
+                parts.append(template % tuple(flat[lo:hi].tolist()))
+                lo = hi
+        parts.append("\n")
+        return "".join(parts)
 
     def to_json_text(self) -> str:
         """Serialize with every float rendered at 17 significant digits."""
@@ -504,15 +530,19 @@ class FieldSample:
             for ax in self.grid.axes
         )
         parts.append('  "grid": [%s]' % axes)
-        pairs = zip(self.values.real, self.values.imag)
-        vals = ", ".join("[%.17g, %.17g]" % pair for pair in pairs)
-        parts.append('  "values": [%s]\n}' % vals)
-        return ",\n".join(parts) + "\n"
+        parts.append('  "values": [')
+        # one % per chunk of _WRITE_CHUNK_ROWS pairs; the final join copies the values text once
+        flat = np.ascontiguousarray(self.values).view(float)
+        vals = ", ".join(
+            ", ".join(["[%.17g, %.17g]"] * (len(piece) // 2)) % tuple(piece.tolist())
+            for piece in np.split(flat, range(2 * _WRITE_CHUNK_ROWS, len(flat), 2 * _WRITE_CHUNK_ROWS))
+        )
+        return "".join([",\n".join(parts), vals, "]\n}\n"])
 
     @classmethod
     def from_json(cls, path) -> "FieldSample":
         with open(path, "r", encoding="ascii") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_int=_parse_json_int)
         axes = tuple(
             GridAxis(a["name"], float(a["min"]), float(a["max"]), int(a["count"]))
             for a in doc["grid"]
@@ -565,6 +595,11 @@ class FieldSample:
 
 def _fmt(v: float) -> str:
     return format(float(v), ".17g")
+
+
+def _parse_json_int(token: str) -> int | float:
+    """A JSON integer; "%.17g" writes -0.0 as "-0", which stays the float -0.0."""
+    return -0.0 if token == "-0" else int(token)
 
 
 # axis bases consumed by each kernel, in argument order

@@ -268,7 +268,12 @@ def residual_u(probes: Sequence[Probe] | None = None, step_sizes=DEFAULT_STEP_SI
     """Residual of the transformed heat equation for u = rho_hat * exp(-i alpha beta / tau).
 
     R = du/ds - (1/4) (tau^2 d^2/dbeta^2 - beta^2 - gamma tau) u.
+    u needs tau != 0: a probe with tau = 0 raises ValueError.
     """
+    if probes is not None:
+        probes = tuple(probes)
+        if any(p.tau == 0 for p in probes):
+            raise ValueError("residual_u needs tau != 0 in every probe (u has exp(-i alpha beta / tau))")
     return _residual_report("u-transformed", probes, step_sizes)
 
 

@@ -8,6 +8,7 @@ independent evaluation paths by construction.
 """
 
 import functools
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -126,6 +127,44 @@ def apply_per_point(params, nodes, weights, values, x, y):
     yp = np.stack([mesh.ravel() for mesh in meshes[n:]], axis=-1)
     points = zip(np.reshape(x, (-1, n)), np.reshape(y, (-1, n)))
     return np.array([np.sum(wf * heat_kernel_h(params, xp, yp, *pt)) for pt in points], dtype=complex)
+
+
+def csv_text_per_row(sample):
+    """FieldSample.to_csv_text as one "%.17g" format per value of every row.
+
+    Coordinates come from the full row-major mesh, so each row formats all
+    of its coordinates again; the reference for the writer's byte output.
+    """
+    coords = sample.grid.coordinates()
+    names = [ax.name for ax in sample.grid.axes]
+    cols = [coords[name] for name in names] + [sample.values.real, sample.values.imag]
+    row = ",".join(["%.17g"] * len(cols))
+    lines = [",".join(names + ["re", "im"])]
+    lines.extend(row % point for point in zip(*cols))
+    return "\n".join(lines) + "\n"
+
+
+def json_text_per_pair(sample):
+    """FieldSample.to_json_text with one "%" per [re, im] pair; the writer's byte reference."""
+    def fmt(v):
+        return format(float(v), ".17g")
+
+    parts = ['{\n  "kernel": ' + json.dumps(sample.kernel)]
+    if sample.params is not None:
+        p = sample.params
+        parts.append(
+            '  "params": {"s": %s, "tau": %s, "gamma": [%s, %s], "n": %d}'
+            % (fmt(p.s), fmt(p.tau), fmt(p.gamma.real), fmt(p.gamma.imag), p.n)
+        )
+    axes = ", ".join(
+        '{"name": %s, "min": %s, "max": %s, "count": %d}'
+        % (json.dumps(ax.name), fmt(ax.lo), fmt(ax.hi), ax.count)
+        for ax in sample.grid.axes
+    )
+    parts.append('  "grid": [%s]' % axes)
+    vals = ", ".join("[%.17g, %.17g]" % pair for pair in zip(sample.values.real, sample.values.imag))
+    parts.append('  "values": [%s]\n}' % vals)
+    return ",\n".join(parts) + "\n"
 
 
 def rho_hat_product(params, alpha, beta):

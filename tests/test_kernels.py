@@ -1,5 +1,6 @@
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -447,6 +448,9 @@ class TestGridEvaluation:
             GridAxis("alpha", 0.0, 1.0, 0)
         with pytest.raises(ValueError):
             GridAxis("alpha", 2.0, 1.0, 3)
+        # finite bounds whose span overflows: linspace would warn and return non-finite points
+        with pytest.raises(ValueError, match="span"):
+            GridAxis("alpha", -1e308, 1e308, 3)
         with pytest.raises(ValueError):
             GridSpec((GridAxis("alpha", 0.0, 1.0, 2), GridAxis("alpha", 0.0, 1.0, 2)))
 
@@ -522,6 +526,63 @@ class TestFieldSampleSerialization:
         loaded = FieldSample.from_csv(path)
         assert np.array_equal(loaded.values, sample.values)
         assert loaded.grid == sample.grid
+
+    def test_json_round_trip_keeps_the_sign_of_zero(self, tmp_path):
+        # the writer renders -0.0 as "-0", a JSON integer token
+        grid = GridSpec((GridAxis("x", 0.0, 1.0, 4),))
+        values = np.array([complex(-0.0, 1), complex(1, -0.0), complex(-0.0, -0.0), complex(0.0, 0.0)])
+        path = tmp_path / "field.json"
+        path.write_text(FieldSample(grid=grid, values=values).to_json_text(), encoding="ascii")
+        loaded = FieldSample.from_json(path)
+        assert np.array_equal(loaded.values.view(np.uint64), values.view(np.uint64))
+
+
+# re and im parts the writers must render as the per-value reference does
+_EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 1.7e308, -1.7e308, 2.2250738585072014e-308, 1.0, -1.0, 0.1)
+
+
+@st.composite
+def _field_samples(draw):
+    """1-4 axes of 1-5 points, values of random magnitude with edge cases at random places."""
+    axes = []
+    for name in "abcd"[: draw(st.integers(1, 4))]:
+        # the span of any two bounds within +-8e307 is a finite double
+        lo, hi = sorted(draw(st.lists(st.floats(-8e307, 8e307), min_size=2, max_size=2)))
+        axes.append(GridAxis(name, lo, hi, draw(st.integers(1, 5))))
+    grid = GridSpec(tuple(axes))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    parts = rng.standard_normal(2 * grid.size) * 10.0 ** rng.integers(-320, 308, 2 * grid.size)
+    edges = draw(st.lists(st.sampled_from(_EDGE_FLOATS), max_size=2 * grid.size))
+    parts[rng.permutation(2 * grid.size)[: len(edges)]] = edges
+    params = draw(st.none() | st.just(KernelParams(s=0.5, tau=-1e-5, gamma=-0.0 + 2.5j, n=2)))
+    return FieldSample(grid=grid, values=parts.view(complex), kernel="rho-hat", params=params)
+
+
+class TestWritersMatchPerValueReference:
+    """to_csv_text and to_json_text are byte-identical to the per-row oracles.
+
+    The chunk length is drawn too, so small grids cover templates that split
+    the last axis and templates that hold several of its runs.
+    """
+
+    @settings(max_examples=150, deadline=None)
+    @given(sample=_field_samples(), chunk=st.sampled_from((1, 2, 3, 7, kernels._WRITE_CHUNK_ROWS)))
+    def test_random_grids(self, sample, chunk):
+        with mock.patch.object(kernels, "_WRITE_CHUNK_ROWS", chunk):
+            assert sample.to_csv_text() == oracles.csv_text_per_row(sample)
+            assert sample.to_json_text() == oracles.json_text_per_pair(sample)
+
+    @pytest.mark.parametrize("counts", (
+        (2 * kernels._WRITE_CHUNK_ROWS + 3,),
+        (3, kernels._WRITE_CHUNK_ROWS + 1),
+        (kernels._WRITE_CHUNK_ROWS + 5, 1),
+    ))
+    def test_grids_past_one_chunk(self, counts):
+        grid = GridSpec(tuple(GridAxis(name, -1.5, 2.0, c) for name, c in zip("xy", counts)))
+        rng = np.random.default_rng(len(counts))
+        sample = FieldSample(grid=grid, values=rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size))
+        assert sample.to_csv_text() == oracles.csv_text_per_row(sample)
+        assert sample.to_json_text() == oracles.json_text_per_pair(sample)
 
 
 class TestKernelParams:

@@ -11,6 +11,7 @@ import pathlib
 import types
 
 import numpy as np
+import pytest
 
 from heisenheat import cli, hermite, kernels, series, verify
 from heisenheat.kernels import FieldSample, GridAxis, GridSpec
@@ -85,4 +86,23 @@ def test_traced_identities_evaluates_the_twist_through_cli_names():
     for name in ("kernels.heat_kernel_h", "kernels.rho_tilde"):
         assert tracer.totals[name]["calls"] == 1
         assert tracer.totals[name]["points"] == 5
+    assert tracer.unbalanced_ops() == []
+
+
+@pytest.mark.parametrize("fmt", ("csv", "json"))
+def test_traced_eval_counts_the_written_bytes(tmp_path, fmt):
+    # the serialization layer's bytes counter is the size of the file eval writes
+    out = tmp_path / f"out.{fmt}"
+    argv = [
+        "eval", "--kernel", "rho-tilde", "--s", "1", "--tau", "0.5", "--axis", "x:-2:2:7",
+        "--axis", "y:-1:1:5", "--format", fmt, "--output", str(out),
+    ]
+    tracer = _tracer()
+    code, _ = tracer.run_op(0, lambda: cli.main(argv))
+    assert code == 0
+    writer = f"kernels.FieldSample.to_{fmt}_text"
+    assert tracer.totals[writer]["calls"] == 1
+    assert tracer.totals[writer]["bytes"] == out.stat().st_size
+    other = "kernels.FieldSample.to_json_text" if fmt == "csv" else "kernels.FieldSample.to_csv_text"
+    assert tracer.totals[other]["calls"] == 0
     assert tracer.unbalanced_ops() == []

@@ -55,6 +55,16 @@ class TestResidualSuites:
     def test_u_probes_skip_tau_zero(self):
         assert all(p.tau != 0 for p in default_probe_set("u-transformed"))
 
+    @pytest.mark.parametrize("tau", (0.0, -0.0))
+    def test_u_rejects_a_tau_zero_probe(self, tau):
+        # u = rho_hat * exp(-i alpha beta / tau): a NaN norm before, now an error naming tau
+        probes = (
+            Probe(1.0, 0.5, 0.0, 1, {"alpha": 0.7, "beta": -1.3}),
+            Probe(1.0, tau, 0.0, 1, {"alpha": 0.7, "beta": -1.3}),
+        )
+        with pytest.raises(ValueError, match="tau != 0"):
+            residual_u(iter(probes))
+
     def test_rho_tilde_n2_probe(self):
         probes = (Probe(1.0, 0.5, 2.0, 2, {"x": (0.6, -1.1), "y": (-0.3, 1.4)}),)
         rep = residual_rho_tilde(probes)
