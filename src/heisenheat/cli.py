@@ -8,10 +8,11 @@ Subcommands:
     identities  check the cosh/sinh simplification identities and the
                 twist factorization over a parameter sweep
 
-Exit codes: 0 success, 1 verification failure, 2 flag validation failure,
-3 I/O failure.  Output files are written to a temporary name and renamed on
-success, so no partial files survive a failure.  All default panels are
-fixed; randomness enters only through an explicit --seed flag.
+Exit codes: 0 success, 1 verification failure, 2 invalid input (any
+ValueError, so the library's own parameter, grid and field checks report
+it), 3 I/O failure.  Output files are written to a temporary name and
+renamed on success, so no partial files survive a failure.  All default
+panels are fixed; randomness enters only through an explicit --seed flag.
 """
 
 from __future__ import annotations
@@ -30,9 +31,7 @@ from .kernels import (
     KERNEL_NAMES,
     FieldSample,
     GridAxis,
-    GridMismatchError,
     GridSpec,
-    KernelOverflowError,
     KernelParams,
     _component_blocks,
     _component_names,
@@ -67,8 +66,8 @@ _TWIST_POINTS = (
 )
 
 
-class CliError(Exception):
-    """Flag/validation failure mapped to exit code 2."""
+class CliError(ValueError):
+    """Flag validation failure; like every ValueError, main maps it to exit code 2."""
 
 
 def _parse_gamma(text: str) -> complex:
@@ -94,24 +93,17 @@ def _parse_axis(text: str) -> GridAxis:
 
 
 def _params_from_args(args) -> KernelParams:
-    gamma = _parse_gamma(args.gamma)
-    if args.boxb_q is not None:
-        if args.gamma != "0":
-            raise CliError("--gamma and --boxb-q are mutually exclusive")
-        gamma = complex(args.n - 2 * args.boxb_q)
-    try:
+    if args.boxb_q is None:
+        gamma = 0j if args.gamma is None else _parse_gamma(args.gamma)
         return KernelParams(s=args.s, tau=args.tau, gamma=gamma, n=args.n)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-
-
-def _output_dir() -> str:
-    return os.environ.get(OUTPUT_DIR_ENV, ".")
+    if args.gamma is not None:
+        raise CliError("--gamma and --boxb-q are mutually exclusive")
+    return KernelParams.for_box_b(s=args.s, tau=args.tau, n=args.n, q=args.boxb_q)
 
 
 def _resolve_output(path: str | None, default_name: str) -> str:
     if path is None:
-        return os.path.join(_output_dir(), default_name)
+        return os.path.join(os.environ.get(OUTPUT_DIR_ENV, "."), default_name)
     return path
 
 
@@ -148,13 +140,8 @@ def _write_field(sample: FieldSample, args, default_name: str, summary: str) -> 
 
 def _cmd_eval(args) -> int:
     params = _params_from_args(args)
-    if not args.axis:
-        raise CliError("eval requires at least one --axis flag")
     grid = GridSpec(tuple(_parse_axis(a) for a in args.axis))
-    try:
-        sample = evaluate_on_grid(args.kernel, params, grid)
-    except (GridMismatchError, ValueError) as exc:
-        raise CliError(str(exc)) from exc
+    sample = evaluate_on_grid(args.kernel, params, grid)
     shape = "x".join(str(ax.count) for ax in grid.axes)
     summary = f"{args.kernel}: {shape} grid ({grid.size} points)"
     return _write_field(sample, args, f"{args.kernel}.{args.format}", summary)
@@ -185,15 +172,11 @@ def _trapezoid_weights(points: np.ndarray) -> np.ndarray:
 
 def _cmd_apply(args) -> int:
     params = _params_from_args(args)
-    if params.s <= 0:
-        raise CliError("apply requires s > 0")
     field_in = _load_field(args.input)
     names = [ax.name for ax in field_in.grid.axes]
     expected = _component_names("x", params.n) + _component_names("y", params.n)
     if names != expected:
         raise CliError(f"input grid axes {names} do not match the expected {expected}")
-    if not args.axis:
-        raise CliError("apply requires output --axis flags")
     out_grid = GridSpec(tuple(_parse_axis(a) for a in args.axis))
     for ax in out_grid.axes:
         if ax.name not in names:
@@ -202,10 +185,7 @@ def _cmd_apply(args) -> int:
     axis_points = [ax.points() for ax in field_in.grid.axes]
     weights = [_trapezoid_weights(p) for p in axis_points]
     x, y = _component_blocks(out_grid.coordinates(), out_grid.size, ("x", "y"), params.n)
-    try:
-        out_vals = apply_kernel(params, axis_points, weights, field_in.values, x, y)
-    except KernelOverflowError as exc:
-        raise CliError(str(exc)) from exc
+    out_vals = apply_kernel(params, axis_points, weights, field_in.values, x, y)
     sample = FieldSample(grid=out_grid, values=out_vals, kernel="heat-kernel-apply", params=params)
     summary = f"heat-kernel-apply: {out_grid.size} points"
     return _write_field(sample, args, f"apply.{args.format}", summary)
@@ -272,7 +252,6 @@ def _cmd_identities(args) -> int:
         points = np.random.default_rng(args.seed).uniform(
             (0.1, -3.0, -2, -2, -2, -2), (4.0, 3.0, 2, 2, 2, 2), size=(count, 6)
         )
-        points[points[:, 1] == 0.0, 1] = 0.5
     report = verify.build_report("identities", {"identities": lambda: _identity_checks(points)})
     return _emit_report(report, args.report)
 
@@ -281,16 +260,16 @@ def _cmd_identities(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_param_flags(parser, require_s=True):
-    parser.add_argument("--s", type=float, required=require_s, help="heat time s")
+def _add_param_flags(parser):
+    parser.add_argument("--s", type=float, required=True, help="heat time s")
     parser.add_argument("--tau", type=float, default=0.0, help="dual frequency tau")
-    parser.add_argument("--gamma", type=str, default="0", help="complex parameter, a+bi form")
+    parser.add_argument("--gamma", type=str, default=None, help="complex parameter, a+bi form (default 0)")
     parser.add_argument("--n", type=int, default=1, help="complex dimension n")
     parser.add_argument(
         "--boxb-q",
         type=int,
         default=None,
-        help="set gamma = n - 2q (Kohn Laplacian on (0,q)-forms)",
+        help="set gamma = n - 2q, 0 <= q <= n (Kohn Laplacian on (0,q)-forms); excludes --gamma",
     )
 
 
@@ -338,7 +317,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

@@ -15,6 +15,9 @@ catastrophic in double precision.
 Underflow policy: for |x| large enough that the Gaussian envelope drops below
 the double range (|x| >~ 38.6) the values flush to exactly 0.  Identities are
 only meaningful where |psi_m| > 1e-300.
+
+The Gauss-Hermite rule is numpy's `hermgauss`, not built from the recurrence
+above, so quadrature checks of the recurrence use an independent rule.
 """
 
 from __future__ import annotations
@@ -93,12 +96,10 @@ def oscillator_eigenvalue(m: int, tau: float, gamma: complex) -> complex:
 def gauss_hermite_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of Gauss-Hermite quadrature for weight exp(-x**2).
 
-    Exact for polynomials of degree <= 2*order - 1.  Nodes come from the
-    Golub-Welsch symmetric tridiagonal eigensolve polished by two Newton
-    steps on the orthonormal Hermite polynomial; weights use the stable
-    reciprocal Christoffel sum 1 / sum_m p_m(x_i)**2, which keeps relative
-    accuracy at the outer nodes where the raw eigenvector components do not.
-    Supported up to order MAX_GAUSS_HERMITE_ORDER.
+    Exact for polynomials of degree <= 2*order - 1.  The rule is
+    numpy.polynomial.hermite.hermgauss, independent of this module's
+    recurrence, so the orthonormality check of that recurrence cannot be
+    fitted by the rule.  Supported up to order MAX_GAUSS_HERMITE_ORDER.
 
     Parameters
     ----------
@@ -116,15 +117,4 @@ def gauss_hermite_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(
             f"order {order} exceeds the supported maximum {MAX_GAUSS_HERMITE_ORDER}"
         )
-    if order == 1:
-        return np.array([0.0]), np.array([math.sqrt(math.pi)])
-    off = np.sqrt(np.arange(1, order) / 2.0)
-    jacobi = np.diag(off, 1) + np.diag(off, -1)
-    nodes = np.linalg.eigvalsh(jacobi)
-    # p_n' = sqrt(2n) p_{n-1} for the e**(-x**2)-orthonormal polynomials
-    for _ in range(2):
-        p = hermite_polynomial_values(nodes, order)
-        nodes = nodes - p[order] / (math.sqrt(2.0 * order) * p[order - 1])
-    p = hermite_polynomial_values(nodes, order - 1)
-    weights = 1.0 / np.sum(p * p, axis=0)
-    return nodes, weights
+    return np.polynomial.hermite.hermgauss(order)

@@ -342,7 +342,7 @@ def apply_kernel(params: KernelParams, nodes, weights, values, x, y) -> np.ndarr
     nodes and weights are 2n one-dimensional arrays, one per source axis in
     the order x'_1..x'_n, y'_1..y'_n; values holds f on their row-major mesh
     (any shape with the mesh's size).  x and y are the m output points, of
-    shape (m, n).  Returns the m sums.
+    shape (m, n); s, tau and gamma must be scalars.  Returns the m sums.
 
     H is a twisted convolution and factors over the axes: per component,
     with t = tau/2 and (x-x')(y+y') = xy + xy' - x'y - x'y',
@@ -362,7 +362,10 @@ def apply_kernel(params: KernelParams, nodes, weights, values, x, y) -> np.ndarr
     n = params.n
     if len(nodes) != 2 * n or len(weights) != 2 * n:
         raise ValueError(f"apply_kernel needs {2 * n} node and weight arrays for n={n}")
-    if (np.asarray(params.s) <= 0).any():
+    for name, value in (("s", params.s), ("tau", params.tau), ("gamma", params.gamma)):
+        if np.ndim(value) != 0:
+            raise ValueError(f"apply_kernel needs a scalar {name}, got shape {np.shape(value)}")
+    if params.s <= 0:
         raise ValueError(f"apply_kernel requires s > 0, got s={params.s}")
     _, _, _, log_tau_over_sinh, envelope = coefficients_ab(params.s, params.tau)
     envelope = _finite(envelope, _ENVELOPE, params)
@@ -447,6 +450,8 @@ class GridSpec:
 
     def __post_init__(self):
         names = [ax.name for ax in self.axes]
+        if not names:
+            raise ValueError("a grid needs at least one axis")
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate axis names in {names}")
 

@@ -132,14 +132,32 @@ class TestEval:
         assert code == 2
 
     def test_gamma_and_boxb_conflict_exit_2(self, tmp_path):
+        # any explicit --gamma conflicts, also the value it defaults to
+        for gamma in ("1", "0"):
+            code = run(
+                [
+                    "eval", "--kernel", "rho-hat", "--s", "1", "--tau", "1",
+                    "--gamma", gamma, "--boxb-q", "0", "--axis", "alpha:0:1:2",
+                    "--output", str(tmp_path / "x.json"),
+                ]
+            )
+            assert code == 2
+
+    @pytest.mark.parametrize("flags", (["--n", "1", "--boxb-q", "5"], ["--boxb-q", "-3"]))
+    def test_boxb_q_out_of_range_exit_2(self, tmp_path, capsys, flags):
         code = run(
-            [
-                "eval", "--kernel", "rho-hat", "--s", "1", "--tau", "1",
-                "--gamma", "1", "--boxb-q", "0", "--axis", "alpha:0:1:2",
-                "--output", str(tmp_path / "x.json"),
-            ]
+            ["eval", "--kernel", "rho-hat", "--s", "1", "--tau", "1", *flags,
+             "--axis", "alpha:0:1:2", "--output", str(tmp_path / "x.json")]
         )
         assert code == 2
+        assert "form degree q must satisfy 0 <= q <= n" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
+
+    def test_no_axis_exit_2(self, tmp_path, capsys):
+        code = run(["eval", "--kernel", "rho-hat", "--s", "1", "--output", str(tmp_path / "x.json")])
+        assert code == 2
+        assert "at least one axis" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
 
     @pytest.mark.parametrize("flag", (["--s", "nan"], ["--s", "1", "--tau", "inf"]))
     def test_non_finite_parameter_exit_2(self, tmp_path, capsys, flag):
@@ -156,6 +174,7 @@ class TestEval:
         [
             (["--s", "1", "--tau", "1", "--gamma", "nan"], "gamma must be finite"),
             (["--s", "1", "--tau", "1000", "--gamma", "-10"], "exceeds the double range"),
+            (["--s", "1", "--tau", "1", "--gamma", ""], "cannot parse gamma"),
         ],
     )
     def test_bad_gamma_value_exit_2(self, tmp_path, capsys, flags, name):
@@ -354,7 +373,9 @@ class TestApply:
         assert "exceeds the double range" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("case", ("string-row", "null-row", "integer-gamma", "top-level-list"))
+    @pytest.mark.parametrize(
+        "case", ("string-row", "null-row", "integer-gamma", "top-level-list", "empty-grid")
+    )
     def test_malformed_json_input_exit_2(self, tmp_path, capsys, case):
         _write_gaussian_field(tmp_path / "f.json", count=5, extent=2.0)
         doc = json.loads((tmp_path / "f.json").read_text())
@@ -364,6 +385,9 @@ class TestApply:
             doc["values"][0] = None
         elif case == "integer-gamma":
             doc["params"] = {"s": 1.0, "tau": 1.0, "gamma": 5, "n": 1}
+        elif case == "empty-grid":
+            # one value matches the size, 1, of an axis-free grid; a grid still needs an axis
+            doc["grid"], doc["values"] = [], [[1.0, 0.0]]
         else:
             doc = [1, 2]
         (tmp_path / "bad.json").write_text(json.dumps(doc))
@@ -376,6 +400,22 @@ class TestApply:
         )
         assert code == 2
         assert "cannot load field sample" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--s", "0", "--axis", "x:-1:1:3"], "requires s > 0"),
+            (["--s", "0.5"], "at least one axis"),
+        ],
+    )
+    def test_s_zero_or_no_axis_exit_2(self, tmp_path, capsys, flags, message):
+        # apply_kernel rejects s = 0, GridSpec a missing --axis
+        _write_gaussian_field(tmp_path / "f.json", count=5, extent=2.0)
+        out = tmp_path / "out.json"
+        code = run(["apply", "--input", str(tmp_path / "f.json"), "--tau", "1", *flags, "--output", str(out)])
+        assert code == 2
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_input_exit_2(self, tmp_path):

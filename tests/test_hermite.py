@@ -163,6 +163,17 @@ class TestGaussHermite:
         with pytest.raises(ValueError):
             hermite.gauss_hermite_nodes(hermite.MAX_GAUSS_HERMITE_ORDER + 1)
 
+    def test_orthonormality_check_sees_a_recurrence_bug(self, monkeypatch):
+        # the recurrence's argument scaled by 1 + 1e-7: a rule polished with the same
+        # recurrence would move its nodes along and hide the error from the check
+        from heisenheat import verify
+
+        recurrence = hermite.hermite_polynomial_values
+        monkeypatch.setattr(
+            hermite, "hermite_polynomial_values", lambda x, m: recurrence(np.asarray(x) * (1 + 1e-7), m)
+        )
+        assert verify.orthonormality_suite(60) > 1e-10
+
     def test_orthonormality_to_degree_60(self):
         nodes, weights = hermite.gauss_hermite_nodes(61)
         h_vals = hermite.hermite_polynomial_values(nodes, 60)

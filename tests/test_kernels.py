@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -357,6 +358,15 @@ class TestApplyKernel:
         expect = oracles.apply_per_point(params, nodes, weights, values, x, y)
         assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
 
+    @pytest.mark.parametrize("name", ("s", "tau", "gamma"))
+    @pytest.mark.parametrize("length", (5, 3))
+    def test_non_scalar_params_rejected(self, name, length):
+        # an array of 5 values would broadcast along the 5-node axis and give wrong sums
+        axis = np.linspace(-1.0, 1.0, 5)
+        params = replace(KernelParams(s=1.0, tau=1.0, gamma=0.5), **{name: np.linspace(0.5, 1.0, length)})
+        with pytest.raises(ValueError, match=f"scalar {name}, got shape \\({length},\\)"):
+            apply_kernel(params, [axis, axis], [axis, axis], np.ones((5, 5)), np.zeros((1, 1)), np.zeros((1, 1)))
+
     def test_rule_count_must_be_2n(self):
         axis = np.linspace(-1.0, 1.0, 5)
         with pytest.raises(ValueError, match="4 node and weight arrays"):
@@ -453,6 +463,11 @@ class TestGridEvaluation:
             GridAxis("alpha", -1e308, 1e308, 3)
         with pytest.raises(ValueError):
             GridSpec((GridAxis("alpha", 0.0, 1.0, 2), GridAxis("alpha", 0.0, 1.0, 2)))
+
+    def test_empty_grid_rejected(self):
+        # an axis-free grid has size 1 but no coordinates to write
+        with pytest.raises(ValueError, match="at least one axis"):
+            GridSpec(())
 
 
 class TestFieldSampleSerialization:
