@@ -30,9 +30,9 @@ the kernels need, elementwise over arrays; one threshold picks the branch
 per element: a Taylor expansion in z = s*tau, truncated at z**6, where
 |z| < TAYLOR_BRANCH_THRESHOLD, the closed forms elsewhere.  At the threshold
 both branches agree to ~1e-15 relative.  Exponents are assembled in log
-space and exponentiated once, so large |s*tau|*n underflows gracefully to 0
-and the real power cosh(s*tau/2)**(n/2) never touches a complex branch cut
-(gamma enters only through the exponential).
+space in one complex buffer, exponentiated once in place, so large |s*tau|*n
+underflows gracefully to 0 and the real power cosh(s*tau/2)**(n/2) never
+touches a complex branch cut (gamma enters only through the exponential).
 
 Spatial arguments are length-n vectors; every kernel also broadcasts over
 leading axes of inputs shaped (..., n).  For n == 1 one rule covers all
@@ -242,14 +242,33 @@ def _finite(value, what: str, params: KernelParams):
     return value
 
 
-def _exp_kernel(expo, params: KernelParams):
-    """exp(expo), a complex for 0-d input; KernelOverflowError past the double range."""
+def _scalar_params(caller: str, *params: KernelParams):
+    """ValueError naming s, tau or gamma when one of them is not a scalar."""
+    for name, value in ((key, getattr(p, key)) for p in params for key in ("s", "tau", "gamma")):
+        if np.ndim(value) != 0:
+            raise ValueError(f"{caller} needs a scalar {name}, got shape {np.shape(value)}")
+
+
+def _exp_kernel(params: KernelParams, const, decay, twist, spatial, combine=np.add):
+    """exp(combine(const - decay, twist * spatial)), a complex for 0-d input.
+
+    One complex buffer holds the exponent and is exponentiated in place.  It
+    starts as twist * spatial, and combine merges the real and imaginary parts
+    of const - decay into it: the IEEE operations of that expression, zero
+    signs included.  KernelOverflowError past the double range; its message
+    reads const - decay, the exponent's real part up to a zero.
+    """
+    shape = np.broadcast_shapes(*(np.shape(v) for v in (const, decay, twist, spatial)))
+    expo = np.multiply(twist, spatial, out=np.empty(shape, dtype=complex))
+    log_modulus = np.real(const) - decay
+    combine(log_modulus, expo.real, out=expo.real)
+    combine(np.imag(const), expo.imag, out=expo.imag)
     try:
         with np.errstate(over="raise"):
-            values = np.exp(expo)
+            np.exp(expo, out=expo)
     except FloatingPointError:
-        raise _overflow(f"kernel value (log|value| up to {np.max(expo.real):.6g})", params) from None
-    return complex(values) if values.ndim == 0 else values
+        raise _overflow(f"kernel value (log|value| up to {np.max(log_modulus):.6g})", params) from None
+    return complex(expo) if expo.ndim == 0 else expo
 
 
 def rho_hat(params: KernelParams, alpha, beta):
@@ -265,13 +284,8 @@ def rho_hat(params: KernelParams, alpha, beta):
     a_c, b_c, log_cosh, _, _ = coefficients_ab(params.s, params.tau)
     sq = np.sum(a * a, axis=-1) + np.sum(b * b, axis=-1)
     dot = np.sum(a * b, axis=-1)
-    expo = (
-        -params.gamma * params.s * params.tau / 4.0
-        - 0.5 * params.n * log_cosh
-        - 0.5 * a_c * sq
-        + 1j * b_c * dot
-    )
-    return _exp_kernel(expo, params)
+    const = -params.gamma * params.s * params.tau / 4.0 - 0.5 * params.n * log_cosh
+    return _exp_kernel(params, const, 0.5 * a_c * sq, 1j * b_c, dot)
 
 
 def rho_tilde(params: KernelParams, x, y):
@@ -296,14 +310,12 @@ def rho_tilde(params: KernelParams, x, y):
         a_over_denom = _finite(1.0 / (a_c * (1.0 + q)), "1/(A*(1+(B/A)**2))", params)
     sq = np.sum(xv * xv, axis=-1) + np.sum(yv * yv, axis=-1)
     dot = np.sum(xv * yv, axis=-1)
-    expo = (
+    const = (
         -params.gamma * params.s * params.tau / 4.0
         - params.n * _LOG_2PI
         - 0.5 * params.n * (log_cosh + 2.0 * np.log(a_c) + np.log1p(q))
-        - 0.5 * a_over_denom * sq
-        - 1j * (ratio * a_over_denom) * dot
     )
-    return _exp_kernel(expo, params)
+    return _exp_kernel(params, const, 0.5 * a_over_denom * sq, 1j * (ratio * a_over_denom), dot, np.subtract)
 
 
 def heat_kernel_h(params: KernelParams, xp, yp, x, y):
@@ -327,13 +339,9 @@ def heat_kernel_h(params: KernelParams, xp, yp, x, y):
     r2 = np.sum(u * u, axis=-1) + np.sum(v * v, axis=-1)
     tw = np.sum(u * (yf + ys), axis=-1)
     _, _, _, log_tau_over_sinh, envelope = coefficients_ab(params.s, params.tau)
-    expo = (
-        -params.gamma * params.s * params.tau / 4.0
-        + params.n * (log_tau_over_sinh - _LOG_4PI)
-        - _finite(envelope, _ENVELOPE, params) * r2
-        - 0.5j * params.tau * tw
-    )
-    return _exp_kernel(expo, params)
+    const = -params.gamma * params.s * params.tau / 4.0 + params.n * (log_tau_over_sinh - _LOG_4PI)
+    decay = _finite(envelope, _ENVELOPE, params) * r2
+    return _exp_kernel(params, const, decay, 0.5j * params.tau, tw, np.subtract)
 
 
 def apply_kernel(params: KernelParams, nodes, weights, values, x, y) -> np.ndarray:
@@ -362,9 +370,7 @@ def apply_kernel(params: KernelParams, nodes, weights, values, x, y) -> np.ndarr
     n = params.n
     if len(nodes) != 2 * n or len(weights) != 2 * n:
         raise ValueError(f"apply_kernel needs {2 * n} node and weight arrays for n={n}")
-    for name, value in (("s", params.s), ("tau", params.tau), ("gamma", params.gamma)):
-        if np.ndim(value) != 0:
-            raise ValueError(f"apply_kernel needs a scalar {name}, got shape {np.shape(value)}")
+    _scalar_params("apply_kernel", params)
     if params.s <= 0:
         raise ValueError(f"apply_kernel requires s > 0, got s={params.s}")
     _, _, _, log_tau_over_sinh, envelope = coefficients_ab(params.s, params.tau)
@@ -385,11 +391,13 @@ def apply_kernel(params: KernelParams, nodes, weights, values, x, y) -> np.ndarr
         # exponentiated before the GEMM: right after OpenBLAS's zgemm the complex exp ran
         # ~20x slower (AVX-SSE transition penalty, x86-64), and numpy's own array arithmetic
         # clears that state again.
-        factors = [_exp_kernel(expo, params) for expo in (
-            [log_c - envelope * (xc[c] - nodes[c]) ** 2 + 1j * t * (yc[c] * nodes[c]) for c in range(n)]
-            + [-envelope * (yc[c] - nodes[n + c]) ** 2 - 1j * t * (xc[c] * (yc[c] + nodes[n + c]))
+        factors = (
+            [_exp_kernel(params, log_c, envelope * (xc[c] - nodes[c]) ** 2, 1j * t, yc[c] * nodes[c])
+             for c in range(n)]
+            + [_exp_kernel(params, -envelope * (yc[c] - nodes[n + c]) ** 2, 0.0, 1j * t,
+                           xc[c] * (yc[c] + nodes[n + c]), np.subtract)
                for c in range(n)]
-        )]
+        )
         acc = factors[0] @ g
         for factor in factors[1:]:
             acc = np.einsum("mj,mjr->mr", factor, acc.reshape(len(acc), factor.shape[1], -1))

@@ -32,6 +32,7 @@ from numpy.polynomial.legendre import leggauss
 from . import __version__, hermite, series
 from .kernels import (
     KernelParams,
+    _scalar_params,
     apply_kernel,
     coefficients_ab,
     heat_kernel_h,
@@ -331,45 +332,48 @@ def dft_inversion_check(params: KernelParams, grid_extent: float = 40.0, grid_co
     normalized by the max of |rho_tilde| over the same region (pointwise
     relative error is meaningless in the far Gaussian tails).
 
+    rho_hat is sampled in FFT order and the second FFT pass runs on the
+    compared block only; the result is == the centred full-grid ifft2's.
+
     Raises InsufficientDecayError when |rho_hat| exceeds 1e-12 anywhere on
     the transform-grid boundary.
     """
+    _scalar_params("dft_inversion_check", params)
     if params.n != 1:
         raise ValueError("dft_inversion_check is defined for n = 1")
     if params.s <= 0:
         raise ValueError(f"requires s > 0, got s={params.s}")
     if grid_count < 16 or grid_count % 2:
-        # the frequency grid holds alpha = 0 at index N/2, where ifftshift
-        # expects it, only for even N
+        # the rolled frequency grid starts at alpha = 0, as the FFT expects,
+        # only for even N
         raise ValueError(f"grid_count must be even and >= 16, got {grid_count}")
+    half = grid_count // 2
     step = grid_extent / grid_count
-    freqs = -0.5 * grid_extent + step * np.arange(grid_count)
+    # FFT order: alpha = 0 first, the ends -L/2 and L/2 - step at N/2 and N/2 - 1
+    freqs = np.fft.ifftshift(-0.5 * grid_extent + step * np.arange(grid_count))
     f_hat = rho_hat(params, freqs[:, np.newaxis], freqs)
 
-    boundary = max(
-        float(np.max(np.abs(f_hat[0, :]))),
-        float(np.max(np.abs(f_hat[-1, :]))),
-        float(np.max(np.abs(f_hat[:, 0]))),
-        float(np.max(np.abs(f_hat[:, -1]))),
-    )
+    edges = (f_hat[half - 1:half + 1, :], f_hat[:, half - 1:half + 1])
+    boundary = max(float(np.max(np.abs(edge))) for edge in edges)
     if boundary > 1e-12:
         raise InsufficientDecayError(
             f"|rho_hat| = {boundary:.3e} > 1e-12 on the transform-grid boundary; "
             f"increase grid_extent"
         )
 
-    # I(x_m) = step * sum_j rho_hat(alpha_j) e^{i alpha_j x_m} with
-    # alpha_j = (j - N/2) * step and x_m = (m - N/2) * 2 pi / L is the
-    # inverse DFT of rho_hat with both index ranges centred on 0; ifft2
-    # divides by N^2, so the prefactor step^2 N^2 / (2 pi)^2 is (L / 2 pi)^2.
-    transform = np.fft.fftshift(np.fft.ifft2(np.fft.ifftshift(f_hat)))
-    inverted = (grid_extent / (2.0 * math.pi)) ** 2 * transform
+    # I(x_m) = step * sum_j rho_hat(alpha_j) e^{i alpha_j x_m}, alpha_j =
+    # (j - N/2) * step, x_m = (m - N/2) * 2 pi / L, is the inverse DFT with
+    # both index ranges centred on 0; it divides by N^2, so the prefactor is
+    # step^2 N^2 / (2 pi)^2 = (L / 2 pi)^2.  ifft2 is ifft along axis 1, then
+    # axis 0: the second pass on only the compared columns |m - N/2| <= N/8,
+    # at m mod N in FFT order, gives the same numbers on 1/4 of the grid.
+    m_idx = np.arange(-(grid_count // 8), grid_count // 8 + 1)
+    keep = m_idx % grid_count
+    columns = np.fft.ifft(f_hat, axis=1)[:, keep]
+    num = (grid_extent / (2.0 * math.pi)) ** 2 * np.fft.ifft(columns, axis=0)[keep]
 
-    m_idx = np.arange(grid_count) - grid_count // 2
-    keep = np.abs(m_idx) <= grid_count // 8  # central quarter of the spatial window
-    x = m_idx[keep] * (2.0 * math.pi / grid_extent)
+    x = m_idx * (2.0 * math.pi / grid_extent)
     exact = rho_tilde(params, x[:, np.newaxis], x)
-    num = inverted[np.ix_(keep, keep)]
     scale = float(np.max(np.abs(exact)))
     return float(np.max(np.abs(num - exact)) / scale)
 
@@ -414,6 +418,7 @@ def semigroup_check(params1: KernelParams, params2: KernelParams, point_pair) ->
     This composition law is an operator-semigroup consequence of the kernel,
     used as an implementation-added oracle.
     """
+    _scalar_params("semigroup_check", params1, params2)
     if (params1.tau, params1.gamma, params1.n) != (params2.tau, params2.gamma, params2.n):
         raise ValueError("semigroup_check requires identical (tau, gamma, n)")
     if params1.s <= 0 or params2.s <= 0:
@@ -458,6 +463,7 @@ def apply_kernel_to_function(params: KernelParams, f, point) -> complex:
     Gaussian envelope; f is assumed bounded by 1 in modulus (Gaussian test
     functions), so truncation outside the kernel envelope is negligible.
     """
+    _scalar_params("apply_kernel_to_function", params)
     if params.n != 1:
         raise ValueError("quadrature application is implemented for n = 1")
     radius = 8.0 / math.sqrt(coefficients_ab(params.s, params.tau)[-1])

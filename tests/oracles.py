@@ -9,6 +9,7 @@ independent evaluation paths by construction.
 
 import functools
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -183,6 +184,89 @@ def rho_hat_product(params, alpha, beta):
     for j in range(params.n):
         out = out * rho_hat(one, alpha[..., j], beta[..., j])
     return out
+
+
+def _exp_one_expression(expo):
+    values = np.exp(expo)
+    return complex(values) if values.ndim == 0 else values
+
+
+def rho_hat_one_expression(params, alpha, beta):
+    """kernels.rho_hat with its exponent as one expression, exponentiated into a new array.
+
+    The reference for the one-buffer assembly: every element must come out
+    bit for bit the same, zero signs included.  No overflow check.
+    """
+    from heisenheat.kernels import _components, coefficients_ab
+
+    a, b = _components(params.n, alpha=alpha, beta=beta)
+    a_c, b_c, log_cosh, _, _ = coefficients_ab(params.s, params.tau)
+    sq = np.sum(a * a, axis=-1) + np.sum(b * b, axis=-1)
+    dot = np.sum(a * b, axis=-1)
+    return _exp_one_expression(
+        -params.gamma * params.s * params.tau / 4.0
+        - 0.5 * params.n * log_cosh
+        - 0.5 * a_c * sq
+        + 1j * b_c * dot
+    )
+
+
+def rho_tilde_one_expression(params, x, y):
+    """kernels.rho_tilde with its exponent as one expression; the bitwise reference."""
+    from heisenheat.kernels import _components, coefficients_ab
+
+    xv, yv = _components(params.n, x=x, y=y)
+    a_c, b_c, log_cosh, _, _ = coefficients_ab(params.s, params.tau)
+    ratio = b_c / a_c
+    q = ratio * ratio
+    a_over_denom = 1.0 / (a_c * (1.0 + q))
+    sq = np.sum(xv * xv, axis=-1) + np.sum(yv * yv, axis=-1)
+    dot = np.sum(xv * yv, axis=-1)
+    return _exp_one_expression(
+        -params.gamma * params.s * params.tau / 4.0
+        - params.n * math.log(2.0 * math.pi)
+        - 0.5 * params.n * (log_cosh + 2.0 * np.log(a_c) + np.log1p(q))
+        - 0.5 * a_over_denom * sq
+        - 1j * (ratio * a_over_denom) * dot
+    )
+
+
+def heat_kernel_h_one_expression(params, xp, yp, x, y):
+    """kernels.heat_kernel_h with its exponent as one expression; the bitwise reference."""
+    from heisenheat.kernels import _components, coefficients_ab
+
+    xs, ys, xf, yf = _components(params.n, xp=xp, yp=yp, x=x, y=y)
+    u = xf - xs
+    v = yf - ys
+    r2 = np.sum(u * u, axis=-1) + np.sum(v * v, axis=-1)
+    tw = np.sum(u * (yf + ys), axis=-1)
+    _, _, _, log_tau_over_sinh, envelope = coefficients_ab(params.s, params.tau)
+    return _exp_one_expression(
+        -params.gamma * params.s * params.tau / 4.0
+        + params.n * (log_tau_over_sinh - math.log(4.0 * math.pi))
+        - envelope * r2
+        - 0.5j * params.tau * tw
+    )
+
+
+def dft_inversion_centred(params, grid_extent, grid_count):
+    """verify.dft_inversion_check's error by the centred full-grid transform.
+
+    rho_hat on the grid in natural order, fftshift(ifft2(ifftshift(.))) on
+    all of it, scaled, and the central quarter compared with rho_tilde; the
+    one-expression kernels stand in for the package's.  No decay check.
+    """
+    step = grid_extent / grid_count
+    freqs = -0.5 * grid_extent + step * np.arange(grid_count)
+    f_hat = rho_hat_one_expression(params, freqs[:, np.newaxis], freqs)
+    transform = np.fft.fftshift(np.fft.ifft2(np.fft.ifftshift(f_hat)))
+    inverted = (grid_extent / (2.0 * np.pi)) ** 2 * transform
+    m_idx = np.arange(grid_count) - grid_count // 2
+    keep = np.abs(m_idx) <= grid_count // 8
+    x = m_idx[keep] * (2.0 * np.pi / grid_extent)
+    exact = rho_tilde_one_expression(params, x[:, np.newaxis], x)
+    num = inverted[np.ix_(keep, keep)]
+    return float(np.max(np.abs(num - exact)) / float(np.max(np.abs(exact))))
 
 
 def _regenerate_rodrigues_table():  # pragma: no cover - developer utility

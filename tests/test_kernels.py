@@ -670,6 +670,11 @@ class TestKernelOverflow:
         with pytest.raises(KernelOverflowError, match=r"exceeds the double range .* s=1e-310"):
             kernel(KernelParams(s=1e-310, tau=1.0), *args)
 
+    def test_message_reads_the_exponent_before_it_is_overwritten(self):
+        # exp runs in place over the exponent; the message still gives its largest real part
+        with pytest.raises(KernelOverflowError, match=r"log\|value\| up to 748\.845\)"):
+            heat_kernel_h(KernelParams(1.0, 1.0, -3000.0), 0.0, 0.0, np.zeros(3), np.zeros(3))
+
     def test_just_inside_the_range(self):
         # e**(-gamma*s*tau/4) with gamma*s*tau/4 = -709 is finite; the check lets it through
         value = rho_hat(KernelParams(s=0.0, tau=1.0), 0.0, 0.0) * math.exp(709.0)
@@ -730,3 +735,55 @@ class TestArrayParams:
             point = KernelParams(s=coords["s"][i], tau=coords["tau"][i], gamma=1j, n=2)
             expect = rho_tilde(point, (0.0, 0.3), (0.0, 0.0))
             assert sample.values[i] == pytest.approx(expect, rel=1e-14)
+
+
+def _bits(value):
+    return np.atleast_1d(np.asarray(value, dtype=complex)).view(np.int64)
+
+
+_COORD = st.sampled_from((0.0, -0.0)) | st.floats(-3.0, 3.0)
+_GAMMA = st.just(0.0) | st.builds(
+    complex, st.sampled_from((0.0, -0.0)) | st.floats(-1.0, 1.0), st.sampled_from((0.0, -0.0)) | st.floats(-3.0, 3.0)
+)
+
+
+class TestOneBufferExponent:
+    """Each kernel equals its one-expression form in tests/oracles.py bit for bit, zero signs included."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=st.data(),
+        kernel=st.sampled_from((
+            (rho_hat, oracles.rho_hat_one_expression, 2),
+            (rho_tilde, oracles.rho_tilde_one_expression, 2),
+            (heat_kernel_h, oracles.heat_kernel_h_one_expression, 4),
+        )),
+        n=st.integers(1, 3),
+        layout=st.sampled_from(("scalar", "points", "param-arrays", "outer")),
+        pairs=_s_tau_pairs(s_zero=False),
+        gammas=st.lists(_GAMMA, min_size=2, max_size=2),
+    )
+    def test_matches_one_expression(self, data, kernel, n, layout, pairs, gammas):
+        package, oracle, count = kernel
+        if layout == "param-arrays":
+            # s and tau along the points; gamma (2, 1), so the constant is wider than the twist term
+            s, tau = (np.array(v) for v in zip(*pairs))
+            params = KernelParams(s=s, tau=tau, gamma=np.array(gammas)[:, np.newaxis], n=n)
+        else:
+            n = 1 if layout in ("scalar", "outer") else n
+            params = KernelParams(s=pairs[0][0], tau=pairs[0][1], gamma=gammas[0], n=n)
+        shapes = {
+            "scalar": [None] * count,
+            "points": [(len(pairs), n)] * count,
+            "param-arrays": [(len(pairs), n)] * count,
+            "outer": [(3, 1), (1, 4)] * (count // 2),
+        }[layout]
+        args = [
+            data.draw(_COORD) if shape is None
+            else np.reshape(data.draw(st.lists(_COORD, min_size=math.prod(shape), max_size=math.prod(shape))), shape)
+            for shape in shapes
+        ]
+        got, expect = package(params, *args), oracle(params, *args)
+        assert type(got) is type(expect) is (complex if layout == "scalar" else np.ndarray)
+        assert np.shape(got) == np.shape(expect)
+        assert np.array_equal(_bits(got), _bits(expect))

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -135,6 +136,38 @@ class TestDftInversion:
         with pytest.raises(InsufficientDecayError):
             dft_inversion_check(KernelParams(s=1.0, tau=1.0, gamma=0.0), 6.0, 64)
 
+    @pytest.mark.parametrize("grid_count", (16, 18, 20, 64, 512))
+    @pytest.mark.parametrize("params", (
+        KernelParams(s=1.0, tau=1.0), KernelParams(s=0.5, tau=-2.0, gamma=1j), KernelParams(s=2.0, tau=0.0, gamma=1.0),
+    ))
+    def test_equals_the_centred_full_transform(self, params, grid_count):
+        # 18 and 20 make N/8 fractional; the pruned FFT-order transform runs the same 1-D transforms
+        got = dft_inversion_check(params, 40.0, grid_count)
+        assert got == oracles.dft_inversion_centred(params, 40.0, grid_count)
+
+    @pytest.mark.parametrize("axis", (0, 1))
+    @pytest.mark.parametrize("end", (0, -1))
+    def test_each_boundary_edge_is_checked(self, monkeypatch, axis, end):
+        # 1e-6 on one edge (alpha or beta at -L/2 or L/2 - step), off the corners it shares
+        # with the other edges, and 0 elsewhere must raise
+        extent, count = 40.0, 64
+        ends = (-0.5 * extent + extent / count * np.arange(count))[[0, -1]]
+
+        def fake_rho_hat(params, alpha, beta):
+            coords = np.broadcast_arrays(alpha, beta)
+            on_edge = (coords[axis] == ends[end]) & ~np.isin(coords[1 - axis], ends)
+            return np.where(on_edge, 1e-6, 0.0).astype(complex)
+
+        monkeypatch.setattr(verify, "rho_hat", fake_rho_hat)
+        with pytest.raises(InsufficientDecayError, match="1.000e-06"):
+            dft_inversion_check(KernelParams(s=1.0, tau=1.0), extent, count)
+
+    @pytest.mark.parametrize("name", ("s", "tau", "gamma"))
+    def test_non_scalar_params_rejected(self, name):
+        params = replace(KernelParams(s=1.0, tau=1.0, gamma=0.5), **{name: np.linspace(0.5, 1.0, 3)})
+        with pytest.raises(ValueError, match=f"scalar {name}, got shape \\(3,\\)"):
+            dft_inversion_check(params, 40.0, 64)
+
     def test_preconditions(self):
         with pytest.raises(ValueError):
             dft_inversion_check(KernelParams(s=1.0, tau=0.0, n=2), 40.0, 128)
@@ -165,6 +198,13 @@ class TestSemigroup:
         p2 = KernelParams(s=0.6, tau=-0.5, gamma=1j)
         err = semigroup_check(p1, p2, ((0.3, 0.1), (-0.2, 0.4)))
         assert err < 1e-6
+
+    @pytest.mark.parametrize("which", (0, 1))
+    def test_non_scalar_s_rejected(self, which):
+        params = [KernelParams(s=0.5, tau=1.0), KernelParams(s=0.5, tau=1.0)]
+        params[which] = replace(params[which], s=np.array([0.4, 0.6]))
+        with pytest.raises(ValueError, match="scalar s, got shape \\(2,\\)"):
+            semigroup_check(*params, ((0.2, -0.3), (0.2, -0.3)))
 
     def test_mismatched_parameters_rejected(self):
         p1 = KernelParams(s=0.5, tau=1.0, gamma=0.0)
@@ -200,6 +240,13 @@ class TestInitialCondition:
         # halving s roughly halves the error
         assert errs[0] / errs[1] == pytest.approx(2.0, abs=0.3)
         assert errs[1] / errs[2] == pytest.approx(2.0, abs=0.3)
+
+    def test_non_scalar_tau_rejected(self):
+        params = KernelParams(s=1.0, tau=np.array([0.5, 1.0]))
+        with pytest.raises(ValueError, match="scalar tau, got shape \\(2,\\)"):
+            apply_kernel_to_function(params, GaussianTestFunction(), (0.0, 0.0))
+        with pytest.raises(ValueError, match="scalar tau, got shape \\(2,\\)"):
+            initial_condition_check(params, GaussianTestFunction(), (0.1,))
 
     def test_gaussian_validation(self):
         with pytest.raises(ValueError):
@@ -272,6 +319,12 @@ class TestSuiteRunner:
         assert 0 < agreement["tail_bound"] < 1e-13
         assert mehler["check"] == "mehler-identity"
         assert mehler["terms_used"] == series.mehler_terms(0.9)
+
+    def test_inversion_suite_is_one_rho_hat_call_per_panel_point(self, monkeypatch):
+        calls = _count_calls(monkeypatch, verify, ("rho_hat",))
+        report = verify.run_suite("inversion")
+        assert report["passed"]
+        assert calls == {"rho_hat": 45}
 
     def test_pde_suite_is_one_kernel_call_per_probe_dimension(self, monkeypatch):
         calls = _count_calls(monkeypatch, verify, ("rho_hat", "rho_tilde", "heat_kernel_h"))
