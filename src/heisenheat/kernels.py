@@ -11,8 +11,12 @@ parameter gamma, and the complex dimension n:
             * exp(-A*(|alpha|^2+|beta|^2)/2 + i*B*alpha.beta)
 
 ``rho_tilde``
-    kernel after transforming only the central variable (Gaussian inversion
-    of rho_hat in (alpha, beta)),
+    kernel after transforming only the central variable: the Gaussian
+    inversion of rho_hat in (alpha, beta), simplified by B/(A^2+B^2) = tau/2
+    and A/B = coth(s*tau/4) to heat_kernel_h with its source at the origin,
+
+        tau**n * e**(-gamma*s*tau/4) / ((4*pi)**n * sinh(s*tau/4)**n)
+            * exp(-(tau/4)*coth(s*tau/4)*(|x|^2+|y|^2) - i*(tau/2)*x.y)
 
 ``heat_kernel_h``
     the twisted two-point kernel H(s, x', y', x, y) =
@@ -27,12 +31,13 @@ The coefficient pair
 has a removable singularity at tau = 0 (A -> s/2, B -> 0).  One function,
 :func:`coefficients_ab`, evaluates it together with the other coefficients
 the kernels need, elementwise over arrays; one threshold picks the branch
-per element: a Taylor expansion in z = s*tau, truncated at z**6, where
-|z| < TAYLOR_BRANCH_THRESHOLD, the closed forms elsewhere.  At the threshold
-both branches agree to ~1e-15 relative.  Exponents are assembled in log
-space in one complex buffer, exponentiated once in place, so large |s*tau|*n
-underflows gracefully to 0 and the real power cosh(s*tau/2)**(n/2) never
-touches a complex branch cut (gamma enters only through the exponential).
+per element: a Taylor expansion in z = s*tau, cut after the z**2 terms,
+where |z| < TAYLOR_BRANCH_THRESHOLD, the closed forms elsewhere.  At the
+threshold both branches agree to ~1e-15 relative.  Of the kernels only
+rho_hat uses A and B.  Exponents are assembled in log space in one complex
+buffer, exponentiated once in place, so large |s*tau|*n underflows
+gracefully to 0 and the real power cosh(s*tau/2)**(n/2) never touches a
+complex branch cut (gamma enters only through the exponential).
 
 Spatial arguments are length-n vectors; every kernel also broadcasts over
 leading axes of inputs shaped (..., n).  For n == 1 one rule covers all
@@ -47,7 +52,7 @@ uses that H is a twisted convolution whose Gaussian and phase factor over
 the axes: per output point it evaluates J+K exponentials per component and
 the double sum is one GEMM per chunk of output points.
 
-Coefficients past the double range (the envelope or 1/A at subnormal s) and
+Coefficients past the double range (the envelope ~1/s at subnormal s) and
 kernel values past it raise KernelOverflowError, never inf or NaN.
 """
 
@@ -80,12 +85,11 @@ __all__ = [
 ]
 
 # |s*tau| below which the Taylor branch is used; chosen so both branches
-# carry < 1e-14 relative error (series truncated at (s*tau)**6).
+# carry < 1e-14 relative error (series truncated after the (s*tau)**2 terms).
 TAYLOR_BRANCH_THRESHOLD = 1e-4
 
 _LOG_2 = math.log(2.0)
 _LOG_4 = math.log(4.0)
-_LOG_2PI = math.log(2.0 * math.pi)
 _LOG_4PI = math.log(4.0 * math.pi)
 
 _ENVELOPE = "the Gaussian envelope (tau/4)*coth(s*tau/4)"
@@ -148,19 +152,18 @@ class KernelParams:
 # ---------------------------------------------------------------------------
 
 def _coefficients_series(s, tau):
-    """Taylor branch of coefficients_ab in z = s*tau, truncated at z**6."""
+    """Taylor branch of coefficients_ab in z = s*tau, truncated after the z**2 terms."""
     z2 = (s * tau) ** 2
-    # A = (s/2) * tanh(z/2)/(z/2),  B = (s^2 tau / 8) * (sinh(w)/w)^2 / cosh(2w), w = z/4
-    a = 0.5 * s * (1.0 - z2 / 12.0 + z2 * z2 / 120.0 - 17.0 * z2 ** 3 / 20160.0)
-    b = 0.125 * s * s * tau * (
-        1.0 - 5.0 * z2 / 48.0 + 61.0 * z2 * z2 / 5760.0 - 277.0 * z2 ** 3 / 258048.0
-    )
-    p = 1.0 - z2 / 96.0 + 7.0 * z2 * z2 / 92160.0 - 31.0 * z2 ** 3 / 61931520.0
+    # A = (s/2) * tanh(z/2)/(z/2),  B = (s^2 tau / 8) * (sinh(w)/w)^2 / cosh(2w), w = z/4;
+    # below the threshold the z**4 terms are under half an ulp of each series
+    a = 0.5 * s * (1.0 - z2 / 12.0)
+    b = 0.125 * s * s * tau * (1.0 - 5.0 * z2 / 48.0)
+    p = 1.0 - z2 / 96.0
     # at s = 0 (reached only by rho_hat) both quarter-argument terms are +inf, their limit;
     # at subnormal s the envelope overflows to +inf, which the kernels using it report
     with np.errstate(divide="ignore", over="ignore"):
         log_tau_over_sinh = _LOG_4 - np.log(s) + np.log(p)
-        envelope = (1.0 + z2 / 48.0 - z2 * z2 / 11520.0 + 2.0 * z2 ** 3 / 3870720.0) / s
+        envelope = (1.0 + z2 / 48.0) / s
     return a, b, log_tau_over_sinh, envelope
 
 
@@ -288,34 +291,30 @@ def rho_hat(params: KernelParams, alpha, beta):
     return _exp_kernel(params, const, 0.5 * a_c * sq, 1j * b_c, dot)
 
 
+def _coth_sinh_kernel(params: KernelParams, r2, tw):
+    """rho_tilde's and heat_kernel_h's closed form in the squared distance r2 and the twist term tw."""
+    _, _, _, log_tau_over_sinh, envelope = coefficients_ab(params.s, params.tau)
+    const = -params.gamma * params.s * params.tau / 4.0 + params.n * (log_tau_over_sinh - _LOG_4PI)
+    decay = _finite(envelope, _ENVELOPE, params) * r2
+    return _exp_kernel(params, const, decay, 0.5j * params.tau, tw, np.subtract)
+
+
 def rho_tilde(params: KernelParams, x, y):
     """Fundamental solution of the weighted dbar heat equation (partial transform).
 
-    e**(-gamma*s*tau/4) / ((2*pi)**n * cosh(s*tau/2)**(n/2) * (A^2+B^2)**(n/2))
-        * exp(-A*(|x|^2+|y|^2)/(2*(A^2+B^2)) - i*B*x.y/(A^2+B^2))
+    tau**n * e**(-gamma*s*tau/4) / ((4*pi)**n * sinh(s*tau/4)**n)
+        * exp(-(tau/4)*coth(s*tau/4)*(|x|^2+|y|^2) - i*(tau/2)*x.y)
 
-    Requires s > 0; the s -> 0 limit is the delta distribution.  At tau = 0
-    the coefficients reduce to A = s/2, B = 0 and the kernel becomes the
-    Gaussian (pi*s)**(-n) * exp(-(|x|^2+|y|^2)/s).
+    This is the Gaussian inversion of rho_hat simplified by B/(A^2+B^2) =
+    tau/2 and A/B = coth(s*tau/4), and heat_kernel_h with its source at the
+    origin.  Requires s > 0; the s -> 0 limit is the delta distribution.  At
+    tau = 0 the kernel is the Gaussian (pi*s)**(-n) * exp(-(|x|^2+|y|^2)/s).
     """
     if (np.asarray(params.s) <= 0).any():
         raise ValueError(f"rho_tilde requires s > 0, got s={params.s}")
     xv, yv = _components(params.n, x=x, y=y)
-    a_c, b_c, log_cosh, _, _ = coefficients_ab(params.s, params.tau)
-    # A^2+B^2 = A^2 (1 + q) with q = (B/A)^2; A^2 itself underflows for tiny s,
-    # and at subnormal s so does A (B/A is nan) or 1/A overflows
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        ratio = b_c / a_c
-        q = ratio * ratio
-        a_over_denom = _finite(1.0 / (a_c * (1.0 + q)), "1/(A*(1+(B/A)**2))", params)
-    sq = np.sum(xv * xv, axis=-1) + np.sum(yv * yv, axis=-1)
-    dot = np.sum(xv * yv, axis=-1)
-    const = (
-        -params.gamma * params.s * params.tau / 4.0
-        - params.n * _LOG_2PI
-        - 0.5 * params.n * (log_cosh + 2.0 * np.log(a_c) + np.log1p(q))
-    )
-    return _exp_kernel(params, const, 0.5 * a_over_denom * sq, 1j * (ratio * a_over_denom), dot, np.subtract)
+    r2 = np.sum(xv * xv, axis=-1) + np.sum(yv * yv, axis=-1)
+    return _coth_sinh_kernel(params, r2, np.sum(xv * yv, axis=-1))
 
 
 def heat_kernel_h(params: KernelParams, xp, yp, x, y):
@@ -337,11 +336,7 @@ def heat_kernel_h(params: KernelParams, xp, yp, x, y):
     u = xf - xs
     v = yf - ys
     r2 = np.sum(u * u, axis=-1) + np.sum(v * v, axis=-1)
-    tw = np.sum(u * (yf + ys), axis=-1)
-    _, _, _, log_tau_over_sinh, envelope = coefficients_ab(params.s, params.tau)
-    const = -params.gamma * params.s * params.tau / 4.0 + params.n * (log_tau_over_sinh - _LOG_4PI)
-    decay = _finite(envelope, _ENVELOPE, params) * r2
-    return _exp_kernel(params, const, decay, 0.5j * params.tau, tw, np.subtract)
+    return _coth_sinh_kernel(params, r2, np.sum(u * (yf + ys), axis=-1))
 
 
 def apply_kernel(params: KernelParams, nodes, weights, values, x, y) -> np.ndarray:

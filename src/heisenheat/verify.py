@@ -6,9 +6,10 @@ Four families of checks, none of which reuse the algebra being verified:
   rho_tilde and H), with the convergence order of the residual in the step
   size estimated from a log-log slope fit; second-order central stencils
   give order ~2 when the closed forms are correct,
-* discrete-Fourier-transform inversion of rho_hat in (alpha, beta) against
-  the closed form of rho_tilde (the Gaussian integral the derivation leaves
-  implicit),
+* discrete-Fourier-transform inversion of rho_hat in (alpha, beta), built
+  from A and B, against the simplified coth/sinh closed form of rho_tilde:
+  the Gaussian integral the derivation leaves implicit, together with its
+  reduction by B/(A^2+B^2) = tau/2 and A/B = coth(s*tau/4),
 * quadrature checks of the semigroup composition and the initial condition
   of the twisted kernel H (the semigroup property is an operator consequence
   of the kernel, added here as an oracle, not quoted from a stated formula),
@@ -323,7 +324,7 @@ def eigenfunction_residual_report(step_sizes=DEFAULT_STEP_SIZES) -> ResidualRepo
 # ---------------------------------------------------------------------------
 
 def dft_inversion_check(params: KernelParams, grid_extent: float = 40.0, grid_count: int = 512) -> float:
-    """Invert rho_hat numerically and compare with the closed form of rho_tilde.
+    """Invert rho_hat (A/B form) numerically and compare with rho_tilde (coth/sinh form).
 
     Computes (2 pi)**-2 * iint rho_hat(alpha, beta) e^{i(alpha x + beta y)}
     dalpha dbeta with a discrete Fourier transform on a grid_count^2 grid over

@@ -212,7 +212,14 @@ def rho_hat_one_expression(params, alpha, beta):
 
 
 def rho_tilde_one_expression(params, x, y):
-    """kernels.rho_tilde with its exponent as one expression; the bitwise reference."""
+    """rho_tilde in the A/B form of the Gaussian inversion of rho_hat, as one expression.
+
+    e**(-gamma*s*tau/4) / ((2*pi)**n * cosh(s*tau/2)**(n/2) * (A^2+B^2)**(n/2))
+        * exp(-A*(|x|^2+|y|^2)/(2*(A^2+B^2)) - i*B*x.y/(A^2+B^2))
+
+    The package evaluates the simplified coth/sinh form instead, so this is an
+    accuracy reference, not a bitwise one.  No overflow check.
+    """
     from heisenheat.kernels import _components, coefficients_ab
 
     xv, yv = _components(params.n, x=x, y=y)
@@ -231,15 +238,9 @@ def rho_tilde_one_expression(params, x, y):
     )
 
 
-def heat_kernel_h_one_expression(params, xp, yp, x, y):
-    """kernels.heat_kernel_h with its exponent as one expression; the bitwise reference."""
-    from heisenheat.kernels import _components, coefficients_ab
+def _coth_sinh_one_expression(params, r2, tw):
+    from heisenheat.kernels import coefficients_ab
 
-    xs, ys, xf, yf = _components(params.n, xp=xp, yp=yp, x=x, y=y)
-    u = xf - xs
-    v = yf - ys
-    r2 = np.sum(u * u, axis=-1) + np.sum(v * v, axis=-1)
-    tw = np.sum(u * (yf + ys), axis=-1)
     _, _, _, log_tau_over_sinh, envelope = coefficients_ab(params.s, params.tau)
     return _exp_one_expression(
         -params.gamma * params.s * params.tau / 4.0
@@ -249,12 +250,33 @@ def heat_kernel_h_one_expression(params, xp, yp, x, y):
     )
 
 
+def rho_tilde_at_origin_one_expression(params, x, y):
+    """kernels.rho_tilde as H's one-expression exponent with the source at the origin; the bitwise reference."""
+    from heisenheat.kernels import _components
+
+    xv, yv = _components(params.n, x=x, y=y)
+    r2 = np.sum(xv * xv, axis=-1) + np.sum(yv * yv, axis=-1)
+    return _coth_sinh_one_expression(params, r2, np.sum(xv * yv, axis=-1))
+
+
+def heat_kernel_h_one_expression(params, xp, yp, x, y):
+    """kernels.heat_kernel_h with its exponent as one expression; the bitwise reference."""
+    from heisenheat.kernels import _components
+
+    xs, ys, xf, yf = _components(params.n, xp=xp, yp=yp, x=x, y=y)
+    u = xf - xs
+    v = yf - ys
+    r2 = np.sum(u * u, axis=-1) + np.sum(v * v, axis=-1)
+    return _coth_sinh_one_expression(params, r2, np.sum(u * (yf + ys), axis=-1))
+
+
 def dft_inversion_centred(params, grid_extent, grid_count):
     """verify.dft_inversion_check's error by the centred full-grid transform.
 
     rho_hat on the grid in natural order, fftshift(ifft2(ifftshift(.))) on
     all of it, scaled, and the central quarter compared with rho_tilde; the
-    one-expression kernels stand in for the package's.  No decay check.
+    bitwise one-expression references stand in for the package's kernels.
+    No decay check.
     """
     step = grid_extent / grid_count
     freqs = -0.5 * grid_extent + step * np.arange(grid_count)
@@ -264,7 +286,7 @@ def dft_inversion_centred(params, grid_extent, grid_count):
     m_idx = np.arange(grid_count) - grid_count // 2
     keep = np.abs(m_idx) <= grid_count // 8
     x = m_idx[keep] * (2.0 * np.pi / grid_extent)
-    exact = rho_tilde_one_expression(params, x[:, np.newaxis], x)
+    exact = rho_tilde_at_origin_one_expression(params, x[:, np.newaxis], x)
     num = inverted[np.ix_(keep, keep)]
     return float(np.max(np.abs(num - exact)) / float(np.max(np.abs(exact))))
 

@@ -1,6 +1,7 @@
 import json
 import platform
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -476,11 +477,15 @@ class TestIdentities:
 
     def test_seeded_panel(self, tmp_path):
         report = tmp_path / "ident.json"
-        assert run(["identities", "--seed", "7", "--points", "8", "--report", str(report)]) == 0
+        with mock.patch.object(cli, "_twist_factorization", wraps=cli._twist_factorization) as twist:
+            assert run(["identities", "--seed", "7", "--points", "8", "--report", str(report)]) == 0
         # the panel drawn as one array equals the former point-by-point draws
-        twist = json.loads(report.read_text())["checks"][-1]
-        assert twist["check"] == "twist-factorization"
-        assert f"{twist['worst']:.3g}" == "5.35e-15"
+        rng = np.random.default_rng(7)
+        lo, hi = (0.1, -3.0, -2, -2, -2, -2), (4.0, 3.0, 2, 2, 2, 2)
+        expect = [[rng.uniform(a, b) for a, b in zip(lo, hi)] for _ in range(8)]
+        (points,), _ = twist.call_args
+        assert np.array_equal(points, expect)
+        assert json.loads(report.read_text())["checks"][-1]["check"] == "twist-factorization"
 
     def test_empty_seeded_panel_exit_2(self):
         assert run(["identities", "--seed", "7", "--points", "0"]) == 2

@@ -28,6 +28,26 @@ from heisenheat.kernels import (
 import oracles
 
 
+def _s_tau_pairs(s_zero: bool):
+    """Lists of (s, tau) spanning both branches, both signs of tau, tau = 0 and |s*tau| <= 1e4."""
+    s = st.floats(1e-3, 50.0)
+    if s_zero:
+        s = s | st.just(0.0)
+    z = st.just(0.0) | st.floats(1e-9, 0.99e-4) | st.floats(1e-4, 1e4)
+    sign = st.sampled_from((1.0, -1.0))
+
+    def pair(s, z, sign):
+        return s, sign * (z / s if s > 0 else z)
+
+    return st.lists(st.builds(pair, s, z, sign), min_size=1, max_size=8)
+
+
+_COORD = st.sampled_from((0.0, -0.0)) | st.floats(-3.0, 3.0)
+_GAMMA = st.just(0.0) | st.builds(
+    complex, st.sampled_from((0.0, -0.0)) | st.floats(-1.0, 1.0), st.sampled_from((0.0, -0.0)) | st.floats(-3.0, 3.0)
+)
+
+
 class TestCoefficients:
     def test_tau_zero_limit(self):
         a, b, log_cosh, log_tau_over_sinh, envelope = coefficients_ab(1.0, 0.0)
@@ -200,10 +220,58 @@ class TestRhoTilde:
 
     @pytest.mark.parametrize("s", (2e-308, 1e-300, 1e-200))
     def test_tiny_s_matches_heat_kernel(self, s):
-        # A^2 + B^2 underflows to 0 here; the value is 1/(pi*s)
+        # A^2 + B^2 underflows to 0 here, so the A/B form cannot be evaluated; the value is 1/(pi*s)
         p = KernelParams(s=s, tau=1.0)
         expect = heat_kernel_h(p, 0.0, 0.0, 0.0, 0.0)
         assert rho_tilde(p, 0.0, 0.0) == pytest.approx(expect, rel=1e-12)
+
+    @pytest.mark.parametrize("s", (1e-309, 3e-309, 6e-309, 8e-309, 1e-308, 1.2e-308, 2e-308))
+    def test_subnormal_s_like_heat_kernel(self, s):
+        # rho_tilde raises exactly where H with its source at the origin does, and equals it elsewhere
+        p = KernelParams(s=s, tau=1.0)
+        try:
+            expect = heat_kernel_h(p, 0.0, 0.0, 0.0, 0.0)
+        except KernelOverflowError:
+            with pytest.raises(KernelOverflowError):
+                rho_tilde(p, 0.0, 0.0)
+        else:
+            assert rho_tilde(p, 0.0, 0.0) == expect
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(1, 3),
+        pairs=_s_tau_pairs(s_zero=False),
+        gamma=_GAMMA,
+    )
+    def test_is_heat_kernel_with_source_at_origin(self, data, n, pairs, gamma):
+        s, tau = (np.array(v) for v in zip(*pairs))
+        p = KernelParams(s=s, tau=tau, gamma=gamma, n=n)
+        coords = st.lists(_COORD, min_size=len(pairs) * n, max_size=len(pairs) * n)
+        x, y = (np.reshape(data.draw(coords), (len(pairs), n)) for _ in range(2))
+        origin = np.zeros(n)
+        assert np.all(rho_tilde(p, x, y) == heat_kernel_h(p, origin, origin, x, y))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(1, 3),
+        s=st.floats(1e-3, 1e2),
+        z=st.just(0.0) | st.floats(1e-12, 0.99e-4) | st.floats(1e-4, 3e3),
+        sign=st.sampled_from((1.0, -1.0)),
+        gamma=st.builds(complex, st.floats(-1.0, 1.0), st.floats(-3.0, 3.0)),
+        unit=st.lists(st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6), min_size=1, max_size=4),
+    )
+    def test_matches_the_ab_form(self, n, s, z, sign, gamma, unit):
+        # the coth/sinh form against the A/B form of the Gaussian inversion, at points up to 6
+        # envelope widths out.  Tolerance set before measuring: 1e-12 relative (the constant's
+        # terms reach ~750 in magnitude, whose few-ulp error is ~3e-13), plus the smallest normal
+        # double absolute, below which values lose relative precision as they underflow.
+        p = KernelParams(s=s, tau=sign * z / s, gamma=gamma, n=n)
+        width = 6.0 / math.sqrt(2 * n * coefficients_ab(p.s, p.tau)[-1])
+        points = width * np.array(unit)[:, :2 * n]
+        x, y = points[:, :n], points[:, n:]
+        got, ref = rho_tilde(p, x, y), oracles.rho_tilde_one_expression(p, x, y)
+        assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref) + np.finfo(float).tiny)
 
     @pytest.mark.parametrize("gamma", (0.0, 0.5 + 0.2j))
     @pytest.mark.parametrize("tau", (0.0, 1.0, -2.0))
@@ -666,7 +734,7 @@ class TestKernelOverflow:
         ],
     )
     def test_subnormal_s(self, kernel, args):
-        # the envelope ~1/s and 1/A are past the double range: a named error, not NaN
+        # the envelope ~1/s is past the double range: a named error, not NaN
         with pytest.raises(KernelOverflowError, match=r"exceeds the double range .* s=1e-310"):
             kernel(KernelParams(s=1e-310, tau=1.0), *args)
 
@@ -680,20 +748,6 @@ class TestKernelOverflow:
         value = rho_hat(KernelParams(s=0.0, tau=1.0), 0.0, 0.0) * math.exp(709.0)
         got = rho_hat(KernelParams(s=1e-6, tau=1.0, gamma=-4 * 709.0 * 1e6), 0.0, 0.0)
         assert got == pytest.approx(value, rel=1e-9)
-
-
-def _s_tau_pairs(s_zero: bool):
-    """Lists of (s, tau) spanning both branches, both signs of tau, tau = 0 and |s*tau| <= 1e4."""
-    s = st.floats(1e-3, 50.0)
-    if s_zero:
-        s = s | st.just(0.0)
-    z = st.just(0.0) | st.floats(1e-9, 0.99e-4) | st.floats(1e-4, 1e4)
-    sign = st.sampled_from((1.0, -1.0))
-
-    def pair(s, z, sign):
-        return s, sign * (z / s if s > 0 else z)
-
-    return st.lists(st.builds(pair, s, z, sign), min_size=1, max_size=8)
 
 
 class TestArrayParams:
@@ -741,12 +795,6 @@ def _bits(value):
     return np.atleast_1d(np.asarray(value, dtype=complex)).view(np.int64)
 
 
-_COORD = st.sampled_from((0.0, -0.0)) | st.floats(-3.0, 3.0)
-_GAMMA = st.just(0.0) | st.builds(
-    complex, st.sampled_from((0.0, -0.0)) | st.floats(-1.0, 1.0), st.sampled_from((0.0, -0.0)) | st.floats(-3.0, 3.0)
-)
-
-
 class TestOneBufferExponent:
     """Each kernel equals its one-expression form in tests/oracles.py bit for bit, zero signs included."""
 
@@ -755,7 +803,7 @@ class TestOneBufferExponent:
         data=st.data(),
         kernel=st.sampled_from((
             (rho_hat, oracles.rho_hat_one_expression, 2),
-            (rho_tilde, oracles.rho_tilde_one_expression, 2),
+            (rho_tilde, oracles.rho_tilde_at_origin_one_expression, 2),
             (heat_kernel_h, oracles.heat_kernel_h_one_expression, 4),
         )),
         n=st.integers(1, 3),
