@@ -30,14 +30,16 @@ The coefficient pair
 
 has a removable singularity at tau = 0 (A -> s/2, B -> 0).  One function,
 :func:`coefficients_ab`, evaluates it together with the other coefficients
-the kernels need, elementwise over arrays; one threshold picks the branch
-per element: a Taylor expansion in z = s*tau, cut after the z**2 terms,
-where |z| < TAYLOR_BRANCH_THRESHOLD, the closed forms elsewhere.  At the
-threshold both branches agree to ~1e-15 relative.  Of the kernels only
-rho_hat uses A and B.  Exponents are assembled in log space in one complex
-buffer, exponentiated once in place, so large |s*tau|*n underflows
-gracefully to 0 and the real power cosh(s*tau/2)**(n/2) never touches a
-complex branch cut (gamma enters only through the exponential).
+the kernels need, elementwise over arrays, on one path: both branches run
+on every element and one threshold picks per element, a Taylor expansion
+in z = s*tau, cut after the z**2 terms, where |z| < TAYLOR_BRANCH_THRESHOLD,
+the closed forms elsewhere.  At the threshold both branches agree to
+~1e-15 relative.  Of the kernels only rho_hat uses A and B.  Every exponent
+has one form, const - decay + twist*spatial with a signed twist
+coefficient, assembled in log space in one complex buffer and
+exponentiated once in place, so large |s*tau|*n underflows gracefully to 0
+and the real power cosh(s*tau/2)**(n/2) never touches a complex branch cut
+(gamma enters only through the exponential).
 
 Spatial arguments are length-n vectors; every kernel also broadcasts over
 leading axes of inputs shaped (..., n).  For n == 1 one rule covers all
@@ -52,13 +54,15 @@ uses that H is a twisted convolution whose Gaussian and phase factor over
 the axes: per output point it evaluates J+K exponentials per component and
 the double sum is one GEMM per chunk of output points.
 
-Coefficients past the double range (the envelope ~1/s at subnormal s) and
-kernel values past it raise KernelOverflowError, never inf or NaN.
+rho_tilde, heat_kernel_h and apply_kernel share one guard on s > 0.  The
+envelope ~1/s at subnormal s and kernel values past the double range raise
+KernelOverflowError, never inf or NaN.
 """
 
 from __future__ import annotations
 
 import functools
+import inspect
 import itertools
 import json
 import math
@@ -91,8 +95,6 @@ TAYLOR_BRANCH_THRESHOLD = 1e-4
 _LOG_2 = math.log(2.0)
 _LOG_4 = math.log(4.0)
 _LOG_4PI = math.log(4.0 * math.pi)
-
-_ENVELOPE = "the Gaussian envelope (tau/4)*coth(s*tau/4)"
 
 # output points per apply_kernel chunk, as a multiple of the first source axis length
 _APPLY_CHUNK_MESHES = 4
@@ -161,14 +163,13 @@ def _coefficients_series(s, tau):
     p = 1.0 - z2 / 96.0
     # at s = 0 (reached only by rho_hat) both quarter-argument terms are +inf, their limit;
     # at subnormal s the envelope overflows to +inf, which the kernels using it report
-    with np.errstate(divide="ignore", over="ignore"):
-        log_tau_over_sinh = _LOG_4 - np.log(s) + np.log(p)
-        envelope = (1.0 + z2 / 48.0) / s
+    log_tau_over_sinh = _LOG_4 - np.log(s) + np.log(p)
+    envelope = (1.0 + z2 / 48.0) / s
     return a, b, log_tau_over_sinh, envelope
 
 
 def _coefficients_direct(s, tau):
-    """Closed-form branch of coefficients_ab, overflow-free for any |s*tau| > 0."""
+    """Closed-form branch of coefficients_ab, overflow-free for |s*tau| > 0 but for the envelope ~1/s."""
     w = np.abs(s * tau)
     a = np.tanh(0.5 * s * tau) / tau
     # 2*sinh^2(z/4)/cosh(z/2) = expm1(-|z|/2)^2 / (1 + e^-|z|)
@@ -188,7 +189,9 @@ def coefficients_ab(s, tau):
     (relative error < 1e-14), which settle the removable singularity:
     A(s, 0) = s/2, B(s, 0) = 0, tau/sinh(s*tau/4) -> 4/s,
     (tau/4)*coth(s*tau/4) -> 1/s.  The last two are formed from their own
-    expressions, not from A and B.  At s = 0 they are +inf.
+    expressions, not from A and B.  At s = 0 they are +inf, and so is the
+    envelope where it is past the double range (subnormal s); the kernels
+    that use it raise KernelOverflowError there.
     """
     # [()] turns 0-d input into numpy scalars, on which each operation is ~10x cheaper
     s = np.asarray(s, dtype=float)[()]
@@ -198,17 +201,13 @@ def coefficients_ab(s, tau):
     w = np.abs(s * tau)
     log_cosh = 0.5 * w + np.log1p(np.exp(-w)) - _LOG_2
     small = w < TAYLOR_BRANCH_THRESHOLD
-    if small.all():
-        parts = _coefficients_series(s, tau)
-    elif not small.any():
-        parts = _coefficients_direct(s, tau)
-    else:
-        s, tau = np.broadcast_arrays(s, tau)
-        parts = tuple(np.empty(small.shape) for _ in range(4))
-        for mask, branch in ((small, _coefficients_series), (~small, _coefficients_direct)):
-            for out, part in zip(parts, branch(s[mask], tau[mask])):
-                out[mask] = part
-    a, b, log_tau_over_sinh, envelope = parts
+    # both branches run on every element and np.where keeps one per element.  A warning
+    # silenced here comes from the branch not picked, or is one of the +inf above: the
+    # limits at s = 0, or the envelope ~1/s past the double range at subnormal s
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        series = _coefficients_series(s, tau)
+        direct = _coefficients_direct(s, tau)
+    a, b, log_tau_over_sinh, envelope = (np.where(small, ser, dire)[()] for ser, dire in zip(series, direct))
     return a, b, log_cosh, log_tau_over_sinh, envelope
 
 
@@ -238,13 +237,6 @@ def _overflow(what: str, params: KernelParams) -> KernelOverflowError:
     )
 
 
-def _finite(value, what: str, params: KernelParams):
-    """value, or KernelOverflowError when an element is past the double range (subnormal s)."""
-    if not np.isfinite(value).all():
-        raise _overflow(what, params)
-    return value
-
-
 def _scalar_params(caller: str, *params: KernelParams):
     """ValueError naming s, tau or gamma when one of them is not a scalar."""
     for name, value in ((key, getattr(p, key)) for p in params for key in ("s", "tau", "gamma")):
@@ -252,20 +244,21 @@ def _scalar_params(caller: str, *params: KernelParams):
             raise ValueError(f"{caller} needs a scalar {name}, got shape {np.shape(value)}")
 
 
-def _exp_kernel(params: KernelParams, const, decay, twist, spatial, combine=np.add):
-    """exp(combine(const - decay, twist * spatial)), a complex for 0-d input.
+def _exp_kernel(params: KernelParams, const, decay, twist, spatial):
+    """exp(const - decay + twist * spatial), a complex for 0-d input.
 
     One complex buffer holds the exponent and is exponentiated in place.  It
-    starts as twist * spatial, and combine merges the real and imaginary parts
-    of const - decay into it: the IEEE operations of that expression, zero
-    signs included.  KernelOverflowError past the double range; its message
-    reads const - decay, the exponent's real part up to a zero.
+    starts as twist * spatial, and the real and imaginary parts of
+    const - decay are added into it: the IEEE operations of that expression,
+    zero signs included.  The twist coefficient carries its sign.
+    KernelOverflowError past the double range; its message reads
+    const - decay, the exponent's real part up to a zero.
     """
     shape = np.broadcast_shapes(*(np.shape(v) for v in (const, decay, twist, spatial)))
     expo = np.multiply(twist, spatial, out=np.empty(shape, dtype=complex))
     log_modulus = np.real(const) - decay
-    combine(log_modulus, expo.real, out=expo.real)
-    combine(np.imag(const), expo.imag, out=expo.imag)
+    np.add(log_modulus, expo.real, out=expo.real)
+    np.add(np.imag(const), expo.imag, out=expo.imag)
     try:
         with np.errstate(over="raise"):
             np.exp(expo, out=expo)
@@ -291,12 +284,22 @@ def rho_hat(params: KernelParams, alpha, beta):
     return _exp_kernel(params, const, 0.5 * a_c * sq, 1j * b_c, dot)
 
 
-def _coth_sinh_kernel(params: KernelParams, r2, tw):
-    """rho_tilde's and heat_kernel_h's closed form in the squared distance r2 and the twist term tw."""
+def _coth_sinh_coefficients(caller: str, params: KernelParams):
+    """log(tau/sinh(s*tau/4)) and the envelope (tau/4)*coth(s*tau/4); the one s > 0 and finite-envelope guard."""
+    if (np.asarray(params.s) <= 0).any():
+        raise ValueError(f"{caller} requires s > 0, got s={params.s}")
     _, _, _, log_tau_over_sinh, envelope = coefficients_ab(params.s, params.tau)
+    if not np.isfinite(envelope).all():
+        raise _overflow("the Gaussian envelope (tau/4)*coth(s*tau/4)", params)
+    return log_tau_over_sinh, envelope
+
+
+def _coth_sinh_kernel(caller: str, params: KernelParams, u, v, w):
+    """H's closed form in u = x-x', v = y-y' and w = y+y'; rho_tilde is u = x, v = w = y."""
+    log_tau_over_sinh, envelope = _coth_sinh_coefficients(caller, params)
     const = -params.gamma * params.s * params.tau / 4.0 + params.n * (log_tau_over_sinh - _LOG_4PI)
-    decay = _finite(envelope, _ENVELOPE, params) * r2
-    return _exp_kernel(params, const, decay, 0.5j * params.tau, tw, np.subtract)
+    r2 = np.sum(u * u, axis=-1) + np.sum(v * v, axis=-1)
+    return _exp_kernel(params, const, envelope * r2, -0.5j * params.tau, np.sum(u * w, axis=-1))
 
 
 def rho_tilde(params: KernelParams, x, y):
@@ -310,11 +313,8 @@ def rho_tilde(params: KernelParams, x, y):
     origin.  Requires s > 0; the s -> 0 limit is the delta distribution.  At
     tau = 0 the kernel is the Gaussian (pi*s)**(-n) * exp(-(|x|^2+|y|^2)/s).
     """
-    if (np.asarray(params.s) <= 0).any():
-        raise ValueError(f"rho_tilde requires s > 0, got s={params.s}")
     xv, yv = _components(params.n, x=x, y=y)
-    r2 = np.sum(xv * xv, axis=-1) + np.sum(yv * yv, axis=-1)
-    return _coth_sinh_kernel(params, r2, np.sum(xv * yv, axis=-1))
+    return _coth_sinh_kernel("rho_tilde", params, xv, yv, yv)
 
 
 def heat_kernel_h(params: KernelParams, xp, yp, x, y):
@@ -330,13 +330,8 @@ def heat_kernel_h(params: KernelParams, xp, yp, x, y):
     limit is the Gaussian (pi*s)**(-n) * exp(-(|x-x'|^2+|y-y'|^2)/s),
     reached through the series branch.
     """
-    if (np.asarray(params.s) <= 0).any():
-        raise ValueError(f"heat_kernel_h requires s > 0, got s={params.s}")
     xs, ys, xf, yf = _components(params.n, xp=xp, yp=yp, x=x, y=y)
-    u = xf - xs
-    v = yf - ys
-    r2 = np.sum(u * u, axis=-1) + np.sum(v * v, axis=-1)
-    return _coth_sinh_kernel(params, r2, np.sum(u * (yf + ys), axis=-1))
+    return _coth_sinh_kernel("heat_kernel_h", params, xf - xs, yf - ys, yf + ys)
 
 
 def apply_kernel(params: KernelParams, nodes, weights, values, x, y) -> np.ndarray:
@@ -366,10 +361,7 @@ def apply_kernel(params: KernelParams, nodes, weights, values, x, y) -> np.ndarr
     if len(nodes) != 2 * n or len(weights) != 2 * n:
         raise ValueError(f"apply_kernel needs {2 * n} node and weight arrays for n={n}")
     _scalar_params("apply_kernel", params)
-    if params.s <= 0:
-        raise ValueError(f"apply_kernel requires s > 0, got s={params.s}")
-    _, _, _, log_tau_over_sinh, envelope = coefficients_ab(params.s, params.tau)
-    envelope = _finite(envelope, _ENVELOPE, params)
+    log_tau_over_sinh, envelope = _coth_sinh_coefficients("apply_kernel", params)
     # each component is the n = 1 kernel with gamma/n
     log_c = -params.gamma * params.s * params.tau / (4.0 * n) + log_tau_over_sinh - _LOG_4PI
     t = 0.5 * params.tau
@@ -389,8 +381,8 @@ def apply_kernel(params: KernelParams, nodes, weights, values, x, y) -> np.ndarr
         factors = (
             [_exp_kernel(params, log_c, envelope * (xc[c] - nodes[c]) ** 2, 1j * t, yc[c] * nodes[c])
              for c in range(n)]
-            + [_exp_kernel(params, -envelope * (yc[c] - nodes[n + c]) ** 2, 0.0, 1j * t,
-                           xc[c] * (yc[c] + nodes[n + c]), np.subtract)
+            + [_exp_kernel(params, -envelope * (yc[c] - nodes[n + c]) ** 2, 0.0, -1j * t,
+                           xc[c] * (yc[c] + nodes[n + c]))
                for c in range(n)]
         )
         acc = factors[0] @ g
@@ -422,7 +414,7 @@ def simplification_identities(s, tau):
 
 @dataclass(frozen=True)
 class GridAxis:
-    """One rectangular grid axis: `count` values from `lo` to `hi` inclusive."""
+    """One rectangular grid axis: `count` values from `lo` to `hi` inclusive (lo == hi for count 1)."""
 
     name: str
     lo: float
@@ -436,6 +428,8 @@ class GridAxis:
             raise ValueError(f"axis {self.name}: min {self.lo} and max {self.hi} must be finite")
         if self.lo > self.hi:
             raise ValueError(f"axis {self.name}: min {self.lo} exceeds max {self.hi}")
+        if self.count == 1 and self.lo != self.hi:
+            raise ValueError(f"axis {self.name}: a count-1 axis needs min == max, got {self.lo} and {self.hi}")
         if not math.isfinite(self.hi - self.lo):
             raise ValueError(f"axis {self.name}: span max - min from {self.lo} to {self.hi} exceeds the double range")
 
@@ -610,13 +604,6 @@ def _parse_json_int(token: str) -> int | float:
     return -0.0 if token == "-0" else int(token)
 
 
-# axis bases consumed by each kernel, in argument order
-_KERNEL_AXES = {
-    "rho-hat": ("alpha", "beta"),
-    "rho-tilde": ("x", "y"),
-    "heat-kernel": ("xp", "yp", "x", "y"),
-}
-
 _KERNEL_FUNCS = {
     "rho-hat": rho_hat,
     "rho-tilde": rho_tilde,
@@ -641,14 +628,16 @@ def _component_blocks(coords, size: int, bases, n: int) -> list[np.ndarray]:
 def evaluate_on_grid(kernel: str, params: KernelParams, grid: GridSpec) -> FieldSample:
     """Evaluate a named kernel at every grid point, row-major over the axes.
 
-    Grid axes may cover any subset of the kernel's spatial components plus
+    Grid axes may cover any subset of the kernel's spatial components,
+    named after its spatial arguments (with 1..n suffixes for n > 1), plus
     "s" and "tau"; spatial components without an axis are held at 0, and
     s/tau axes override the values in `params` pointwise.  Every grid takes
     one kernel call.  Unknown axis names raise GridMismatchError.
     """
     if kernel not in _KERNEL_FUNCS:
         raise GridMismatchError(f"unknown kernel {kernel!r}; expected one of {KERNEL_NAMES}")
-    bases = _KERNEL_AXES[kernel]
+    # inspect.signature follows __wrapped__, so a wrapped table entry keeps these names
+    bases = tuple(inspect.signature(_KERNEL_FUNCS[kernel]).parameters)[1:]
     allowed = {"s", "tau"}
     for base in bases:
         allowed.update(_component_names(base, params.n))

@@ -202,6 +202,16 @@ class TestEval:
         assert caught == []
         assert not (tmp_path / "x.json").exists()
 
+    def test_count_one_axis_needs_equal_bounds_exit_2(self, tmp_path, capsys):
+        # x:0:1:1 samples only x = 0, but JSON would record max 1 and CSV read back max 0
+        code = run(
+            ["eval", "--kernel", "rho-tilde", "--s", "1", "--tau", "1", "--axis", "x:0:1:1",
+             "--output", str(tmp_path / "x.json")]
+        )
+        assert code == 2
+        assert "axis x: a count-1 axis needs min == max" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
+
     def test_bad_axis_exit_2(self, tmp_path):
         code = run(
             [
@@ -375,7 +385,7 @@ class TestApply:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "case", ("string-row", "null-row", "integer-gamma", "top-level-list", "empty-grid")
+        "case", ("string-row", "null-row", "integer-gamma", "top-level-list", "empty-grid", "count-1-span")
     )
     def test_malformed_json_input_exit_2(self, tmp_path, capsys, case):
         _write_gaussian_field(tmp_path / "f.json", count=5, extent=2.0)
@@ -389,6 +399,9 @@ class TestApply:
         elif case == "empty-grid":
             # one value matches the size, 1, of an axis-free grid; a grid still needs an axis
             doc["grid"], doc["values"] = [], [[1.0, 0.0]]
+        elif case == "count-1-span":
+            # one point on an axis from -2 to 2
+            doc["grid"][0]["count"] = 1
         else:
             doc = [1, 2]
         (tmp_path / "bad.json").write_text(json.dumps(doc))

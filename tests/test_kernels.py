@@ -101,13 +101,15 @@ class TestCoefficients:
             assert abs(ser - dire) / abs(dire) < 1e-10
 
     def test_branch_chosen_per_element(self):
-        # one array call equals the per-element calls on both sides of the threshold
-        s = np.array([[2.0], [0.5]])
-        tau = np.array([0.0, 0.4e-4, -0.6e-4, 3.0, -250.0])
+        # one array call equals the per-element calls bit for bit on both sides of the
+        # threshold; at s = 3e-309 the envelope is +inf in the Taylor branch (tau -250) and
+        # in the closed form (tau 1e305, |s*tau| = 3e-4)
+        s = np.array([[2.0], [0.5], [0.0], [3e-309]])
+        tau = np.array([0.0, -0.0, 0.4e-4, -0.6e-4, 3.0, -250.0, 1e305])
         together = coefficients_ab(s, tau)
-        for i, j in np.ndindex(2, 5):
+        for i, j in np.ndindex(len(s), len(tau)):
             alone = coefficients_ab(s[i, 0], tau[j])
-            assert [part[i, j] for part in together] == list(alone)
+            assert [_bits(part[i, j]).tolist() for part in together] == [_bits(part).tolist() for part in alone]
 
 
 class TestRhoHat:
@@ -315,20 +317,27 @@ class TestHeatKernel:
             bwd = heat_kernel_h(p, 1.2, 0.8, 0.3, -0.4)
             assert fwd == pytest.approx(np.conj(bwd), rel=1e-15)
 
-    def test_twist_factorization(self):
-        # H(s, x', y', x, y) = rho_tilde(s, x-x', y-y') * exp(-i tau (x-x') y')
-        rng = np.random.default_rng(99)
-        worst = 0.0
-        for _ in range(40):
-            s = float(rng.uniform(0.1, 3.0))
-            tau = float(rng.uniform(-3.0, 3.0)) or 0.5
-            gamma = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-            xp, yp, x, y = rng.uniform(-2, 2, 4)
-            p = KernelParams(s=s, tau=tau, gamma=gamma, n=1)
-            lhs = heat_kernel_h(p, xp, yp, x, y)
-            rhs = rho_tilde(p, x - xp, y - yp) * np.exp(-1j * tau * (x - xp) * yp)
-            worst = max(worst, abs(lhs - rhs) / abs(rhs))
-        assert worst < 1e-12
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(1, 3),
+        s=st.floats(0.1, 3.0),
+        tau=st.sampled_from((0.0, -0.0)) | st.floats(-3.0, 3.0),
+        gamma=_GAMMA,
+        points=st.integers(1, 6),
+    )
+    def test_twist_factorization(self, data, n, s, tau, gamma, points):
+        # H(s, x', y', x, y) = rho_tilde(s, x-x', y-y') * exp(-i tau (x-x').y') to 1e-12 relative;
+        # coordinates within 2/sqrt(n) keep |x-x'|^2+|y-y'|^2 <= 32, so both sides are normal doubles
+        bound = 2.0 / math.sqrt(n)
+        xp, yp, x, y = (
+            np.reshape(data.draw(st.lists(st.floats(-bound, bound), min_size=points * n, max_size=points * n)), (points, n))
+            for _ in range(4)
+        )
+        p = KernelParams(s=s, tau=tau, gamma=gamma, n=n)
+        lhs = heat_kernel_h(p, xp, yp, x, y)
+        rhs = rho_tilde(p, x - xp, y - yp) * np.exp(-1j * tau * np.sum((x - xp) * yp, axis=-1))
+        assert np.max(np.abs(lhs - rhs) / np.abs(rhs)) < 1e-12
 
     def test_tau_zero_gaussian_limit(self):
         p = KernelParams(s=0.7, tau=0.0, gamma=3.0, n=1)
@@ -339,6 +348,41 @@ class TestHeatKernel:
     def test_underflows_to_zero_far_away(self):
         p = KernelParams(s=0.01, tau=1.0, gamma=0.0, n=1)
         assert heat_kernel_h(p, 0.0, 0.0, 120.0, 0.0) == 0.0
+
+
+def _taus_across_threshold(s):
+    """Adjacent doubles tau < tau' with s*tau < TAYLOR_BRANCH_THRESHOLD <= s*tau'."""
+    threshold = kernels.TAYLOR_BRANCH_THRESHOLD
+    above = threshold / s
+    while s * np.nextafter(above, 0.0) >= threshold:
+        above = np.nextafter(above, 0.0)
+    while s * above < threshold:
+        above = np.nextafter(above, np.inf)
+    return np.nextafter(above, 0.0), above
+
+
+class TestTaylorThresholdContinuity:
+    """Each kernel is continuous to 1e-12 relative where coefficients_ab switches branch."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=st.data(),
+        kernel=st.sampled_from(((rho_hat, 2), (rho_tilde, 2), (heat_kernel_h, 4))),
+        n=st.integers(1, 3),
+        s=st.floats(0.25, 8.0),
+        sign=st.sampled_from((1.0, -1.0)),
+        gamma=_GAMMA,
+        points=st.integers(1, 6),
+    )
+    def test_kernels(self, data, kernel, n, s, sign, gamma, points):
+        function, count = kernel
+        args = [
+            np.reshape(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=points * n, max_size=points * n)), (points, n))
+            for _ in range(count)
+        ]
+        taylor, closed = (function(KernelParams(s=s, tau=sign * tau, gamma=gamma, n=n), *args)
+                          for tau in _taus_across_threshold(s))
+        assert np.max(np.abs(taylor - closed) / np.abs(closed)) < 1e-12
 
 
 # the n = 1 kernels as functions of two spatial arguments; H holds its source point fixed
@@ -529,6 +573,9 @@ class TestGridEvaluation:
         # finite bounds whose span overflows: linspace would warn and return non-finite points
         with pytest.raises(ValueError, match="span"):
             GridAxis("alpha", -1e308, 1e308, 3)
+        # one point at min: a different max would not read back from CSV
+        with pytest.raises(ValueError, match="axis alpha: a count-1 axis needs min == max"):
+            GridAxis("alpha", 0.0, 1.0, 1)
         with pytest.raises(ValueError):
             GridSpec((GridAxis("alpha", 0.0, 1.0, 2), GridAxis("alpha", 0.0, 1.0, 2)))
 
@@ -631,7 +678,8 @@ def _field_samples(draw):
     for name in "abcd"[: draw(st.integers(1, 4))]:
         # the span of any two bounds within +-8e307 is a finite double
         lo, hi = sorted(draw(st.lists(st.floats(-8e307, 8e307), min_size=2, max_size=2)))
-        axes.append(GridAxis(name, lo, hi, draw(st.integers(1, 5))))
+        count = draw(st.integers(1, 5))
+        axes.append(GridAxis(name, lo, hi if count > 1 else lo, count))
     grid = GridSpec(tuple(axes))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     parts = rng.standard_normal(2 * grid.size) * 10.0 ** rng.integers(-320, 308, 2 * grid.size)
@@ -661,7 +709,7 @@ class TestWritersMatchPerValueReference:
         (kernels._WRITE_CHUNK_ROWS + 5, 1),
     ))
     def test_grids_past_one_chunk(self, counts):
-        grid = GridSpec(tuple(GridAxis(name, -1.5, 2.0, c) for name, c in zip("xy", counts)))
+        grid = GridSpec(tuple(GridAxis(name, -1.5, 2.0 if c > 1 else -1.5, c) for name, c in zip("xy", counts)))
         rng = np.random.default_rng(len(counts))
         sample = FieldSample(grid=grid, values=rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size))
         assert sample.to_csv_text() == oracles.csv_text_per_row(sample)
