@@ -20,12 +20,10 @@ from .kernels import (
     heat_kernel_h,
     rho_hat,
     rho_tilde,
-    simplification_identities,
 )
 from .series import (
     SeriesConfig,
     UValue,
-    coefficient_a_m,
     mehler_sum,
     rho_hat_series,
     u_series,
@@ -46,10 +44,8 @@ __all__ = [
     "heat_kernel_h",
     "rho_hat",
     "rho_tilde",
-    "simplification_identities",
     "SeriesConfig",
     "UValue",
-    "coefficient_a_m",
     "mehler_sum",
     "rho_hat_series",
     "u_series",

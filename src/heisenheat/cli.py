@@ -36,10 +36,10 @@ from .kernels import (
     _component_blocks,
     _component_names,
     apply_kernel,
+    coefficients_ab,
     evaluate_on_grid,
     heat_kernel_h,
     rho_tilde,
-    simplification_identities,
 )
 
 OUTPUT_DIR_ENV = "HEISENHEAT_OUTPUT_DIR"
@@ -214,11 +214,13 @@ def _cmd_verify(args) -> int:
 
 
 def _identities_sweep() -> dict:
-    """Max relative deviation of the two identities over s in (0, 10], |tau| <= 10."""
+    """Max relative deviation of B/(A^2+B^2) = tau/2 and A/B = coth(s*tau/4) over s in (0, 10],
+    |tau| <= 10, with A and B as coefficients_ab computes them, independently of each other."""
     s_vals = 10.0 * (np.arange(32) + 1) / 32.0
     tau_vals = np.concatenate([-10.0 * (np.arange(16) + 1) / 16.0, 10.0 * (np.arange(16) + 1) / 16.0])
     s, tau = np.meshgrid(s_vals, tau_vals, indexing="ij")
-    ratio_b, ratio_ab = simplification_identities(s, tau)
+    a, b, _, _, _ = coefficients_ab(s, tau)
+    ratio_b, ratio_ab = b / (a ** 2 + b ** 2), a / b
     expect_b = tau / 2.0
     expect_ab = np.cosh(s * tau / 4.0) / np.sinh(s * tau / 4.0)
     return {

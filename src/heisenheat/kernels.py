@@ -35,11 +35,12 @@ on every element and one threshold picks per element, a Taylor expansion
 in z = s*tau, cut after the z**2 terms, where |z| < TAYLOR_BRANCH_THRESHOLD,
 the closed forms elsewhere.  At the threshold both branches agree to
 ~1e-15 relative.  Of the kernels only rho_hat uses A and B.  Every exponent
-has one form, const - decay + twist*spatial with a signed twist
+has one form, const - envelope*sq + twist*cross with a signed twist
 coefficient, assembled in log space in one complex buffer and
 exponentiated once in place, so large |s*tau|*n underflows gracefully to 0
 and the real power cosh(s*tau/2)**(n/2) never touches a complex branch cut
-(gamma enters only through the exponential).
+(gamma enters only through the exponential).  Arguments so far in the
+tails that sq overflows give exactly 0, without a warning.
 
 Spatial arguments are length-n vectors; every kernel also broadcasts over
 leading axes of inputs shaped (..., n).  For n == 1 one rule covers all
@@ -84,7 +85,6 @@ __all__ = [
     "rho_tilde",
     "heat_kernel_h",
     "apply_kernel",
-    "simplification_identities",
     "evaluate_on_grid",
 ]
 
@@ -244,26 +244,45 @@ def _scalar_params(caller: str, *params: KernelParams):
             raise ValueError(f"{caller} needs a scalar {name}, got shape {np.shape(value)}")
 
 
-def _exp_kernel(params: KernelParams, const, decay, twist, spatial):
-    """exp(const - decay + twist * spatial), a complex for 0-d input.
+def _tails():
+    """errstate for the far tails, where a square overflows to inf and 0*inf is NaN; _exp_kernel settles both."""
+    return np.errstate(over="ignore", invalid="ignore")
+
+
+def _exp_kernel(params: KernelParams, const, envelope, sq, twist, cross):
+    """exp(const - envelope*sq + twist*cross), a complex for 0-d input.
 
     One complex buffer holds the exponent and is exponentiated in place.  It
-    starts as twist * spatial, and the real and imaginary parts of
-    const - decay are added into it: the IEEE operations of that expression,
-    zero signs included.  The twist coefficient carries its sign.
-    KernelOverflowError past the double range; its message reads
-    const - decay, the exponent's real part up to a zero.
+    starts as twist * cross, and the real and imaginary parts of
+    const - envelope*sq are added into it: the IEEE operations of that
+    expression, zero signs included.  The twist coefficient carries its sign.
+    Where an infinite sq or cross leaves a NaN, a zero coefficient
+    contributes 0 and a decay envelope*sq of +inf makes the value exactly 0;
+    an infinite phase at a finite decay is KernelOverflowError, as is a
+    value past the double range, whose message reads const - envelope*sq,
+    the exponent's real part up to a zero.
     """
-    shape = np.broadcast_shapes(*(np.shape(v) for v in (const, decay, twist, spatial)))
-    expo = np.multiply(twist, spatial, out=np.empty(shape, dtype=complex))
-    log_modulus = np.real(const) - decay
-    np.add(log_modulus, expo.real, out=expo.real)
-    np.add(np.imag(const), expo.imag, out=expo.imag)
+    shape = np.broadcast_shapes(*(np.shape(v) for v in (const, envelope, sq, twist, cross)))
+    expo = np.empty(shape, dtype=complex)
+    with _tails():
+        np.multiply(twist, cross, out=expo)
+        log_modulus = np.real(const) - envelope * sq
+        np.add(log_modulus, expo.real, out=expo.real)
+        np.add(np.imag(const), expo.imag, out=expo.imag)
+    nan = np.isnan(expo)
+    if nan.any():
+        c, e, q, tw, cr = (np.broadcast_to(v, shape)[nan] for v in (const, envelope, sq, twist, cross))
+        with _tails():
+            decay = np.where(e == 0, 0.0, e * q)
+            settled = np.where(decay == np.inf, -np.inf, c - decay + np.where(tw == 0, 0.0, tw * cr))
+        if np.isnan(settled).any():
+            raise _overflow("the kernel's phase twist*cross", params)
+        expo[nan] = settled
     try:
         with np.errstate(over="raise"):
             np.exp(expo, out=expo)
     except FloatingPointError:
-        raise _overflow(f"kernel value (log|value| up to {np.max(log_modulus):.6g})", params) from None
+        raise _overflow(f"kernel value (log|value| up to {np.nanmax(log_modulus):.6g})", params) from None
     return complex(expo) if expo.ndim == 0 else expo
 
 
@@ -278,10 +297,11 @@ def rho_hat(params: KernelParams, alpha, beta):
     """
     a, b = _components(params.n, alpha=alpha, beta=beta)
     a_c, b_c, log_cosh, _, _ = coefficients_ab(params.s, params.tau)
-    sq = np.sum(a * a, axis=-1) + np.sum(b * b, axis=-1)
-    dot = np.sum(a * b, axis=-1)
+    with _tails():
+        sq = np.sum(a * a, axis=-1) + np.sum(b * b, axis=-1)
+        dot = np.sum(a * b, axis=-1)
     const = -params.gamma * params.s * params.tau / 4.0 - 0.5 * params.n * log_cosh
-    return _exp_kernel(params, const, 0.5 * a_c * sq, 1j * b_c, dot)
+    return _exp_kernel(params, const, 0.5 * a_c, sq, 1j * b_c, dot)
 
 
 def _coth_sinh_coefficients(caller: str, params: KernelParams):
@@ -298,8 +318,10 @@ def _coth_sinh_kernel(caller: str, params: KernelParams, u, v, w):
     """H's closed form in u = x-x', v = y-y' and w = y+y'; rho_tilde is u = x, v = w = y."""
     log_tau_over_sinh, envelope = _coth_sinh_coefficients(caller, params)
     const = -params.gamma * params.s * params.tau / 4.0 + params.n * (log_tau_over_sinh - _LOG_4PI)
-    r2 = np.sum(u * u, axis=-1) + np.sum(v * v, axis=-1)
-    return _exp_kernel(params, const, envelope * r2, -0.5j * params.tau, np.sum(u * w, axis=-1))
+    with _tails():
+        r2 = np.sum(u * u, axis=-1) + np.sum(v * v, axis=-1)
+        cross = np.sum(u * w, axis=-1)
+    return _exp_kernel(params, const, envelope, r2, -0.5j * params.tau, cross)
 
 
 def rho_tilde(params: KernelParams, x, y):
@@ -331,7 +353,9 @@ def heat_kernel_h(params: KernelParams, xp, yp, x, y):
     reached through the series branch.
     """
     xs, ys, xf, yf = _components(params.n, xp=xp, yp=yp, x=x, y=y)
-    return _coth_sinh_kernel("heat_kernel_h", params, xf - xs, yf - ys, yf + ys)
+    with _tails():
+        u, v, w = xf - xs, yf - ys, yf + ys
+    return _coth_sinh_kernel("heat_kernel_h", params, u, v, w)
 
 
 def apply_kernel(params: KernelParams, nodes, weights, values, x, y) -> np.ndarray:
@@ -378,34 +402,19 @@ def apply_kernel(params: KernelParams, nodes, weights, values, x, y) -> np.ndarr
         # exponentiated before the GEMM: right after OpenBLAS's zgemm the complex exp ran
         # ~20x slower (AVX-SSE transition penalty, x86-64), and numpy's own array arithmetic
         # clears that state again.
-        factors = (
-            [_exp_kernel(params, log_c, envelope * (xc[c] - nodes[c]) ** 2, 1j * t, yc[c] * nodes[c])
-             for c in range(n)]
-            + [_exp_kernel(params, -envelope * (yc[c] - nodes[n + c]) ** 2, 0.0, -1j * t,
-                           xc[c] * (yc[c] + nodes[n + c]))
-               for c in range(n)]
-        )
+        with _tails():
+            factors = (
+                [_exp_kernel(params, log_c, envelope, (xc[c] - nodes[c]) ** 2, 1j * t, yc[c] * nodes[c])
+                 for c in range(n)]
+                + [_exp_kernel(params, 0.0, envelope, (yc[c] - nodes[n + c]) ** 2, -1j * t,
+                               xc[c] * (yc[c] + nodes[n + c]))
+                   for c in range(n)]
+            )
         acc = factors[0] @ g
         for factor in factors[1:]:
             acc = np.einsum("mj,mjr->mr", factor, acc.reshape(len(acc), factor.shape[1], -1))
         out[lo:lo + chunk] = acc[:, 0]
     return out
-
-
-def simplification_identities(s, tau):
-    """The two cosh/sinh reductions used to rewrite the twisted kernel.
-
-    Returns (B/(A^2+B^2), A/B), which equal (tau/2, coth(s*tau/4)) exactly,
-    elementwise over broadcast s and tau arrays; both ratios are formed from
-    independently computed A and B so the return value is a genuine
-    numerical check of the identities, not a tautology.
-    """
-    if (np.asarray(s) <= 0).any():
-        raise ValueError(f"requires s > 0, got s={s}")
-    if (np.asarray(tau) == 0).any():
-        raise ValueError("requires tau != 0 (B vanishes at tau = 0)")
-    a_c, b_c, _, _, _ = coefficients_ab(s, tau)
-    return b_c / (a_c ** 2 + b_c ** 2), a_c / b_c
 
 
 # ---------------------------------------------------------------------------
@@ -572,13 +581,21 @@ class FieldSample:
         """Rebuild a sample from CSV written by :meth:`to_csv_text`.
 
         Axis structure is recovered from the row-major coordinate columns;
-        kernel/params metadata is not stored in CSV and stays empty.
+        kernel/params metadata is not stored in CSV and stays empty.  A file
+        without a data row right after its header, or with rows narrower or
+        wider than the header, is a ValueError.
         """
         with open(path, "r", encoding="ascii") as fh:
             header = fh.readline().strip().split(",")
+            if header[-2:] != ["re", "im"]:
+                raise ValueError(f"CSV must end with re,im columns, got {header}")
+            start = fh.tell()
+            if not fh.readline().strip():
+                raise ValueError("CSV has no data row after its header")
+            fh.seek(start)
             data = np.loadtxt(fh, delimiter=",", ndmin=2)
-        if header[-2:] != ["re", "im"]:
-            raise ValueError(f"CSV must end with re,im columns, got {header}")
+        if data.shape[1] != len(header):
+            raise ValueError(f"CSV rows have {data.shape[1]} columns, the header {','.join(header)} has {len(header)}")
         names = header[:-2]
         axes = []
         for k, name in enumerate(names):

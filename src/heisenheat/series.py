@@ -43,7 +43,6 @@ __all__ = [
     "UValue",
     "SeriesConvergenceError",
     "MehlerIdentityError",
-    "coefficient_a_m",
     "u_series",
     "rho_hat_series",
     "mehler_sum",
@@ -90,22 +89,6 @@ class UValue:
     value: complex | np.ndarray
     terms_used: int
     tail_bound: float
-
-
-def coefficient_a_m(m: int, alpha: float, tau: float) -> complex:
-    """Expansion coefficient a_m(alpha, tau) = (-i)**m sqrt(2 pi) tau**(1/4) psi_m(alpha/sqrt(tau)).
-
-    This closed form is the Fourier transform of psi_m evaluated at
-    alpha/sqrt(tau); the defining integral int exp(-i*alpha*beta/tau)
-    Psi^tau_m(beta) dbeta is used as an independent quadrature oracle in the
-    test suite.
-    """
-    if tau <= 0:
-        raise ValueError(f"series coefficients require tau > 0, got {tau}")
-    if m < 0:
-        raise ValueError(f"degree m must be >= 0, got {m}")
-    psi = hermite_values(alpha / math.sqrt(tau), m)[m]
-    return _MINUS_I_POW[m % 4] * _SQRT_2PI * tau ** 0.25 * float(psi)
 
 
 def _truncation_degree(decay, tail_tol, weight, max_degree: int) -> int:

@@ -57,7 +57,6 @@ __all__ = [
     "semigroup_check",
     "initial_condition_check",
     "orthonormality_suite",
-    "conjugate_symmetry_sweep",
     "eigenfunction_residual_report",
     "build_report",
     "run_suite",
@@ -511,28 +510,6 @@ def orthonormality_suite(max_degree: int) -> float:
     h_vals = hermite.hermite_polynomial_values(nodes, max_degree)
     gram = (h_vals * weights) @ h_vals.T
     return float(np.max(np.abs(gram - np.eye(max_degree + 1))))
-
-
-_SYMMETRY_PAIRS = (
-    ((0.3, -0.4), (1.2, 0.8)),
-    ((-1.6, 0.4), (0.7, -1.3)),
-    ((0.0, 0.0), (1.9, -1.9)),
-    ((0.5, 0.5), (0.5, -0.5)),
-)
-
-
-def conjugate_symmetry_sweep(params: KernelParams, pairs=_SYMMETRY_PAIRS) -> float:
-    """max |H(s, x', y', x, y) - conj(H(s, x, y, x', y'))| over point pairs.
-
-    The symmetry holds for real gamma and tau; complex gamma breaks it
-    through the e^{-gamma s tau / 4} prefactor.
-    """
-    if params.gamma.imag != 0:
-        raise ValueError("conjugate symmetry requires real gamma")
-    (x0, y0), (x1, y1) = np.transpose(pairs, (1, 2, 0))
-    fwd = heat_kernel_h(params, x0, y0, x1, y1)
-    bwd = heat_kernel_h(params, x1, y1, x0, y0)
-    return float(np.max(np.abs(fwd - np.conj(bwd))))
 
 
 # ---------------------------------------------------------------------------

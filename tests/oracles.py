@@ -78,6 +78,23 @@ def legendre_integral(f, lo: float, hi: float, order: int = 400) -> complex:
     return complex(total) if total.ndim == 0 else total
 
 
+def coefficient_a_m(m: int, alpha: float, tau: float) -> complex:
+    """Expansion coefficient a_m(alpha, tau) = (-i)**m sqrt(2 pi) tau**(1/4) psi_m(alpha/sqrt(tau)).
+
+    This closed form is the Fourier transform of psi_m evaluated at
+    alpha/sqrt(tau); coefficient_a_m_quadrature evaluates the defining
+    integral instead.
+    """
+    from heisenheat.hermite import hermite_values
+
+    if tau <= 0:
+        raise ValueError(f"series coefficients require tau > 0, got {tau}")
+    if m < 0:
+        raise ValueError(f"degree m must be >= 0, got {m}")
+    psi = hermite_values(alpha / math.sqrt(tau), m)[m]
+    return (1.0 + 0.0j, -1.0j, -1.0 + 0.0j, 1.0j)[m % 4] * math.sqrt(2.0 * math.pi) * tau ** 0.25 * float(psi)
+
+
 def coefficient_a_m_quadrature(m: int, alpha: float, tau: float) -> complex:
     """Defining integral of the expansion coefficient, no closed form used.
 
@@ -168,22 +185,27 @@ def json_text_per_pair(sample):
     return ",\n".join(parts) + "\n"
 
 
-def rho_hat_product(params, alpha, beta):
-    """rho_hat assembled as the product of n one-dimensional kernels.
+def kernel_product(kernel, params, *args):
+    """An n-dimensional kernel assembled as the product of n one-dimensional kernels.
 
-    Dimension reduction: the n-dimensional kernel with parameter gamma equals
-    the product over j of one-dimensional kernels with parameter gamma/n at
-    (alpha_j, beta_j).
+    Dimension reduction: the kernel with parameter gamma equals the product
+    over j of one-dimensional kernels with parameter gamma/n at the j-th
+    components of its spatial arguments.
     """
-    from heisenheat.kernels import rho_hat
-
     one = replace(params, gamma=params.gamma / params.n, n=1)
-    alpha = np.asarray(alpha, dtype=float)
-    beta = np.asarray(beta, dtype=float)
+    args = [np.asarray(a, dtype=float) for a in args]
     out = 1.0
     for j in range(params.n):
-        out = out * rho_hat(one, alpha[..., j], beta[..., j])
+        out = out * kernel(one, *(a[..., j] for a in args))
     return out
+
+
+def simplification_ratios(s, tau):
+    """(B/(A^2+B^2), A/B) from the package's coefficients_ab; the identities make them (tau/2, coth(s*tau/4))."""
+    from heisenheat.kernels import coefficients_ab
+
+    a, b, _, _, _ = coefficients_ab(s, tau)
+    return b / (a ** 2 + b ** 2), a / b
 
 
 def _exp_one_expression(expo):

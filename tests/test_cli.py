@@ -417,6 +417,33 @@ class TestApply:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([], "no data row after its header"),
+            # two columns short: the y coordinate would be read as re
+            (["%d,0,%d" % (k, 5 + k) for k in range(3)], "CSV rows have 3 columns, the header x,y,re,im has 4"),
+            (["%d,0,0,%d,0" % (k, 5 + k) for k in range(3)], "CSV rows have 5 columns, the header x,y,re,im has 4"),
+        ],
+        ids=("header-only", "narrow-rows", "wide-rows"),
+    )
+    def test_malformed_csv_input_exit_2(self, tmp_path, capsys, rows, message):
+        (tmp_path / "bad.csv").write_text("\n".join(["x,y,re,im", *rows]) + "\n")
+        out = tmp_path / "out.json"
+        with warnings.catch_warnings():
+            # numpy's loadtxt warns on input without data; no warning may reach the user
+            warnings.simplefilter("error")
+            code = run(
+                [
+                    "apply", "--input", str(tmp_path / "bad.csv"), "--s", "0.5", "--tau", "1",
+                    "--axis", "x:-1:1:3", "--output", str(out),
+                ]
+            )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "cannot load field sample" in err and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "flags, message",
         [
             (["--s", "0", "--axis", "x:-1:1:3"], "requires s > 0"),

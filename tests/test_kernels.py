@@ -22,7 +22,6 @@ from heisenheat.kernels import (
     heat_kernel_h,
     rho_hat,
     rho_tilde,
-    simplification_identities,
 )
 
 import oracles
@@ -181,12 +180,12 @@ class TestRhoHat:
                 alpha = rng.uniform(-2, 2, n)
                 beta = rng.uniform(-2, 2, n)
                 full = rho_hat(p, alpha, beta)
-                split = oracles.rho_hat_product(p, alpha, beta)
+                split = oracles.kernel_product(rho_hat, p, alpha, beta)
                 assert abs(split - full) / abs(full) < 1e-13
 
     def test_product_s_zero(self):
         p = KernelParams(s=0.0, tau=1.0, gamma=1.0, n=3)
-        assert oracles.rho_hat_product(p, np.zeros(3), np.ones(3)) == 1.0
+        assert oracles.kernel_product(rho_hat, p, np.zeros(3), np.ones(3)) == 1.0
 
     def test_broadcast_matches_scalar(self):
         p = KernelParams(s=1.0, tau=0.5, gamma=1j, n=1)
@@ -311,11 +310,20 @@ class TestHeatKernel:
                 assert got == pytest.approx(expect, rel=1e-13)
 
     def test_conjugate_symmetry(self):
-        for tau in (1.0, -0.5):
+        # H(s, x', y', x, y) = conj(H(s, x, y, x', y')) for real gamma and tau, to 1e-14 absolute
+        # (pytest.approx's default abs is 1e-12)
+        pairs = (
+            ((0.3, -0.4), (1.2, 0.8)),
+            ((-1.6, 0.4), (0.7, -1.3)),
+            ((0.0, 0.0), (1.9, -1.9)),
+            ((0.5, 0.5), (0.5, -0.5)),
+        )
+        for tau in (1.0, -0.5, 2.0):
             p = KernelParams(s=0.9, tau=tau, gamma=1.0, n=1)
-            fwd = heat_kernel_h(p, 0.3, -0.4, 1.2, 0.8)
-            bwd = heat_kernel_h(p, 1.2, 0.8, 0.3, -0.4)
-            assert fwd == pytest.approx(np.conj(bwd), rel=1e-15)
+            for (xp, yp), (x, y) in pairs:
+                fwd = heat_kernel_h(p, xp, yp, x, y)
+                bwd = heat_kernel_h(p, x, y, xp, yp)
+                assert fwd == pytest.approx(np.conj(bwd), rel=1e-15, abs=1e-14)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -490,35 +498,29 @@ class TestApplyKernel:
 
 class TestSimplificationIdentities:
     def test_frozen_examples(self):
-        ratio_b, ratio_ab = simplification_identities(1.0, 2.0)
+        ratio_b, ratio_ab = oracles.simplification_ratios(1.0, 2.0)
         assert ratio_b == pytest.approx(1.0, rel=1e-12)
         assert ratio_ab == pytest.approx(oracles.COTH_HALF, rel=1e-12)
-        ratio_b, ratio_ab = simplification_identities(2.0, 1.0)
+        ratio_b, ratio_ab = oracles.simplification_ratios(2.0, 1.0)
         assert ratio_b == pytest.approx(0.5, rel=1e-12)
         assert ratio_ab == pytest.approx(oracles.COTH_HALF, rel=1e-12)
 
     def test_odd_symmetry_in_tau(self):
         for s, tau in ((1.0, 2.0), (0.3, 0.7), (4.0, -1.1)):
-            rb_pos, _ = simplification_identities(s, tau)
-            rb_neg, _ = simplification_identities(s, -tau)
+            rb_pos, _ = oracles.simplification_ratios(s, tau)
+            rb_neg, _ = oracles.simplification_ratios(s, -tau)
             assert rb_neg == pytest.approx(-rb_pos, rel=1e-14)
 
     def test_identity_sweep(self):
         worst_b = worst_ab = 0.0
         for s in np.linspace(0.31, 10.0, 31):
             for tau in np.concatenate([np.linspace(-10, -0.07, 17), np.linspace(0.07, 10, 17)]):
-                rb, rab = simplification_identities(float(s), float(tau))
+                rb, rab = oracles.simplification_ratios(float(s), float(tau))
                 worst_b = max(worst_b, abs(rb - tau / 2) / abs(tau / 2))
                 expect = math.cosh(s * tau / 4) / math.sinh(s * tau / 4)
                 worst_ab = max(worst_ab, abs(rab - expect) / abs(expect))
         assert worst_b < 1e-12
         assert worst_ab < 1e-12
-
-    def test_preconditions(self):
-        with pytest.raises(ValueError):
-            simplification_identities(0.0, 1.0)
-        with pytest.raises(ValueError):
-            simplification_identities(1.0, 0.0)
 
 
 class TestGridEvaluation:
@@ -796,6 +798,84 @@ class TestKernelOverflow:
         value = rho_hat(KernelParams(s=0.0, tau=1.0), 0.0, 0.0) * math.exp(709.0)
         got = rho_hat(KernelParams(s=1e-6, tau=1.0, gamma=-4 * 709.0 * 1e6), 0.0, 0.0)
         assert got == pytest.approx(value, rel=1e-9)
+
+
+class TestProductFactorization:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=st.data(),
+        kernel=st.sampled_from(((rho_hat, 2), (rho_tilde, 2), (heat_kernel_h, 4))),
+        n=st.integers(2, 3),
+        s=st.floats(0.1, 3.0),
+        tau=st.sampled_from((0.0, -0.0)) | st.floats(-3.0, 3.0),
+        gamma=_GAMMA,
+        points=st.integers(1, 4),
+    )
+    def test_product_of_one_dimensional_kernels(self, data, kernel, n, s, tau, gamma, points):
+        # the n-dimensional kernel is the product of n one-dimensional kernels with gamma/n, to 1e-12
+        # relative; coordinates within 2/sqrt(n) keep every factor and the product normal doubles
+        func, count = kernel
+        coord = st.sampled_from((0.0, -0.0)) | st.floats(-2.0 / math.sqrt(n), 2.0 / math.sqrt(n))
+        args = [
+            np.reshape(data.draw(st.lists(coord, min_size=points * n, max_size=points * n)), (points, n))
+            for _ in range(count)
+        ]
+        p = KernelParams(s=s, tau=tau, gamma=gamma, n=n)
+        split = oracles.kernel_product(func, p, *args)
+        assert np.max(np.abs(func(p, *args) - split) / np.abs(split)) < 1e-12
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestFarTails:
+    """Arguments so far out that a square overflows give the kernel's limit: no NaN, no warning."""
+
+    @pytest.mark.parametrize("far", (1e155, 1e200, 1e308))
+    @pytest.mark.parametrize("kernel", (rho_hat, rho_tilde, heat_kernel_h))
+    def test_far_arguments_give_zero(self, kernel, far):
+        # every spatial argument far out (x' = y' = 0 for H): the Gaussian decay is +inf
+        args = (far, far) if kernel is not heat_kernel_h else (0.0, 0.0, far, far)
+        for p in (KernelParams(1.0, 1.0, 1j), KernelParams(1.0, 0.0), KernelParams(0.5, -2.0, 0.3, n=2)):
+            assert np.array_equal(kernel(p, *(np.full(p.n, a) for a in args)), 0)
+
+    def test_rho_hat_at_s_zero_is_one(self):
+        # the transform of the delta: A = B = 0, whose products with infinite sums contribute 0
+        alpha = np.array([0.0, 1e155, 1e200, -1e308])
+        got = rho_hat(KernelParams(0.0, 1.0, gamma=0.5), alpha[:, np.newaxis], alpha[np.newaxis, :])
+        assert np.array_equal(got, np.ones((4, 4)))
+
+    def test_tiny_s_with_a_finite_envelope(self):
+        # the envelope ~1/s = 1e308 is finite, its product with |x|^2 = 4 overflows: the value is 0
+        p = KernelParams(s=1e-308, tau=1.0)
+        assert rho_tilde(p, 2.0, 0.0) == 0
+        assert heat_kernel_h(p, 0.0, 0.0, 2.0, 0.0) == 0
+        axis = np.linspace(-1.0, 1.0, 5)
+        assert apply_kernel(p, [axis, axis], [np.ones(5)] * 2, np.ones(25), [[2.0]], [[0.0]])[0] == 0
+
+    def test_apply_at_far_output_points(self):
+        axis, weights = np.linspace(-2.0, 2.0, 9), [np.full(9, 0.5)] * 2
+        p = KernelParams(0.5, 1.0, gamma=0.3)
+        x, y = np.array([[0.3], [1e200], [1e200]]), np.array([[0.1], [0.0], [1e200]])
+        got = apply_kernel(p, [axis, axis], weights, np.ones(81), x, y)
+        assert np.array_equal(got[1:], [0, 0])
+        assert got[0] == pytest.approx(apply_kernel(p, [axis, axis], weights, np.ones(81), x[:1], y[:1])[0], rel=1e-14)
+
+    @pytest.mark.parametrize("kernel", (rho_hat, rho_tilde, heat_kernel_h))
+    def test_near_points_unchanged_beside_far_ones(self, kernel):
+        # settling the far elements leaves every other element as computed alone, bit for bit
+        near, far = np.array([-0.0, 0.3, 1.7]), np.array([1e200, -1e300])
+        p = KernelParams(0.8, -1.5, gamma=0.2 + 0.4j)
+
+        def call(points):
+            return kernel(p, points, points) if kernel is not heat_kernel_h else kernel(p, 0.5, -0.0, points, points)
+
+        both = call(np.concatenate([near, far]))
+        assert np.array_equal(_bits(both[:3]), _bits(call(near)))
+        assert np.array_equal(both[3:], [0, 0])
+
+    def test_infinite_phase_at_finite_decay_is_a_named_error(self):
+        # y = y' = 1e308: |y - y'| = 0 keeps the modulus finite, y + y' overflows the phase
+        with pytest.raises(KernelOverflowError, match=r"phase twist\*cross exceeds the double range"):
+            heat_kernel_h(KernelParams(1.0, 1.0), 1.0, 1e308, 0.0, 1e308)
 
 
 class TestArrayParams:

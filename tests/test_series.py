@@ -11,7 +11,6 @@ from heisenheat.kernels import KernelParams, rho_hat
 from heisenheat.series import (
     SeriesConfig,
     SeriesConvergenceError,
-    coefficient_a_m,
     mehler_closed_form,
     mehler_sum,
     mehler_terms,
@@ -21,6 +20,7 @@ from heisenheat.series import (
 )
 
 import oracles
+from oracles import coefficient_a_m
 
 
 class TestCoefficientAm:

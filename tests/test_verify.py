@@ -11,7 +11,6 @@ from heisenheat.verify import (
     InsufficientDecayError,
     Probe,
     apply_kernel_to_function,
-    conjugate_symmetry_sweep,
     default_probe_set,
     dft_inversion_check,
     initial_condition_check,
@@ -266,17 +265,6 @@ class TestOrthonormalitySuite:
     def test_degree_cap(self):
         with pytest.raises(ValueError):
             orthonormality_suite(61)
-
-
-class TestConjugateSymmetry:
-    def test_sweep_at_roundoff(self):
-        for tau in (1.0, -0.5, 2.0):
-            p = KernelParams(s=0.9, tau=tau, gamma=1.0)
-            assert conjugate_symmetry_sweep(p) < 1e-14
-
-    def test_complex_gamma_rejected(self):
-        with pytest.raises(ValueError):
-            conjugate_symmetry_sweep(KernelParams(s=1.0, tau=1.0, gamma=1j))
 
 
 def _count_calls(monkeypatch, module, names):
