@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from heisenheat import hermite, series, verify
-from heisenheat.kernels import KernelParams, rho_hat, rho_tilde
+from heisenheat.kernels import KernelParams, heat_kernel_h, rho_hat, rho_tilde
 from heisenheat.verify import (
     GaussianTestFunction,
     InsufficientDecayError,
@@ -265,6 +265,25 @@ class TestOrthonormalitySuite:
     def test_degree_cap(self):
         with pytest.raises(ValueError):
             orthonormality_suite(61)
+
+
+class TestConjugateSymmetry:
+    def test_sweep_at_roundoff(self):
+        # max |H(s, x', y', x, y) - conj(H(s, x, y, x', y'))| over point pairs, for real gamma and tau
+        (x0, y0), (x1, y1) = np.transpose(
+            (
+                ((0.3, -0.4), (1.2, 0.8)),
+                ((-1.6, 0.4), (0.7, -1.3)),
+                ((0.0, 0.0), (1.9, -1.9)),
+                ((0.5, 0.5), (0.5, -0.5)),
+            ),
+            (1, 2, 0),
+        )
+        for tau in (1.0, -0.5, 2.0):
+            p = KernelParams(s=0.9, tau=tau, gamma=1.0)
+            fwd = heat_kernel_h(p, x0, y0, x1, y1)
+            bwd = heat_kernel_h(p, x1, y1, x0, y0)
+            assert np.max(np.abs(fwd - np.conj(bwd))) < 1e-14
 
 
 def _count_calls(monkeypatch, module, names):
