@@ -66,10 +66,6 @@ _TWIST_POINTS = (
 )
 
 
-class CliError(ValueError):
-    """Flag validation failure; like every ValueError, main maps it to exit code 2."""
-
-
 def _parse_gamma(text: str) -> complex:
     """Parse gamma in a+bi form (also plain reals, bare 'i', '1+i', '-i')."""
     cleaned = text.strip().replace(" ", "").replace("i", "j")
@@ -78,18 +74,18 @@ def _parse_gamma(text: str) -> complex:
     try:
         return complex(cleaned)
     except ValueError as exc:
-        raise CliError(f"cannot parse gamma {text!r}; expected a+bi form") from exc
+        raise ValueError(f"cannot parse gamma {text!r}; expected a+bi form") from exc
 
 
 def _parse_axis(text: str) -> GridAxis:
     parts = text.split(":")
     if len(parts) != 4:
-        raise CliError(f"axis {text!r} must have the form name:min:max:count")
+        raise ValueError(f"axis {text!r} must have the form name:min:max:count")
     name, lo, hi, count = parts
     try:
         return GridAxis(name=name, lo=float(lo), hi=float(hi), count=int(count))
     except ValueError as exc:
-        raise CliError(f"bad axis {text!r}: {exc}") from exc
+        raise ValueError(f"bad axis {text!r}: {exc}") from exc
 
 
 def _params_from_args(args) -> KernelParams:
@@ -97,7 +93,7 @@ def _params_from_args(args) -> KernelParams:
         gamma = 0j if args.gamma is None else _parse_gamma(args.gamma)
         return KernelParams(s=args.s, tau=args.tau, gamma=gamma, n=args.n)
     if args.gamma is not None:
-        raise CliError("--gamma and --boxb-q are mutually exclusive")
+        raise ValueError("--gamma and --boxb-q are mutually exclusive")
     return KernelParams.for_box_b(s=args.s, tau=args.tau, n=args.n, q=args.boxb_q)
 
 
@@ -108,27 +104,27 @@ def _resolve_output(path: str | None, default_name: str) -> str:
 
 
 def _atomic_write_text(path: str, text: str) -> None:
+    """Write text to a temporary file renamed to path; an OSError of the write names path."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".heisenheat-", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".heisenheat-", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="ascii", newline="\n") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise OSError(f"cannot write {path}: {exc}") from exc
 
 
 def _write_field(sample: FieldSample, args, default_name: str, summary: str) -> int:
     """Write sample to --output (default_name in the output dir) and print a summary line."""
     out = _resolve_output(args.output, default_name)
     text = sample.to_json_text() if args.format == "json" else sample.to_csv_text()
-    try:
-        _atomic_write_text(out, text)
-    except OSError as exc:
-        print(f"error: cannot write {out}: {exc}", file=sys.stderr)
-        return EXIT_IO
+    _atomic_write_text(out, text)
     moduli = np.abs(sample.values)
     print(f"{summary}, |value| in [{moduli.min():.6e}, {moduli.max():.6e}] -> {out}")
     return EXIT_OK
@@ -149,21 +145,21 @@ def _cmd_eval(args) -> int:
 
 def _load_field(path: str) -> FieldSample:
     if not os.path.exists(path):
-        raise CliError(f"input field {path!r} does not exist")
+        raise ValueError(f"input field {path!r} does not exist")
     try:
         if path.endswith(".csv"):
             return FieldSample.from_csv(path)
         return FieldSample.from_json(path)
     except (ValueError, KeyError, TypeError) as exc:
-        raise CliError(f"cannot load field sample {path!r}: {exc}") from exc
+        raise ValueError(f"cannot load field sample {path!r}: {exc}") from exc
 
 
 def _trapezoid_weights(points: np.ndarray) -> np.ndarray:
     if len(points) < 2:
-        raise CliError("apply requires at least 2 points per input axis")
+        raise ValueError("apply requires at least 2 points per input axis")
     steps = np.diff(points)
     if not np.allclose(steps, steps[0], rtol=1e-12, atol=0.0):
-        raise CliError("apply requires a uniform input grid")
+        raise ValueError("apply requires a uniform input grid")
     w = np.full(len(points), steps[0])
     w[0] *= 0.5
     w[-1] *= 0.5
@@ -176,15 +172,11 @@ def _cmd_apply(args) -> int:
     names = [ax.name for ax in field_in.grid.axes]
     expected = _component_names("x", params.n) + _component_names("y", params.n)
     if names != expected:
-        raise CliError(f"input grid axes {names} do not match the expected {expected}")
+        raise ValueError(f"input grid axes {names} do not match the expected {expected}")
     out_grid = GridSpec(tuple(_parse_axis(a) for a in args.axis))
-    for ax in out_grid.axes:
-        if ax.name not in names:
-            raise CliError(f"output axis {ax.name!r} not in {names}")
-
+    _, (x, y) = _component_blocks(out_grid, ("x", "y"), params.n)
     axis_points = [ax.points() for ax in field_in.grid.axes]
     weights = [_trapezoid_weights(p) for p in axis_points]
-    x, y = _component_blocks(out_grid.coordinates(), out_grid.size, ("x", "y"), params.n)
     out_vals = apply_kernel(params, axis_points, weights, field_in.values, x, y)
     sample = FieldSample(grid=out_grid, values=out_vals, kernel="heat-kernel-apply", params=params)
     summary = f"heat-kernel-apply: {out_grid.size} points"
@@ -198,11 +190,7 @@ def _emit_report(report: dict, out: str | None) -> int:
         print(f"[{status}] {check['check']}: worst={check['worst']} tolerance={check['tolerance']}")
     verdict = f"suite {report['suite']}: {'pass' if report['passed'] else 'FAIL'}"
     if out is not None:
-        try:
-            _atomic_write_text(out, json.dumps(report, indent=2) + "\n")
-        except OSError as exc:
-            print(f"error: cannot write {out}: {exc}", file=sys.stderr)
-            return EXIT_IO
+        _atomic_write_text(out, json.dumps(report, indent=2) + "\n")
         verdict += f" -> {out}"
     print(verdict)
     return EXIT_OK if report["passed"] else EXIT_SUITE_FAILURE
@@ -245,11 +233,11 @@ def _identity_checks(points) -> list[dict]:
 def _cmd_identities(args) -> int:
     points = _TWIST_POINTS
     if args.seed is None and args.points is not None:
-        raise CliError("--points needs --seed; the default twist panel is fixed")
+        raise ValueError("--points needs --seed; the default twist panel is fixed")
     if args.seed is not None:
         count = DEFAULT_TWIST_POINTS if args.points is None else args.points
         if not 1 <= count <= MAX_TWIST_POINTS:
-            raise CliError(f"--points must be in [1, {MAX_TWIST_POINTS}], got {count}")
+            raise ValueError(f"--points must be in [1, {MAX_TWIST_POINTS}], got {count}")
         # row-major, so the draws come point by point, each in column order
         points = np.random.default_rng(args.seed).uniform(
             (0.1, -3.0, -2, -2, -2, -2), (4.0, 3.0, 2, 2, 2, 2), size=(count, 6)
@@ -273,6 +261,9 @@ def _add_param_flags(parser):
         default=None,
         help="set gamma = n - 2q, 0 <= q <= n (Kohn Laplacian on (0,q)-forms); excludes --gamma",
     )
+    parser.add_argument("--axis", action="append", default=[], metavar="NAME:MIN:MAX:COUNT")
+    parser.add_argument("--output", default=None, help="output path (default from env dir)")
+    parser.add_argument("--format", choices=("csv", "json"), default="json")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -285,17 +276,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="evaluate a kernel on a grid")
     p_eval.add_argument("--kernel", required=True, choices=KERNEL_NAMES)
     _add_param_flags(p_eval)
-    p_eval.add_argument("--axis", action="append", default=[], metavar="NAME:MIN:MAX:COUNT")
-    p_eval.add_argument("--output", default=None, help="output path (default from env dir)")
-    p_eval.add_argument("--format", choices=("csv", "json"), default="json")
     p_eval.set_defaults(func=_cmd_eval)
 
     p_apply = sub.add_parser("apply", help="apply the heat kernel to a sampled function")
     p_apply.add_argument("--input", required=True, help="FieldSample path (json or csv)")
     _add_param_flags(p_apply)
-    p_apply.add_argument("--axis", action="append", default=[], metavar="NAME:MIN:MAX:COUNT")
-    p_apply.add_argument("--output", default=None)
-    p_apply.add_argument("--format", choices=("csv", "json"), default="json")
     p_apply.set_defaults(func=_cmd_apply)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")

@@ -220,7 +220,8 @@ def _components(n: int, **args) -> list[np.ndarray]:
 
     For n == 1 the last axis is the component axis only when every
     non-scalar argument ends in length 1; otherwise every argument is taken
-    elementwise and gains a trailing component axis.
+    elementwise and gains a trailing component axis.  A NaN entry is a
+    ValueError naming its argument; +-inf is accepted.
     """
     arrays = {name: np.asarray(a, dtype=float) for name, a in args.items()}
     elementwise = n == 1 and any(a.ndim and a.shape[-1] != 1 for a in arrays.values())
@@ -228,7 +229,17 @@ def _components(n: int, **args) -> list[np.ndarray]:
     for name, a in zip(arrays, coerced):
         if a.shape[-1] != n:
             raise ValueError(f"{name} must have {n} components along the last axis, got shape {a.shape}")
+        if np.isnan(a).any():
+            raise ValueError(f"{name} has a NaN entry")
     return coerced
+
+
+def _quadratic_forms(u, v, w):
+    """|u|^2 + |v|^2 and u.w over the last axis, one component at a time from +0 (np.sum's order for n < 8)."""
+    n = u.shape[-1]
+    with _tails():
+        sq = sum(u[..., j] * u[..., j] for j in range(n)) + sum(v[..., j] * v[..., j] for j in range(n))
+        return sq, sum(u[..., j] * w[..., j] for j in range(n))
 
 
 def _overflow(what: str, params: KernelParams) -> KernelOverflowError:
@@ -297,9 +308,7 @@ def rho_hat(params: KernelParams, alpha, beta):
     """
     a, b = _components(params.n, alpha=alpha, beta=beta)
     a_c, b_c, log_cosh, _, _ = coefficients_ab(params.s, params.tau)
-    with _tails():
-        sq = np.sum(a * a, axis=-1) + np.sum(b * b, axis=-1)
-        dot = np.sum(a * b, axis=-1)
+    sq, dot = _quadratic_forms(a, b, b)
     const = -params.gamma * params.s * params.tau / 4.0 - 0.5 * params.n * log_cosh
     return _exp_kernel(params, const, 0.5 * a_c, sq, 1j * b_c, dot)
 
@@ -318,9 +327,7 @@ def _coth_sinh_kernel(caller: str, params: KernelParams, u, v, w):
     """H's closed form in u = x-x', v = y-y' and w = y+y'; rho_tilde is u = x, v = w = y."""
     log_tau_over_sinh, envelope = _coth_sinh_coefficients(caller, params)
     const = -params.gamma * params.s * params.tau / 4.0 + params.n * (log_tau_over_sinh - _LOG_4PI)
-    with _tails():
-        r2 = np.sum(u * u, axis=-1) + np.sum(v * v, axis=-1)
-        cross = np.sum(u * w, axis=-1)
+    r2, cross = _quadratic_forms(u, v, w)
     return _exp_kernel(params, const, envelope, r2, -0.5j * params.tau, cross)
 
 
@@ -363,8 +370,9 @@ def apply_kernel(params: KernelParams, nodes, weights, values, x, y) -> np.ndarr
 
     nodes and weights are 2n one-dimensional arrays, one per source axis in
     the order x'_1..x'_n, y'_1..y'_n; values holds f on their row-major mesh
-    (any shape with the mesh's size).  x and y are the m output points, of
-    shape (m, n); s, tau and gamma must be scalars.  Returns the m sums.
+    (any shape with the mesh's size).  x and y are the m output points, read
+    by the kernels' shape rule and flattened to (m, n); s, tau and gamma must
+    be scalars.  Returns the m sums.
 
     H is a twisted convolution and factors over the axes: per component,
     with t = tau/2 and (x-x')(y+y') = xy + xy' - x'y - x'y',
@@ -385,6 +393,7 @@ def apply_kernel(params: KernelParams, nodes, weights, values, x, y) -> np.ndarr
     if len(nodes) != 2 * n or len(weights) != 2 * n:
         raise ValueError(f"apply_kernel needs {2 * n} node and weight arrays for n={n}")
     _scalar_params("apply_kernel", params)
+    x, y = (a.reshape(-1, n) for a in _components(n, x=x, y=y))
     log_tau_over_sinh, envelope = _coth_sinh_coefficients("apply_kernel", params)
     # each component is the n = 1 kernel with gamma/n
     log_c = -params.gamma * params.s * params.tau / (4.0 * n) + log_tau_over_sinh - _LOG_4PI
@@ -393,7 +402,6 @@ def apply_kernel(params: KernelParams, nodes, weights, values, x, y) -> np.ndarr
     coupling = sum(sparse[c] * sparse[n + c] for c in range(n))
     wmesh = functools.reduce(np.multiply.outer, weights)
     g = (wmesh * np.reshape(values, wmesh.shape) * np.exp(1j * t * coupling)).reshape(len(nodes[0]), -1)
-    x, y = np.reshape(x, (-1, n)), np.reshape(y, (-1, n))
     out = np.empty(len(x), dtype=complex)
     chunk = _APPLY_CHUNK_MESHES * len(nodes[0])
     for lo in range(0, len(x), chunk):
@@ -532,12 +540,12 @@ class FieldSample:
         if self.params is not None:
             p = self.params
             parts.append(
-                '  "params": {"s": %s, "tau": %s, "gamma": [%s, %s], "n": %d}'
-                % (_fmt(p.s), _fmt(p.tau), _fmt(p.gamma.real), _fmt(p.gamma.imag), p.n)
+                '  "params": {"s": %.17g, "tau": %.17g, "gamma": [%.17g, %.17g], "n": %d}'
+                % (p.s, p.tau, p.gamma.real, p.gamma.imag, p.n)
             )
         axes = ", ".join(
-            '{"name": %s, "min": %s, "max": %s, "count": %d}'
-            % (json.dumps(ax.name), _fmt(ax.lo), _fmt(ax.hi), ax.count)
+            '{"name": %s, "min": %.17g, "max": %.17g, "count": %d}'
+            % (json.dumps(ax.name), ax.lo, ax.hi, ax.count)
             for ax in self.grid.axes
         )
         parts.append('  "grid": [%s]' % axes)
@@ -612,10 +620,6 @@ class FieldSample:
         return cls(grid=grid, values=data[:, -2] + 1j * data[:, -1])
 
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
-
-
 def _parse_json_int(token: str) -> int | float:
     """A JSON integer; "%.17g" writes -0.0 as "-0", which stays the float -0.0."""
     return -0.0 if token == "-0" else int(token)
@@ -634,12 +638,16 @@ def _component_names(base: str, n: int) -> list[str]:
     return [base] if n == 1 else [f"{base}{j}" for j in range(1, n + 1)]
 
 
-def _component_blocks(coords, size: int, bases, n: int) -> list[np.ndarray]:
-    """One (size, n) block per base from grid coordinates; components without an axis are 0."""
-    return [
-        np.stack([coords.get(name, np.zeros(size)) for name in _component_names(base, n)], axis=-1)
-        for base in bases
-    ]
+def _component_blocks(grid: GridSpec, bases, n: int, extra=()) -> tuple[dict, list[np.ndarray]]:
+    """The grid's coordinates and one (size, n) block per base, 0 where a component has no axis;
+    an axis naming neither a component nor one of `extra` is GridMismatchError, before any coordinate."""
+    names = [_component_names(base, n) for base in bases]
+    allowed = set(extra).union(*names)
+    for ax in grid.axes:
+        if ax.name not in allowed:
+            raise GridMismatchError(f"axis {ax.name!r} is not one of {sorted(allowed)} at n={n}")
+    coords = grid.coordinates()
+    return coords, [np.stack([coords.get(c, np.zeros(grid.size)) for c in comps], axis=-1) for comps in names]
 
 
 def evaluate_on_grid(kernel: str, params: KernelParams, grid: GridSpec) -> FieldSample:
@@ -655,18 +663,7 @@ def evaluate_on_grid(kernel: str, params: KernelParams, grid: GridSpec) -> Field
         raise GridMismatchError(f"unknown kernel {kernel!r}; expected one of {KERNEL_NAMES}")
     # inspect.signature follows __wrapped__, so a wrapped table entry keeps these names
     bases = tuple(inspect.signature(_KERNEL_FUNCS[kernel]).parameters)[1:]
-    allowed = {"s", "tau"}
-    for base in bases:
-        allowed.update(_component_names(base, params.n))
-    for ax in grid.axes:
-        if ax.name not in allowed:
-            raise GridMismatchError(
-                f"axis {ax.name!r} is not consumed by kernel {kernel!r} at n={params.n} "
-                f"(allowed: {sorted(allowed)})"
-            )
-
-    coords = grid.coordinates()
-    blocks = _component_blocks(coords, grid.size, bases, params.n)
+    coords, blocks = _component_blocks(grid, bases, params.n, extra=("s", "tau"))
     point_params = replace(params, s=coords.get("s", params.s), tau=coords.get("tau", params.tau))
     values = _KERNEL_FUNCS[kernel](point_params, *blocks)
     return FieldSample(grid=grid, values=values, kernel=kernel, params=params)

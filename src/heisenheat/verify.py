@@ -21,6 +21,7 @@ functions, because pointwise delta recovery is meaningless numerically.
 
 from __future__ import annotations
 
+import functools
 import math
 import platform
 import time
@@ -383,28 +384,32 @@ def dft_inversion_check(params: KernelParams, grid_extent: float = 40.0, grid_co
 # ---------------------------------------------------------------------------
 
 _QUAD_ORDERS = (64, 96, 144, 216)
+_QUAD_REL_TOL = 1e-9
+
+# Gauss-Legendre rules on [-1, 1], each built on its first use; the cached arrays are shared, so only read them
+_unit_rule = functools.cache(leggauss)
 
 
-def _adaptive_apply(params, f, box, point, rel_tol=1e-9) -> complex:
+def _adaptive_apply(params, f, box, point) -> complex:
     """H[f](s, point) by apply_kernel on tensor Gauss-Legendre rules over box.
 
     box is ((x_lo, x_hi), (y_lo, y_hi)); the order runs through _QUAD_ORDERS
-    until two successive sums agree to rel_tol.
+    until two successive sums agree to _QUAD_REL_TOL.
     """
     prev = None
     for order in _QUAD_ORDERS:
-        unit_nodes, unit_weights = leggauss(order)
+        unit_nodes, unit_weights = _unit_rule(order)
         nodes, weights = zip(*(
             (0.5 * (hi + lo) + 0.5 * (hi - lo) * unit_nodes, 0.5 * (hi - lo) * unit_weights)
             for lo, hi in box
         ))
         values = f(*np.meshgrid(*nodes, indexing="ij"))
         total = complex(apply_kernel(params, nodes, weights, values, *point)[0])
-        if prev is not None and abs(total - prev) <= rel_tol * max(abs(total), 1e-300):
+        if prev is not None and abs(total - prev) <= _QUAD_REL_TOL * max(abs(total), 1e-300):
             return total
         prev = total
     raise QuadratureError(
-        f"tensor quadrature did not stabilize to {rel_tol:.1e} within order {_QUAD_ORDERS[-1]}"
+        f"tensor quadrature did not stabilize to {_QUAD_REL_TOL:.1e} within order {_QUAD_ORDERS[-1]}"
     )
 
 
@@ -421,8 +426,6 @@ def semigroup_check(params1: KernelParams, params2: KernelParams, point_pair) ->
     _scalar_params("semigroup_check", params1, params2)
     if (params1.tau, params1.gamma, params1.n) != (params2.tau, params2.gamma, params2.n):
         raise ValueError("semigroup_check requires identical (tau, gamma, n)")
-    if params1.s <= 0 or params2.s <= 0:
-        raise ValueError("semigroup_check requires s1 > 0 and s2 > 0")
     if params1.n != 1:
         raise ValueError("semigroup_check quadrature is implemented for n = 1")
     (x0, y0), (x1, y1) = point_pair

@@ -119,7 +119,7 @@ class TestEval:
         assert cli._parse_gamma("1+i") == 1 + 1j
         assert cli._parse_gamma("2i") == 2j
         assert cli._parse_gamma("0.5-0.3i") == 0.5 - 0.3j
-        with pytest.raises(cli.CliError):
+        with pytest.raises(ValueError, match="cannot parse gamma"):
             cli._parse_gamma("one plus i")
 
     def test_bad_gamma_exit_2(self, tmp_path):
@@ -369,6 +369,18 @@ class TestApply:
             ]
         )
         assert code == 2
+
+    def test_unknown_output_axis_exit_2(self, tmp_path, capsys):
+        _write_gaussian_field(tmp_path / "f.json", count=21, extent=4.0)
+        code = run(
+            [
+                "apply", "--input", str(tmp_path / "f.json"), "--s", "0.5", "--tau", "1",
+                "--axis", "x:-1:1:3", "--axis", "z:-1:1:3", "--output", str(tmp_path / "out.json"),
+            ]
+        )
+        assert code == 2
+        assert "axis 'z'" in capsys.readouterr().err
+        assert not (tmp_path / "out.json").exists()
 
     def test_subnormal_s_overflow_exit_2(self, tmp_path, capsys):
         # the kernel's Gaussian envelope ~1/s is past the double range

@@ -418,6 +418,33 @@ class TestShapeRule:
         with pytest.raises(ValueError, match="beta must have 2 components"):
             rho_hat(KernelParams(s=1.0, tau=1.0, n=2), np.zeros((3, 2)), np.zeros((3, 1)))
 
+    @pytest.mark.parametrize("n", (1, 2))
+    @pytest.mark.parametrize("kernel, names", (
+        (rho_hat, ("alpha", "beta")), (rho_tilde, ("x", "y")), (heat_kernel_h, ("xp", "yp", "x", "y")),
+    ))
+    def test_nan_argument_is_named(self, kernel, names, n):
+        p = KernelParams(s=1.0, tau=1.0, n=n)
+        for k, name in enumerate(names):
+            args = [np.full((3, n), 0.3) for _ in names]
+            args[k][1, -1] = np.nan
+            with pytest.raises(ValueError, match=f"^{name} has a NaN entry$"):
+                kernel(p, *args)
+
+
+class TestQuadraticForms:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_same_bits_as_np_sum(self, n):
+        # the kernels' outputs stay byte-identical to the np.sum reductions for n < 8,
+        # a -0.0 product included: both start from +0
+        rng = np.random.default_rng(n)
+        u, v, w = rng.normal(size=(3, 50, n)) * 10.0 ** rng.integers(-3, 4, (3, 50, n))
+        for a in (u, v, w):
+            a[rng.random(a.shape) < 0.3] = -0.0
+        sq, dot = kernels._quadratic_forms(u, v, w)
+        assert np.array_equal(_bits(sq), _bits(np.sum(u * u, axis=-1) + np.sum(v * v, axis=-1)))
+        assert np.array_equal(_bits(dot), _bits(np.sum(u * w, axis=-1)))
+        assert np.array_equal(_bits(kernels._quadratic_forms(*np.full((3, 1), -0.0))[1]), _bits(0.0))
+
 
 class TestApplyKernel:
     def test_n2_is_outer_product_of_two_n1_applies(self):
@@ -477,6 +504,28 @@ class TestApplyKernel:
         params = replace(KernelParams(s=1.0, tau=1.0, gamma=0.5), **{name: np.linspace(0.5, 1.0, length)})
         with pytest.raises(ValueError, match=f"scalar {name}, got shape \\({length},\\)"):
             apply_kernel(params, [axis, axis], [axis, axis], np.ones((5, 5)), np.zeros((1, 1)), np.zeros((1, 1)))
+
+    def test_output_points_follow_the_shape_rule(self):
+        axis = np.linspace(-1.0, 1.0, 5)
+        p1, rule = KernelParams(s=0.5, tau=1.0, gamma=0.3), ([axis, axis], [np.full(5, 0.5)] * 2)
+        col = np.array([[-0.4], [0.0], [0.7]])
+        expect = apply_kernel(p1, *rule, np.ones(25), col, col[::-1])
+        for x, y in ((col[:, 0], col[::-1, 0]), (col[:, 0], col[::-1]), (col.T, col[::-1].T)):
+            assert np.array_equal(apply_kernel(p1, *rule, np.ones(25), x, y), expect)
+        # at n = 2 a (4, 3) array is not six points, as for heat_kernel_h
+        p2 = KernelParams(s=0.5, tau=1.0, n=2)
+        with pytest.raises(ValueError, match="x must have 2 components along the last axis"):
+            apply_kernel(p2, [axis] * 4, [axis] * 4, np.ones(5**4), np.zeros((4, 3)), np.zeros((4, 3)))
+        with pytest.raises(ValueError, match="x must have 2 components along the last axis"):
+            heat_kernel_h(p2, np.zeros(2), np.zeros(2), np.zeros((4, 3)), np.zeros((4, 3)))
+
+    @pytest.mark.parametrize("name", ("x", "y"))
+    def test_nan_output_point_is_named(self, name):
+        axis = np.linspace(-1.0, 1.0, 5)
+        points = {"x": np.zeros((2, 1)), "y": np.zeros((2, 1))}
+        points[name][1, 0] = np.nan
+        with pytest.raises(ValueError, match=f"^{name} has a NaN entry$"):
+            apply_kernel(KernelParams(s=0.5, tau=1.0), [axis, axis], [axis, axis], np.ones(25), **points)
 
     def test_rule_count_must_be_2n(self):
         axis = np.linspace(-1.0, 1.0, 5)

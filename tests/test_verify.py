@@ -205,6 +205,24 @@ class TestSemigroup:
         with pytest.raises(ValueError, match="scalar s, got shape \\(2,\\)"):
             semigroup_check(*params, ((0.2, -0.3), (0.2, -0.3)))
 
+    @pytest.mark.parametrize("which", (0, 1))
+    def test_zero_s_rejected(self, which):
+        # the kernels' own guard names s; semigroup_check does not restate it
+        params = [KernelParams(s=0.5, tau=1.0), KernelParams(s=0.5, tau=1.0)]
+        params[which] = replace(params[which], s=0.0)
+        with pytest.raises(ValueError, match=r"requires s\d? > 0"):
+            semigroup_check(*params, ((0.2, -0.3), (0.2, -0.3)))
+
+    def test_suite_pairs_at_roundoff(self, monkeypatch):
+        # the box of radius 7/sqrt(envelope) leaves the composition at roundoff (worst ~8e-15),
+        # far inside the suite's 1e-6; a radius of 3 reads ~4e-9
+        errors = []
+        original = verify.semigroup_check
+        monkeypatch.setattr(verify, "semigroup_check", lambda *a: errors.append(original(*a)) or errors[-1])
+        verify._suite_semigroup()
+        assert len(errors) == 4
+        assert max(errors) < 1e-12
+
     def test_mismatched_parameters_rejected(self):
         p1 = KernelParams(s=0.5, tau=1.0, gamma=0.0)
         p2 = KernelParams(s=0.5, tau=2.0, gamma=0.0)
