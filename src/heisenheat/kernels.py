@@ -36,11 +36,11 @@ in z = s*tau, cut after the z**2 terms, where |z| < TAYLOR_BRANCH_THRESHOLD,
 the closed forms elsewhere.  At the threshold both branches agree to
 ~1e-15 relative.  Of the kernels only rho_hat uses A and B.  Every exponent
 has one form, const - envelope*sq + twist*cross with a signed twist
-coefficient, assembled in log space in one complex buffer and
-exponentiated once in place, so large |s*tau|*n underflows gracefully to 0
-and the real power cosh(s*tau/2)**(n/2) never touches a complex branch cut
-(gamma enters only through the exponential).  Arguments so far in the
-tails that sq overflows give exactly 0, without a warning.
+coefficient, assembled in log space and exponentiated in place, so large
+|s*tau|*n underflows gracefully to 0 and the real power cosh(s*tau/2)**(n/2)
+never touches a complex branch cut.  One primitive does this in blocks of
+~16K output elements: a call holds its complex output and a few
+block-sized temporaries, whatever its size.  Far tails give 0, silently.
 
 Spatial arguments are length-n vectors; every kernel also broadcasts over
 leading axes of inputs shaped (..., n).  For n == 1 one rule covers all
@@ -98,6 +98,9 @@ _LOG_4PI = math.log(4.0 * math.pi)
 
 # output points per apply_kernel chunk, as a multiple of the first source axis length
 _APPLY_CHUNK_MESHES = 4
+
+# elements per block of a kernel's output: its temporaries stay cache-sized and are reused, not faulted in again
+_EXP_BLOCK = 16384
 
 # rows per filled template of the CSV and JSON writers: bounds the template, value
 # tuple and formatted chunk held at once, whatever the length of the grid's last axis
@@ -237,9 +240,14 @@ def _components(n: int, **args) -> list[np.ndarray]:
 def _quadratic_forms(u, v, w):
     """|u|^2 + |v|^2 and u.w over the last axis, one component at a time from +0 (np.sum's order for n < 8)."""
     n = u.shape[-1]
-    with _tails():
-        sq = sum(u[..., j] * u[..., j] for j in range(n)) + sum(v[..., j] * v[..., j] for j in range(n))
-        return sq, sum(u[..., j] * w[..., j] for j in range(n))
+    sq = sum(u[..., j] * u[..., j] for j in range(n)) + sum(v[..., j] * v[..., j] for j in range(n))
+    return sq, sum(u[..., j] * w[..., j] for j in range(n))
+
+
+def _two_point_forms(xp, yp, x, y):
+    """H's forms |x-x'|^2 + |y-y'|^2 and (x-x').(y+y'), where a component with x = x' adds +0 even at y+y' = inf."""
+    u = x - xp
+    return _quadratic_forms(u, y - yp, np.where(u == 0, 0.0, y + yp))
 
 
 def _overflow(what: str, params: KernelParams) -> KernelOverflowError:
@@ -255,46 +263,54 @@ def _scalar_params(caller: str, *params: KernelParams):
             raise ValueError(f"{caller} needs a scalar {name}, got shape {np.shape(value)}")
 
 
-def _tails():
-    """errstate for the far tails, where a square overflows to inf and 0*inf is NaN; _exp_kernel settles both."""
-    return np.errstate(over="ignore", invalid="ignore")
+def _exp_kernel(params: KernelParams, const, envelope, twist, forms, *args):
+    """exp(const - envelope*sq + twist*cross), (sq, cross) = forms(*args), a complex for 0-d output.
 
-
-def _exp_kernel(params: KernelParams, const, envelope, sq, twist, cross):
-    """exp(const - envelope*sq + twist*cross), a complex for 0-d input.
-
-    One complex buffer holds the exponent and is exponentiated in place.  It
-    starts as twist * cross, and the real and imaginary parts of
-    const - envelope*sq are added into it: the IEEE operations of that
-    expression, zero signs included.  The twist coefficient carries its sign.
-    Where an infinite sq or cross leaves a NaN, a zero coefficient
-    contributes 0 and a decay envelope*sq of +inf makes the value exactly 0;
-    an infinite phase at a finite decay is KernelOverflowError, as is a
-    value past the double range, whose message reads const - envelope*sq,
-    the exponent's real part up to a zero.
+    forms reduces the last axis of the args, whose leading axes broadcast
+    with the coefficients.  The output is allocated once; per block of about
+    _EXP_BLOCK elements along its leading axis, forms runs on the args' rows
+    and the slice starts as twist*cross, gets the real and imaginary parts
+    of const - envelope*sq added (that expression's IEEE operations, zero
+    signs included) and is exponentiated in place.  Where a far-tail square
+    overflows to inf and leaves a NaN, a zero coefficient contributes 0 and
+    a decay of +inf gives -inf; an infinite phase at a finite decay is
+    KernelOverflowError, and so, after the last block, is a value past the
+    double range, whose message reads the call's largest const - envelope*sq.
     """
-    shape = np.broadcast_shapes(*(np.shape(v) for v in (const, envelope, sq, twist, cross)))
-    expo = np.empty(shape, dtype=complex)
-    with _tails():
-        np.multiply(twist, cross, out=expo)
-        log_modulus = np.real(const) - envelope * sq
-        np.add(log_modulus, expo.real, out=expo.real)
-        np.add(np.imag(const), expo.imag, out=expo.imag)
-    nan = np.isnan(expo)
-    if nan.any():
-        c, e, q, tw, cr = (np.broadcast_to(v, shape)[nan] for v in (const, envelope, sq, twist, cross))
-        with _tails():
-            decay = np.where(e == 0, 0.0, e * q)
-            settled = np.where(decay == np.inf, -np.inf, c - decay + np.where(tw == 0, 0.0, tw * cr))
-        if np.isnan(settled).any():
-            raise _overflow("the kernel's phase twist*cross", params)
-        expo[nan] = settled
-    try:
-        with np.errstate(over="raise"):
-            np.exp(expo, out=expo)
-    except FloatingPointError:
-        raise _overflow(f"kernel value (log|value| up to {np.nanmax(log_modulus):.6g})", params) from None
-    return complex(expo) if expo.ndim == 0 else expo
+    shape = np.broadcast_shapes(*map(np.shape, (const, envelope, twist)), *(np.shape(a)[:-1] for a in args))
+    out = np.empty(shape, dtype=complex)
+    rows = out if out.ndim else out.reshape(1)
+    step = max(1, _EXP_BLOCK // max(1, math.prod(rows.shape[1:])))
+    # an input with the output's leading axis is cut into the blocks; an arg's last axis is its components
+    inputs = (const, envelope, twist, *args)
+    cut = [np.ndim(v) == rows.ndim + (k > 2) and np.shape(v)[0] != 1 for k, v in enumerate(inputs)]
+    overflow = False
+    for lo in range(0, len(rows), step):
+        buf = rows[lo:lo + step]
+        c, e, tw, *block_args = (v[lo:lo + step] if cut_v else v for v, cut_v in zip(inputs, cut))
+        with np.errstate(over="ignore", invalid="ignore"):
+            sq, cross = forms(*block_args)
+            np.multiply(tw, cross, out=buf)
+            np.add(np.real(c) - e * sq, buf.real, out=buf.real)
+            np.add(np.imag(c), buf.imag, out=buf.imag)
+            nan = np.isnan(buf)
+            if nan.any():
+                c, e, q, tw, cr = (np.broadcast_to(v, buf.shape)[nan] for v in (c, e, sq, tw, cross))
+                decay = np.where(e == 0, 0.0, e * q)
+                settled = np.where(decay == np.inf, -np.inf, c - decay + np.where(tw == 0, 0.0, tw * cr))
+                if np.isnan(settled).any():
+                    raise _overflow("the kernel's phase twist*cross", params)
+                buf[nan] = settled
+        try:
+            with np.errstate(over="raise"):
+                np.exp(buf, out=buf)
+        except FloatingPointError:
+            overflow = True
+    if overflow:
+        with np.errstate(over="ignore", invalid="ignore"):
+            peak = np.nanmax(np.real(const) - envelope * forms(*args)[0])
+        raise _overflow(f"kernel value (log|value| up to {peak:.6g})", params)
+    return complex(out) if out.ndim == 0 else out
 
 
 def rho_hat(params: KernelParams, alpha, beta):
@@ -308,9 +324,8 @@ def rho_hat(params: KernelParams, alpha, beta):
     """
     a, b = _components(params.n, alpha=alpha, beta=beta)
     a_c, b_c, log_cosh, _, _ = coefficients_ab(params.s, params.tau)
-    sq, dot = _quadratic_forms(a, b, b)
     const = -params.gamma * params.s * params.tau / 4.0 - 0.5 * params.n * log_cosh
-    return _exp_kernel(params, const, 0.5 * a_c, sq, 1j * b_c, dot)
+    return _exp_kernel(params, const, 0.5 * a_c, 1j * b_c, _quadratic_forms, a, b, b)
 
 
 def _coth_sinh_coefficients(caller: str, params: KernelParams):
@@ -323,12 +338,11 @@ def _coth_sinh_coefficients(caller: str, params: KernelParams):
     return log_tau_over_sinh, envelope
 
 
-def _coth_sinh_kernel(caller: str, params: KernelParams, u, v, w):
-    """H's closed form in u = x-x', v = y-y' and w = y+y'; rho_tilde is u = x, v = w = y."""
+def _coth_sinh_kernel(caller: str, params: KernelParams, forms, *args):
+    """H's closed form with its forms |x-x'|^2 + |y-y'|^2 and (x-x').(y+y') from forms(*args)."""
     log_tau_over_sinh, envelope = _coth_sinh_coefficients(caller, params)
     const = -params.gamma * params.s * params.tau / 4.0 + params.n * (log_tau_over_sinh - _LOG_4PI)
-    r2, cross = _quadratic_forms(u, v, w)
-    return _exp_kernel(params, const, envelope, r2, -0.5j * params.tau, cross)
+    return _exp_kernel(params, const, envelope, -0.5j * params.tau, forms, *args)
 
 
 def rho_tilde(params: KernelParams, x, y):
@@ -343,7 +357,7 @@ def rho_tilde(params: KernelParams, x, y):
     tau = 0 the kernel is the Gaussian (pi*s)**(-n) * exp(-(|x|^2+|y|^2)/s).
     """
     xv, yv = _components(params.n, x=x, y=y)
-    return _coth_sinh_kernel("rho_tilde", params, xv, yv, yv)
+    return _coth_sinh_kernel("rho_tilde", params, _quadratic_forms, xv, yv, yv)
 
 
 def heat_kernel_h(params: KernelParams, xp, yp, x, y):
@@ -359,10 +373,8 @@ def heat_kernel_h(params: KernelParams, xp, yp, x, y):
     limit is the Gaussian (pi*s)**(-n) * exp(-(|x-x'|^2+|y-y'|^2)/s),
     reached through the series branch.
     """
-    xs, ys, xf, yf = _components(params.n, xp=xp, yp=yp, x=x, y=y)
-    with _tails():
-        u, v, w = xf - xs, yf - ys, yf + ys
-    return _coth_sinh_kernel("heat_kernel_h", params, u, v, w)
+    points = _components(params.n, xp=xp, yp=yp, x=x, y=y)
+    return _coth_sinh_kernel("heat_kernel_h", params, _two_point_forms, *points)
 
 
 def apply_kernel(params: KernelParams, nodes, weights, values, x, y) -> np.ndarray:
@@ -402,22 +414,23 @@ def apply_kernel(params: KernelParams, nodes, weights, values, x, y) -> np.ndarr
     coupling = sum(sparse[c] * sparse[n + c] for c in range(n))
     wmesh = functools.reduce(np.multiply.outer, weights)
     g = (wmesh * np.reshape(values, wmesh.shape) * np.exp(1j * t * coupling)).reshape(len(nodes[0]), -1)
+    # P over x'_c, then Q over y'_c, each with its forms of one component of the points, (m, 1, 1), and (J, 1) nodes
+    factor_rules = (
+        (log_c, 1j * t, lambda xo, yo, node: (((xo - node) ** 2)[..., 0], (yo * node)[..., 0])),
+        (0.0, -1j * t, lambda xo, yo, node: (((yo - node) ** 2)[..., 0], (xo * (yo + node))[..., 0])),
+    )
     out = np.empty(len(x), dtype=complex)
     chunk = _APPLY_CHUNK_MESHES * len(nodes[0])
     for lo in range(0, len(x), chunk):
-        xc, yc = x[lo:lo + chunk].T[..., np.newaxis], y[lo:lo + chunk].T[..., np.newaxis]
+        xc, yc = (a[lo:lo + chunk].T[..., np.newaxis, np.newaxis] for a in (x, y))
         # P for x'_1..x'_n, then Q for y'_1..y'_n: the mesh's axis order.  Every factor is
         # exponentiated before the GEMM: right after OpenBLAS's zgemm the complex exp ran
         # ~20x slower (AVX-SSE transition penalty, x86-64), and numpy's own array arithmetic
         # clears that state again.
-        with _tails():
-            factors = (
-                [_exp_kernel(params, log_c, envelope, (xc[c] - nodes[c]) ** 2, 1j * t, yc[c] * nodes[c])
-                 for c in range(n)]
-                + [_exp_kernel(params, 0.0, envelope, (yc[c] - nodes[n + c]) ** 2, -1j * t,
-                               xc[c] * (yc[c] + nodes[n + c]))
-                   for c in range(n)]
-            )
+        factors = [
+            _exp_kernel(params, const, envelope, twist, forms, xc[c], yc[c], nodes[k * n + c][:, np.newaxis])
+            for k, (const, twist, forms) in enumerate(factor_rules) for c in range(n)
+        ]
         acc = factors[0] @ g
         for factor in factors[1:]:
             acc = np.einsum("mj,mjr->mr", factor, acc.reshape(len(acc), factor.shape[1], -1))

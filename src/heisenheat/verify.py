@@ -323,6 +323,10 @@ def eigenfunction_residual_report(step_sizes=DEFAULT_STEP_SIZES) -> ResidualRepo
 # DFT inversion of rho_hat against rho_tilde
 # ---------------------------------------------------------------------------
 
+# rows of rho_hat's grid per block of the first inverse-FFT pass (512 KB of complex at N = 512)
+_IFFT_BLOCK_ROWS = 64
+
+
 def dft_inversion_check(params: KernelParams, grid_extent: float = 40.0, grid_count: int = 512) -> float:
     """Invert rho_hat (A/B form) numerically and compare with rho_tilde (coth/sinh form).
 
@@ -333,8 +337,9 @@ def dft_inversion_check(params: KernelParams, grid_extent: float = 40.0, grid_co
     normalized by the max of |rho_tilde| over the same region (pointwise
     relative error is meaningless in the far Gaussian tails).
 
-    rho_hat is sampled in FFT order and the second FFT pass runs on the
-    compared block only; the result is == the centred full-grid ifft2's.
+    rho_hat is sampled in FFT order; the first FFT pass runs in row blocks
+    and the second on the compared block only, so no second grid-sized
+    array is formed.  The result is == the centred full-grid ifft2's.
 
     Raises InsufficientDecayError when |rho_hat| exceeds 1e-12 anywhere on
     the transform-grid boundary.
@@ -367,10 +372,12 @@ def dft_inversion_check(params: KernelParams, grid_extent: float = 40.0, grid_co
     # both index ranges centred on 0; it divides by N^2, so the prefactor is
     # step^2 N^2 / (2 pi)^2 = (L / 2 pi)^2.  ifft2 is ifft along axis 1, then
     # axis 0: the second pass on only the compared columns |m - N/2| <= N/8,
-    # at m mod N in FFT order, gives the same numbers on 1/4 of the grid.
+    # at m mod N in FFT order, gives the same numbers on 1/4 of the grid, as do row blocks.
     m_idx = np.arange(-(grid_count // 8), grid_count // 8 + 1)
     keep = m_idx % grid_count
-    columns = np.fft.ifft(f_hat, axis=1)[:, keep]
+    columns = np.empty((grid_count, keep.size), dtype=complex)
+    for lo in range(0, grid_count, _IFFT_BLOCK_ROWS):
+        columns[lo:lo + _IFFT_BLOCK_ROWS] = np.fft.ifft(f_hat[lo:lo + _IFFT_BLOCK_ROWS], axis=1)[:, keep]
     num = (grid_extent / (2.0 * math.pi)) ** 2 * np.fft.ifft(columns, axis=0)[keep]
 
     x = m_idx * (2.0 * math.pi / grid_extent)
@@ -390,12 +397,22 @@ _QUAD_REL_TOL = 1e-9
 _unit_rule = functools.cache(leggauss)
 
 
-def _adaptive_apply(params, f, box, point) -> complex:
-    """H[f](s, point) by apply_kernel on tensor Gauss-Legendre rules over box.
+def _adaptive_apply(caller, params, f, point, centres, radius_factor, others=()) -> complex:
+    """H[f](s, point) by apply_kernel on tensor Gauss-Legendre rules over a box.
 
-    box is ((x_lo, x_hi), (y_lo, y_hi)); the order runs through _QUAD_ORDERS
-    until two successive sums agree to _QUAD_REL_TOL.
+    params and `others` must be scalar, share (tau, gamma) and have n = 1;
+    caller names the check in errors.  The box spans the (x, y) centres
+    plus radius_factor/sqrt(envelope) on each side, with the smallest
+    envelope (tau/4)*coth(s*tau/4) of them all.  The order runs through
+    _QUAD_ORDERS until two successive sums agree to _QUAD_REL_TOL.
     """
+    _scalar_params(caller, *others, params)
+    if any((p.tau, p.gamma, p.n) != (params.tau, params.gamma, params.n) for p in others):
+        raise ValueError(f"{caller} requires identical (tau, gamma, n)")
+    if params.n != 1:
+        raise ValueError(f"{caller} quadrature is implemented for n = 1")
+    radius = radius_factor / math.sqrt(min(coefficients_ab(p.s, p.tau)[-1] for p in (*others, params)))
+    box = [(min(c) - radius, max(c) + radius) for c in zip(*centres)]
     prev = None
     for order in _QUAD_ORDERS:
         unit_nodes, unit_weights = _unit_rule(order)
@@ -423,21 +440,10 @@ def semigroup_check(params1: KernelParams, params2: KernelParams, point_pair) ->
     This composition law is an operator-semigroup consequence of the kernel,
     used as an implementation-added oracle.
     """
-    _scalar_params("semigroup_check", params1, params2)
-    if (params1.tau, params1.gamma, params1.n) != (params2.tau, params2.gamma, params2.n):
-        raise ValueError("semigroup_check requires identical (tau, gamma, n)")
-    if params1.n != 1:
-        raise ValueError("semigroup_check quadrature is implemented for n = 1")
     (x0, y0), (x1, y1) = point_pair
-    # the last coefficient is the Gaussian envelope (tau/4)*coth(s*tau/4)
-    a1 = coefficients_ab(params1.s, params1.tau)[-1]
-    a2 = coefficients_ab(params2.s, params2.tau)[-1]
-    radius = 7.0 / math.sqrt(min(a1, a2))
-    box = tuple((min(a, b) - radius, max(a, b) + radius) for a, b in ((x0, x1), (y0, y1)))
-    # H_{s2}[H_{s1}(x0, y0; .)](x1, y1)
-    composed = _adaptive_apply(
-        params2, lambda w, v: heat_kernel_h(params1, x0, y0, w, v), box, (x1, y1)
-    )
+    # H_{s2}[H_{s1}(x0, y0; .)](x1, y1), on a box 7/sqrt(envelope) past both points
+    f = functools.partial(heat_kernel_h, params1, x0, y0)
+    composed = _adaptive_apply("semigroup_check", params2, f, (x1, y1), point_pair, 7.0, others=(params1,))
     exact = heat_kernel_h(replace(params1, s=params1.s + params2.s), x0, y0, x1, y1)
     return abs(composed - exact) / abs(exact)
 
@@ -462,15 +468,11 @@ class GaussianTestFunction:
 def apply_kernel_to_function(params: KernelParams, f, point) -> complex:
     """H[f](s, point) = iint H(s, w, v, point) f(w, v) dw dv by adaptive quadrature.
 
-    The box is centered on the evaluation point and sized from the kernel's
-    Gaussian envelope; f is assumed bounded by 1 in modulus (Gaussian test
+    The box is centered on the evaluation point, 8/sqrt(envelope) on each
+    side of it; f is assumed bounded by 1 in modulus (Gaussian test
     functions), so truncation outside the kernel envelope is negligible.
     """
-    _scalar_params("apply_kernel_to_function", params)
-    if params.n != 1:
-        raise ValueError("quadrature application is implemented for n = 1")
-    radius = 8.0 / math.sqrt(coefficients_ab(params.s, params.tau)[-1])
-    return _adaptive_apply(params, f, tuple((c - radius, c + radius) for c in point), point)
+    return _adaptive_apply("apply_kernel_to_function", params, f, point, (point,), 8.0)
 
 
 def initial_condition_check(

@@ -917,6 +917,21 @@ class TestFarTails:
         with pytest.raises(KernelOverflowError, match=r"phase twist\*cross exceeds the double range"):
             heat_kernel_h(KernelParams(1.0, 1.0), 1.0, 1e308, 0.0, 1e308)
 
+    def test_coincident_x_with_y_sum_past_the_range(self):
+        # x = x' makes the phase (x-x').(y+y') exactly 0 where y + y' overflows, as where it does not
+        p = KernelParams(1.0, 1.0)
+        value = heat_kernel_h(p, 1.0, 1e308, 1.0, 1e308)
+        assert np.array_equal(_bits(value), _bits(heat_kernel_h(p, 1.0, 1e300, 1.0, 1e300)))
+        assert value == 0.3150181770684528
+
+    def test_coincident_component_with_y_sum_past_the_range_n2(self):
+        # only the first component has x = x' and an overflowing y + y'; the second is ordinary
+        p = KernelParams(0.7, -1.2, 0.3j, n=2)
+        far = heat_kernel_h(p, (1.0, 0.4), (1e308, -0.2), (1.0, -0.5), (1e308, 0.9))
+        near = heat_kernel_h(p, (1.0, 0.4), (1e300, -0.2), (1.0, -0.5), (1e300, 0.9))
+        assert np.array_equal(_bits(far), _bits(near))
+        assert far != 0
+
 
 class TestArrayParams:
     """s and tau as arrays give the per-point scalar values to 1e-14 relative."""
@@ -1003,3 +1018,84 @@ class TestOneBufferExponent:
         assert type(got) is type(expect) is (complex if layout == "scalar" else np.ndarray)
         assert np.shape(got) == np.shape(expect)
         assert np.array_equal(_bits(got), _bits(expect))
+
+
+class TestBlockedExponent:
+    """Every block size of the exponent loop gives the one-expression bits, and errors read the whole call."""
+
+    BLOCKS = (1, 3, 7, 64, kernels._EXP_BLOCK)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=st.data(),
+        kernel=st.sampled_from((
+            (rho_hat, oracles.rho_hat_one_expression, 2),
+            (rho_tilde, oracles.rho_tilde_at_origin_one_expression, 2),
+            (heat_kernel_h, oracles.heat_kernel_h_one_expression, 4),
+        )),
+        block=st.sampled_from(BLOCKS),
+        layout=st.sampled_from(("outer", "flat")),
+        param_arrays=st.booleans(),
+        n=st.integers(1, 3),
+        rows=st.integers(1, 9),
+        cols=st.integers(1, 9),
+        gamma=_GAMMA,
+    )
+    def test_matches_one_expression(self, data, kernel, block, layout, param_arrays, n, rows, cols, gamma):
+        package, oracle, count = kernel
+        n = 1 if layout == "outer" else n
+        shapes = [(rows, 1), (1, cols)] * (count // 2) if layout == "outer" else [(rows, n)] * count
+        # +-1e200 squares to inf: the decay is +inf, and the value 0 where the oracle's NaN stands
+        coord = _COORD | st.sampled_from((1e200, -1e200))
+        args = [
+            np.reshape(data.draw(st.lists(coord, min_size=math.prod(shape), max_size=math.prod(shape))), shape)
+            for shape in shapes
+        ]
+        pairs = (data.draw(_s_tau_pairs(s_zero=False)) * rows)[:rows if param_arrays else 1]
+        # array s and tau run along the rows: (rows, 1) against the (rows, cols) outer layout
+        shape = (rows, 1) if layout == "outer" else rows
+        s, tau = (np.reshape(v, shape) if param_arrays else v[0] for v in zip(*pairs))
+        params = KernelParams(s=s, tau=tau, gamma=gamma, n=n)
+        with mock.patch.object(kernels, "_EXP_BLOCK", block):
+            got = package(params, *args)
+        with np.errstate(all="ignore"):
+            expect = oracle(params, *args)
+        nan = np.isnan(expect)
+        assert np.shape(got) == np.shape(expect)
+        assert np.array_equal(_bits(np.where(nan, 0, got)), _bits(np.where(nan, 0, expect)))
+        assert np.all(got[nan] == 0)
+
+    @pytest.mark.parametrize("block", BLOCKS[:-1])
+    @pytest.mark.parametrize("n", (1, 2))
+    def test_apply_kernel_same_bits(self, block, n):
+        # the P and Q factors fit one block unpatched and span several patched
+        rng = np.random.default_rng(block + n)
+        nodes = [np.linspace(-2.0, 2.0, 7 + k) for k in range(2 * n)]
+        weights = [np.full(len(axis), 0.3) for axis in nodes]
+        size = math.prod(len(axis) for axis in nodes)
+        values = rng.normal(size=size) + 1j * rng.normal(size=size)
+        x, y = rng.normal(size=(2, 60, n))
+        x[7], y[11] = 1e200, -1e200
+        p = KernelParams(0.6, -1.3, 0.2 + 0.5j, n=n)
+        expect = apply_kernel(p, nodes, weights, values, x, y)
+        with mock.patch.object(kernels, "_EXP_BLOCK", block):
+            got = apply_kernel(p, nodes, weights, values, x, y)
+        assert np.array_equal(_bits(got), _bits(expect))
+
+    @pytest.mark.parametrize("block", BLOCKS)
+    def test_overflow_message_reads_the_whole_call(self, block):
+        # every point overflows; the largest log|value|, at x = 0, sits in a middle block for block sizes 1 and 3
+        x = np.abs(np.linspace(-1.0, 1.0, 9))
+        with mock.patch.object(kernels, "_EXP_BLOCK", block):
+            with pytest.raises(KernelOverflowError, match=r"log\|value\| up to 748\.845\)"):
+                heat_kernel_h(KernelParams(1.0, 1.0, -3000.0), 0.0, 0.0, x, np.zeros(9))
+
+    @pytest.mark.parametrize("block", BLOCKS)
+    @pytest.mark.parametrize("gamma", (0.0, -3000.0))
+    def test_phase_error_in_a_later_block(self, block, gamma):
+        # x = x' but at the last point, where (x-x').(y+y') is infinite at a finite decay; at
+        # gamma = -3000 the blocks before it overflow, and the phase error still comes first
+        x = np.array([1.0, 1.0, 1.0, 0.0])
+        with mock.patch.object(kernels, "_EXP_BLOCK", block):
+            with pytest.raises(KernelOverflowError, match=r"phase twist\*cross exceeds the double range"):
+                heat_kernel_h(KernelParams(1.0, 1.0, gamma), 1.0, 1e308, x, np.full(4, 1e308))

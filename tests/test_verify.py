@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from heisenheat import hermite, series, verify
+from heisenheat import hermite, kernels, series, verify
 from heisenheat.kernels import KernelParams, heat_kernel_h, rho_hat, rho_tilde
 from heisenheat.verify import (
     GaussianTestFunction,
@@ -143,6 +144,28 @@ class TestDftInversion:
         # 18 and 20 make N/8 fractional; the pruned FFT-order transform runs the same 1-D transforms
         got = dft_inversion_check(params, 40.0, grid_count)
         assert got == oracles.dft_inversion_centred(params, 40.0, grid_count)
+
+    @pytest.mark.parametrize("rows", (1, 7, 100))
+    @pytest.mark.parametrize("exp_block", (64, 16384))
+    def test_blocks_equal_the_centred_full_transform(self, monkeypatch, rows, exp_block):
+        # row blocks of the first FFT pass and of rho_hat's exponent, at 64 points with N/8 = 8
+        monkeypatch.setattr(verify, "_IFFT_BLOCK_ROWS", rows)
+        monkeypatch.setattr(kernels, "_EXP_BLOCK", exp_block)
+        params = KernelParams(s=0.5, tau=-2.0, gamma=1j)
+        assert dft_inversion_check(params, 40.0, 64) == oracles.dft_inversion_centred(params, 40.0, 64)
+
+    def test_memory_peak_of_one_512_grid(self):
+        # the complex 512^2 grid of rho_hat (4 MB) plus block-sized temporaries; 12.0 MB when
+        # rho_hat and the first FFT pass each built grid-sized temporaries
+        params = KernelParams(1.0, 0.5, 1j)
+        dft_inversion_check(params, 40.0, 512)
+        tracemalloc.start()
+        try:
+            dft_inversion_check(params, 40.0, 512)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 7 * 2**20
 
     @pytest.mark.parametrize("axis", (0, 1))
     @pytest.mark.parametrize("end", (0, -1))
