@@ -40,7 +40,11 @@ coefficient, assembled in log space and exponentiated in place, so large
 |s*tau|*n underflows gracefully to 0 and the real power cosh(s*tau/2)**(n/2)
 never touches a complex branch cut.  One primitive does this in blocks of
 ~16K output elements: a call holds its complex output and a few
-block-sized temporaries, whatever its size.  Far tails give 0, silently.
+block-sized temporaries per thread, whatever its size.  The blocks of a
+large call run on every CPU the process may use (its affinity mask), the
+calling thread included; each element sees the same operations on any
+thread, so the results are bit-identical to one thread's.  Far tails give
+0, silently.
 
 Spatial arguments are length-n vectors; every kernel also broadcasts over
 leading axes of inputs shaped (..., n).  For n == 1 one rule covers all
@@ -67,6 +71,8 @@ import inspect
 import itertools
 import json
 import math
+import os
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -101,6 +107,10 @@ _APPLY_CHUNK_MESHES = 4
 
 # elements per block of a kernel's output: its temporaries stay cache-sized and are reused, not faulted in again
 _EXP_BLOCK = 16384
+
+# threads that run the blocks of one large call, the calling thread included: the CPUs this
+# process may use (the CPU count where the affinity mask cannot be read)
+_THREADS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 # rows per filled template of the CSV and JSON writers: bounds the template, value
 # tuple and formatted chunk held at once, whatever the length of the grid's last axis
@@ -263,6 +273,56 @@ def _scalar_params(caller: str, *params: KernelParams):
             raise ValueError(f"{caller} needs a scalar {name}, got shape {np.shape(value)}")
 
 
+@functools.cache
+def _helper_pool(threads: int, pid: int):
+    """The threads - 1 helper threads of _map_blocks, started on first use; a forked child (new pid) gets its own."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(threads - 1, thread_name_prefix="heisenheat-block")
+
+
+def _map_blocks(func, starts) -> list:
+    """[func(lo) for lo in starts], the blocks spread over the calling thread and _THREADS - 1 helpers.
+
+    func must run only untraced code, numpy's ufuncs and FFTs, which release
+    the GIL, and set its own np.errstate: a helper starts with numpy's
+    default.  The threads claim blocks in order until none is left, so a
+    helper slow to wake leaves its share to the caller.  Every block runs;
+    the first error in block order is raised, as a loop would raise it.
+    One block, or one CPU, runs on the calling thread alone.
+    """
+    starts = list(starts)
+    helpers = min(_THREADS, len(starts)) - 1
+    if helpers < 1:
+        return [func(lo) for lo in starts]
+    outcomes = [None] * len(starts)
+    claims = iter(range(len(starts)))
+    lock = threading.Lock()
+
+    def drain():
+        while True:
+            with lock:
+                k = next(claims, None)
+            if k is None:
+                return
+            try:
+                outcomes[k] = (func(starts[k]), None)
+            except Exception as exc:  # kept for the caller, which raises it in block order
+                outcomes[k] = (None, exc)
+
+    pool = _helper_pool(_THREADS, os.getpid())
+    futures = [pool.submit(drain) for _ in range(helpers)]
+    drain()
+    # a helper that never started has nothing left to claim; one that did finishes its last block
+    for future in futures:
+        if not future.cancel():
+            future.result()
+    for _, exc in outcomes:
+        if exc is not None:
+            raise exc
+    return [value for value, _ in outcomes]
+
+
 def _exp_kernel(params: KernelParams, const, envelope, twist, forms, *args):
     """exp(const - envelope*sq + twist*cross), (sq, cross) = forms(*args), a complex for 0-d output.
 
@@ -271,11 +331,13 @@ def _exp_kernel(params: KernelParams, const, envelope, twist, forms, *args):
     _EXP_BLOCK elements along its leading axis, forms runs on the args' rows
     and the slice starts as twist*cross, gets the real and imaginary parts
     of const - envelope*sq added (that expression's IEEE operations, zero
-    signs included) and is exponentiated in place.  Where a far-tail square
-    overflows to inf and leaves a NaN, a zero coefficient contributes 0 and
-    a decay of +inf gives -inf; an infinite phase at a finite decay is
-    KernelOverflowError, and so, after the last block, is a value past the
-    double range, whose message reads the call's largest const - envelope*sq.
+    signs included) and is exponentiated in place.  The blocks are
+    independent and run through _map_blocks, so forms must be untraced.
+    Where a far-tail square overflows to inf and leaves a NaN, a zero
+    coefficient contributes 0 and a decay of +inf gives -inf; an infinite
+    phase at a finite decay is KernelOverflowError, and so, after every
+    block, is a value past the double range, whose message reads the call's
+    largest const - envelope*sq.
     """
     shape = np.broadcast_shapes(*map(np.shape, (const, envelope, twist)), *(np.shape(a)[:-1] for a in args))
     out = np.empty(shape, dtype=complex)
@@ -284,8 +346,9 @@ def _exp_kernel(params: KernelParams, const, envelope, twist, forms, *args):
     # an input with the output's leading axis is cut into the blocks; an arg's last axis is its components
     inputs = (const, envelope, twist, *args)
     cut = [np.ndim(v) == rows.ndim + (k > 2) and np.shape(v)[0] != 1 for k, v in enumerate(inputs)]
-    overflow = False
-    for lo in range(0, len(rows), step):
+
+    def block(lo) -> bool:
+        """Fill rows[lo:lo + step]; True when a value there is past the double range."""
         buf = rows[lo:lo + step]
         c, e, tw, *block_args = (v[lo:lo + step] if cut_v else v for v, cut_v in zip(inputs, cut))
         with np.errstate(over="ignore", invalid="ignore"):
@@ -305,8 +368,10 @@ def _exp_kernel(params: KernelParams, const, envelope, twist, forms, *args):
             with np.errstate(over="raise"):
                 np.exp(buf, out=buf)
         except FloatingPointError:
-            overflow = True
-    if overflow:
+            return True
+        return False
+
+    if any(_map_blocks(block, range(0, len(rows), step))):
         with np.errstate(over="ignore", invalid="ignore"):
             peak = np.nanmax(np.real(const) - envelope * forms(*args)[0])
         raise _overflow(f"kernel value (log|value| up to {peak:.6g})", params)

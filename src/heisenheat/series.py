@@ -37,6 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hermite import hermite_values
+from .kernels import KernelParams, _overflow
 
 __all__ = [
     "SeriesConfig",
@@ -136,15 +137,18 @@ def u_series(
     convergence is estimated a posteriori from the half-budget partial sum,
     raising SeriesConvergenceError when even that estimate misses the
     tolerance.  terms_used is M + 1; tail_bound the largest bound or estimate.
+    s, tau and gamma follow the kernels' rules (KernelParams), and a
+    prefactor past the double range is KernelOverflowError.
     """
     s, alpha, beta, tau = (np.asarray(v, dtype=float) for v in (s, alpha, beta, tau))
     if not (tau > 0).all():
         raise ValueError(f"u_series requires tau > 0, got {tau}")
-    if not (s >= 0).all():
-        raise ValueError(f"u_series requires s >= 0, got {s}")
+    params = KernelParams(s=s, tau=tau, gamma=gamma)
     x, y = alpha / np.sqrt(tau), beta / np.sqrt(tau)
-    with np.errstate(over="raise"):
+    with np.errstate(over="ignore", invalid="ignore"):
         pref = _SQRT_2PI * np.exp(-(1.0 + gamma) * s * tau / 4.0)
+    if not np.isfinite(pref).all():
+        raise _overflow("the series prefactor sqrt(2*pi)*exp(-(1+gamma)*s*tau/4)", params)
     decay = np.exp(-0.5 * s * tau)
     degree = _truncation_degree(decay, config.tail_tol, np.abs(pref), config.max_terms)
     total = _hermite_product_sum(decay, x, y, degree)

@@ -34,6 +34,7 @@ from numpy.polynomial.legendre import leggauss
 from . import __version__, hermite, series
 from .kernels import (
     KernelParams,
+    _map_blocks,
     _scalar_params,
     apply_kernel,
     coefficients_ab,
@@ -152,15 +153,16 @@ def _stencil(f, s, x, y, h):
 
 
 def _oscillator_op(par, a, b, value, da, db, d2a, d2b):
-    """(tau^2 d^2/dbeta^2 - beta^2 - gamma tau) f."""
-    return par.tau**2 * d2b[..., 0] - (b[:, 0] * b[:, 0] + par.gamma * par.tau) * value
+    """(sum_j (tau^2 d^2/dbeta_j^2 - beta_j^2) - gamma tau) f."""
+    n = b.shape[-1]
+    potential = sum(b[:, j] * b[:, j] for j in range(n)) + par.gamma * par.tau
+    return par.tau**2 * sum(d2b[..., j] for j in range(n)) - potential * value
 
 
 def _rho_hat_op(par, a, b, value, da, db, d2a, d2b):
-    """(-alpha^2 - 2i alpha tau d/dbeta + tau^2 d^2/dbeta^2 - beta^2 - gamma tau) f."""
-    alpha = a[:, 0]
+    """(sum_j (-alpha_j^2 - 2i alpha_j tau d/dbeta_j + tau^2 d^2/dbeta_j^2 - beta_j^2) - gamma tau) f."""
     oscillator = _oscillator_op(par, a, b, value, da, db, d2a, d2b)
-    return oscillator - alpha * (alpha * value + 2j * par.tau * db[..., 0])
+    return oscillator - sum(a[:, j] * (a[:, j] * value + 2j * par.tau * db[..., j]) for j in range(a.shape[-1]))
 
 
 def _dbar_op(par, x, y, value, dx, dy, d2x, d2y):
@@ -183,7 +185,11 @@ _EQUATIONS = {
         _oscillator_op, _FREQUENCY_POINTS, (),
     ),
     "rho-hat": (
-        ("alpha", "beta"), lambda par, c, a, b: rho_hat(par, a, b), _rho_hat_op, _FREQUENCY_POINTS, (),
+        ("alpha", "beta"), lambda par, c, a, b: rho_hat(par, a, b), _rho_hat_op, _FREQUENCY_POINTS,
+        tuple(
+            Probe(1.0, tau, gamma, 2, {"alpha": (0.6, -1.1), "beta": (-0.3, 1.4)})
+            for tau, gamma in ((0.5, 2.0), (-2.0, 1j), (0.0, 0.5))
+        ),
     ),
     "rho-tilde": (
         ("x", "y"), lambda par, c, x, y: rho_tilde(par, x, y), _dbar_op,
@@ -257,10 +263,10 @@ def _residual_report(equation, probes, step_sizes) -> ResidualReport:
 
 
 def residual_rho_hat(probes: Sequence[Probe] | None = None, step_sizes=DEFAULT_STEP_SIZES) -> ResidualReport:
-    """Residual of the transformed one-dimensional heat equation for rho_hat.
+    """Residual of the transformed heat equation for rho_hat.
 
-    R = d rho_hat/ds - (1/4) [ (-alpha^2 - 2i alpha tau d/dbeta + tau^2 d^2/dbeta^2)
-                               + (-beta^2) + i gamma (i tau) ] rho_hat
+    R = d rho_hat/ds - (1/4) [ sum_j (-alpha_j^2 - 2i alpha_j tau d/dbeta_j + tau^2 d^2/dbeta_j^2
+                                      - beta_j^2) + i gamma (i tau) ] rho_hat
     by second-order central differences; max |R| per step size.
     """
     return _residual_report("rho-hat", probes, step_sizes)
@@ -337,9 +343,10 @@ def dft_inversion_check(params: KernelParams, grid_extent: float = 40.0, grid_co
     normalized by the max of |rho_tilde| over the same region (pointwise
     relative error is meaningless in the far Gaussian tails).
 
-    rho_hat is sampled in FFT order; the first FFT pass runs in row blocks
-    and the second on the compared block only, so no second grid-sized
-    array is formed.  The result is == the centred full-grid ifft2's.
+    rho_hat is sampled in FFT order; the first FFT pass runs in row blocks,
+    spread over the usable CPUs like rho_hat's own blocks, and the second on
+    the compared block only, so no second grid-sized array is formed.  The
+    result is == the centred full-grid ifft2's.
 
     Raises InsufficientDecayError when |rho_hat| exceeds 1e-12 anywhere on
     the transform-grid boundary.
@@ -376,8 +383,11 @@ def dft_inversion_check(params: KernelParams, grid_extent: float = 40.0, grid_co
     m_idx = np.arange(-(grid_count // 8), grid_count // 8 + 1)
     keep = m_idx % grid_count
     columns = np.empty((grid_count, keep.size), dtype=complex)
-    for lo in range(0, grid_count, _IFFT_BLOCK_ROWS):
+
+    def first_pass(lo):
         columns[lo:lo + _IFFT_BLOCK_ROWS] = np.fft.ifft(f_hat[lo:lo + _IFFT_BLOCK_ROWS], axis=1)[:, keep]
+
+    _map_blocks(first_pass, range(0, grid_count, _IFFT_BLOCK_ROWS))
     num = (grid_extent / (2.0 * math.pi)) ** 2 * np.fft.ifft(columns, axis=0)[keep]
 
     x = m_idx * (2.0 * math.pi / grid_extent)

@@ -1,5 +1,8 @@
+import itertools
 import json
 import math
+import sys
+import warnings
 from dataclasses import replace
 from unittest import mock
 
@@ -1099,3 +1102,133 @@ class TestBlockedExponent:
         with mock.patch.object(kernels, "_EXP_BLOCK", block):
             with pytest.raises(KernelOverflowError, match=r"phase twist\*cross exceeds the double range"):
                 heat_kernel_h(KernelParams(1.0, 1.0, gamma), 1.0, 1e308, x, np.full(4, 1e308))
+
+
+class TestMapBlocks:
+    """The block runner: every block once, results and the first error in block order."""
+
+    def test_every_block_once_in_order_under_contention(self, monkeypatch):
+        # more threads than CPUs and a short switch interval: a block claimed twice or lost shows
+        monkeypatch.setattr(kernels, "_THREADS", 8)
+        starts = range(0, 3000, 3)
+        ran = []
+
+        def square(lo):
+            ran.append(lo)
+            return lo * lo
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                ran.clear()
+                assert kernels._map_blocks(square, starts) == [lo * lo for lo in starts]
+                assert sorted(ran) == list(starts)
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("threads", (1, 2, 4))
+    def test_first_error_in_block_order(self, monkeypatch, threads):
+        monkeypatch.setattr(kernels, "_THREADS", threads)
+
+        def fail(lo):
+            if lo in (5, 50, 90):
+                raise ValueError(f"block {lo}")
+            return lo
+
+        with pytest.raises(ValueError, match="^block 5$"):
+            kernels._map_blocks(fail, range(100))
+
+
+def _pooled_calls(n):
+    """One call per kernel and apply_kernel at dimension n, each over several 16384-element blocks, with +-1e200 tails."""
+    rng = np.random.default_rng(n)
+    points = rng.uniform(-3.0, 3.0, size=(4, 20000, n))
+    points[:, ::997] = 1e200
+    points[1, 5::1009] = -1e200
+    p = KernelParams(0.7, -1.3, 0.2 + 0.5j, n=n)
+    # n = 1: (280, 70) P and Q factors per chunk of output points, two blocks each
+    nodes = [np.linspace(-2.5, 2.5, (70 if n == 1 else 9) + k) for k in range(2 * n)]
+    weights = [np.full(len(axis), 0.1) for axis in nodes]
+    size = math.prod(len(axis) for axis in nodes)
+    values = rng.normal(size=size) + 1j * rng.normal(size=size)
+    x, y = rng.normal(size=(2, 300, n))
+    x[7], y[11] = 1e200, -1e200
+    outer = rng.uniform(-3.0, 3.0, size=150)
+    return {
+        "rho_hat": lambda: rho_hat(p, points[0], points[1]),
+        "rho_hat outer": lambda: rho_hat(replace(p, n=1), outer[:, np.newaxis], outer),
+        "rho_tilde": lambda: rho_tilde(p, points[0], points[1]),
+        "heat_kernel_h": lambda: heat_kernel_h(p, *points),
+        "apply_kernel": lambda: apply_kernel(p, nodes, weights, values, x, y),
+    }
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestPooledBlocks:
+    """Blocks spread over helper threads give the one-thread bits and errors, and no warning."""
+
+    @pytest.mark.parametrize("n", (1, 2))
+    def test_same_bits_for_every_thread_count_and_block(self, monkeypatch, n):
+        calls = _pooled_calls(n)
+        monkeypatch.setattr(kernels, "_THREADS", 1)
+        expect = {name: _bits(call()) for name, call in calls.items()}
+        for threads, block in itertools.product((1, 2, 4), (64, kernels._EXP_BLOCK)):
+            monkeypatch.setattr(kernels, "_THREADS", threads)
+            monkeypatch.setattr(kernels, "_EXP_BLOCK", block)
+            for name, call in calls.items():
+                assert np.array_equal(_bits(call()), expect[name]), (name, threads, block)
+
+    @pytest.mark.parametrize("threads", (2, 4))
+    @pytest.mark.parametrize("gamma", (0.0, -3000.0))
+    def test_phase_error_in_a_later_block(self, monkeypatch, threads, gamma):
+        # one point per block; x = x' but at the last point, where (x-x').(y+y') is infinite at a
+        # finite decay; at gamma = -3000 every other block overflows, and the phase error still wins
+        monkeypatch.setattr(kernels, "_THREADS", threads)
+        monkeypatch.setattr(kernels, "_EXP_BLOCK", 1)
+        x = np.ones(64)
+        x[-1] = 0.0
+        with pytest.raises(KernelOverflowError, match=r"phase twist\*cross exceeds the double range"):
+            heat_kernel_h(KernelParams(1.0, 1.0, gamma), 1.0, 1e308, x, np.full(64, 1e308))
+
+    @pytest.mark.parametrize("threads", (2, 4))
+    def test_overflow_message_reads_the_whole_call(self, monkeypatch, threads):
+        # every point overflows; the largest log|value|, at x = 0, sits in block 32 of 65
+        monkeypatch.setattr(kernels, "_THREADS", threads)
+        monkeypatch.setattr(kernels, "_EXP_BLOCK", 1)
+        x = np.abs(np.linspace(-1.0, 1.0, 65))
+        with pytest.raises(KernelOverflowError, match=r"log\|value\| up to 748\.845\)"):
+            heat_kernel_h(KernelParams(1.0, 1.0, -3000.0), 0.0, 0.0, x, np.zeros(65))
+
+    @pytest.mark.parametrize("threads", (2, 4))
+    def test_far_tails_past_one_block_warn_nothing(self, monkeypatch, threads):
+        # TestFarTails' inputs tiled over 128 blocks, so helper threads settle most of them
+        monkeypatch.setattr(kernels, "_THREADS", threads)
+        monkeypatch.setattr(kernels, "_EXP_BLOCK", 64)
+        count = 128 * 64
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for far, p in itertools.product(
+                (1e155, 1e200, 1e308),
+                (KernelParams(1.0, 1.0, 1j), KernelParams(1.0, 0.0), KernelParams(0.5, -2.0, 0.3, n=2)),
+            ):
+                a, zero = np.full((count, p.n), far), np.zeros((count, p.n))
+                for got in (rho_hat(p, a, a), rho_tilde(p, a, a), heat_kernel_h(p, zero, zero, a, a)):
+                    assert np.array_equal(got, np.zeros(count))
+            alpha = np.tile([0.0, 1e155, 1e200, -1e308], count // 4)
+            assert np.array_equal(rho_hat(KernelParams(0.0, 1.0, gamma=0.5), alpha, alpha[::-1]), np.ones(count))
+            tiny = KernelParams(s=1e-308, tau=1.0)
+            assert np.array_equal(rho_tilde(tiny, np.full(count, 2.0), 0.0), np.zeros(count))
+            assert np.array_equal(heat_kernel_h(tiny, 0.0, 0.0, np.full(count, 2.0), 0.0), np.zeros(count))
+            coincident = heat_kernel_h(KernelParams(1.0, 1.0), 1.0, 1e308, np.ones(count), np.full(count, 1e308))
+            assert np.all(coincident == 0.3150181770684528)
+            near, far = np.array([-0.0, 0.3, 1.7]), np.array([1e200, -1e300])
+            mixed = KernelParams(0.8, -1.5, gamma=0.2 + 0.4j)
+            both = np.tile(np.concatenate([near, far]), count // 5)
+            for kernel in (rho_hat, rho_tilde):
+                expect = np.tile(np.concatenate([kernel(mixed, near, near), [0, 0]]), count // 5)
+                assert np.array_equal(_bits(kernel(mixed, both, both)), _bits(expect))
+            axis, weights = np.linspace(-2.0, 2.0, 9), [np.full(9, 0.5)] * 2
+            outputs = np.tile([1e200, 1e200, -1e300], count // 3)[:, np.newaxis]
+            got = apply_kernel(KernelParams(0.5, 1.0, gamma=0.3), [axis, axis], weights, np.ones(81), outputs, outputs)
+            assert np.array_equal(got, np.zeros(len(outputs)))

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heisenheat.hermite import eval_scaled_hermite, hermite_values
-from heisenheat.kernels import KernelParams, rho_hat
+from heisenheat.kernels import KernelOverflowError, KernelParams, rho_hat
 from heisenheat.series import (
     SeriesConfig,
     SeriesConvergenceError,
@@ -92,17 +92,27 @@ class TestUSeries:
         with pytest.raises(ValueError):
             u_series(cfg, -1.0, 0.0, 0.0, 1.0, 0.0)
 
+    @pytest.mark.filterwarnings("error")
     def test_non_finite_or_overflowing_arguments_raise(self):
+        # s, tau and gamma follow KernelParams' rules in both entry points; each error names its
+        # parameter, with no warning first
+        self._bad_arguments_raise(u_series)
+        self._bad_arguments_raise(rho_hat_series)
+
+    @staticmethod
+    def _bad_arguments_raise(func):
         cfg = SeriesConfig()
-        with pytest.raises(ValueError, match="s >= 0"):
-            u_series(cfg, math.nan, 0.0, 0.0, 1.0, 0.0)
+        with pytest.raises(ValueError, match="s must be finite, got nan"):
+            func(cfg, math.nan, 0.0, 0.0, 1.0, 0.0)
         with pytest.raises(ValueError, match="tau > 0"):
-            u_series(cfg, 1.0, 0.0, 0.0, np.array([1.0, math.nan]), 0.0)
-        with pytest.raises(SeriesConvergenceError):
-            u_series(cfg, 1.0, 0.0, 0.0, 1.0, complex(math.nan, 0.0))
+            func(cfg, 1.0, 0.0, 0.0, np.array([1.0, math.nan]), 0.0)
+        with pytest.raises(ValueError, match=r"gamma must be finite, got \(nan\+0j\)"):
+            func(cfg, 1.0, 0.0, 0.0, 1.0, complex(math.nan, 0.0))
+        with pytest.raises(ValueError, match="gamma must be finite"):
+            func(cfg, 1.0, 0.0, 0.0, 1.0, math.inf * 1j)
         # exp(-(1+gamma)*s*tau/4) = exp(1500) is past the double range
-        with pytest.raises(FloatingPointError):
-            u_series(cfg, 1.0, 0.0, 0.0, 3000.0, -3.0)
+        with pytest.raises(KernelOverflowError, match=r"series prefactor .* at gamma=-3\.0, s=1\.0, tau=3000\.0"):
+            func(cfg, 1.0, 0.0, 0.0, 3000.0, -3.0)
 
     def test_s_zero_weak_reconstruction(self):
         # pair the expansion at s = 0 with a Gaussian test function:

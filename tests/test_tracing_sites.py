@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from heisenheat import cli, hermite, kernels, series, verify
-from heisenheat.kernels import FieldSample, GridAxis, GridSpec
+from heisenheat.kernels import FieldSample, GridAxis, GridSpec, KernelParams
 
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -65,6 +65,38 @@ def test_traced_apply_evaluates_coefficients_once(tmp_path):
     assert tracer.totals["cli.main"]["calls"] == 1
     assert tracer.totals["kernels.heat_kernel_h"]["calls"] == 0
     assert tracer.totals["kernels.coefficients_ab"]["calls"] == 1
+    assert tracer.unbalanced_ops() == []
+
+
+def test_pooled_blocks_run_no_traced_name(tmp_path, monkeypatch):
+    # helper threads run only forms, ufuncs and FFTs, never a traced name: the tracer keeps one span
+    # stack for all threads.  A helper calling coefficients_ab still leaves every op balanced, so the
+    # per-op call counts are what pin the rule
+    monkeypatch.setattr(kernels, "_THREADS", 4)
+    params = KernelParams(1.0, 0.5, 1j)
+    freqs = np.linspace(-20.0, 20.0, 512)
+    # an 81 x 81 input: each (324, 81) P and Q factor of apply_kernel spans two blocks
+    grid = GridSpec((GridAxis("x", -3, 3, 81), GridAxis("y", -3, 3, 81)))
+    coords = grid.coordinates()
+    field = FieldSample(grid=grid, values=np.exp(-coords["x"] ** 2 - coords["y"] ** 2))
+    (tmp_path / "f.json").write_text(field.to_json_text())
+    argv = [
+        "apply", "--input", str(tmp_path / "f.json"), "--s", "0.5", "--tau", "1",
+        "--axis", "x:-1:1:30", "--axis", "y:-1:1:30", "--output", str(tmp_path / "out.json"),
+    ]
+    tracer = _tracer()
+    # per op: rho_hat calls and coefficients_ab calls (rho_hat, then rho_tilde, then apply_kernel's one)
+    ops = (
+        (lambda: kernels.rho_hat(params, freqs[:, np.newaxis], freqs), 1, 1),
+        (lambda: verify.dft_inversion_check(params, 40.0, 512), 1, 2),
+        (lambda: cli.main(argv), 0, 1),
+    )
+    for op_id, (op, rho_hat_calls, coefficient_calls) in enumerate(ops):
+        before = {name: tracer.totals[name]["calls"] for name in ("kernels.rho_hat", "kernels.coefficients_ab")}
+        result, _ = tracer.run_op(op_id, op)
+        assert tracer.totals["kernels.rho_hat"]["calls"] - before["kernels.rho_hat"] == rho_hat_calls
+        assert tracer.totals["kernels.coefficients_ab"]["calls"] - before["kernels.coefficients_ab"] == coefficient_calls
+    assert result == 0
     assert tracer.unbalanced_ops() == []
 
 

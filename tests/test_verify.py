@@ -71,6 +71,14 @@ class TestResidualSuites:
         rep = residual_rho_tilde(probes)
         assert 1.8 < rep.convergence_order < 2.2
 
+    def test_rho_hat_n2_probes_sum_the_operator_over_components(self):
+        # the default panel's n = 2 probes alone: second order only when every component's terms
+        # enter the operator, and cosh(s*tau/2)**(-n/2) with n = 2 in the kernel
+        probes = [p for p in default_probe_set("rho-hat") if p.n == 2]
+        assert [(p.tau, p.gamma) for p in probes] == [(0.5, 2.0), (-2.0, 1j), (0.0, 0.5)]
+        rep = residual_rho_hat(probes)
+        assert 1.8 < rep.convergence_order < 2.2
+
     def test_heat_kernel_series_branch_probe(self):
         probes = (Probe(1.0, 1e-5, 1.0, 1, {"xp": 0.3, "yp": -0.4, "x": 1.2, "y": 0.8}),)
         rep = residual_heat_kernel(probes)
@@ -153,6 +161,16 @@ class TestDftInversion:
         monkeypatch.setattr(kernels, "_EXP_BLOCK", exp_block)
         params = KernelParams(s=0.5, tau=-2.0, gamma=1j)
         assert dft_inversion_check(params, 40.0, 64) == oracles.dft_inversion_centred(params, 40.0, 64)
+
+    @pytest.mark.parametrize("threads", (1, 2, 4))
+    @pytest.mark.parametrize("exp_block", (64, 16384))
+    def test_pooled_blocks_equal_the_centred_full_transform(self, monkeypatch, threads, exp_block):
+        # rho_hat's exponent blocks and 19 FFT row blocks of 7 spread over the caller and its helpers
+        monkeypatch.setattr(kernels, "_THREADS", threads)
+        monkeypatch.setattr(kernels, "_EXP_BLOCK", exp_block)
+        monkeypatch.setattr(verify, "_IFFT_BLOCK_ROWS", 7)
+        params = KernelParams(s=0.5, tau=-2.0, gamma=1j)
+        assert dft_inversion_check(params, 40.0, 128) == oracles.dft_inversion_centred(params, 40.0, 128)
 
     def test_memory_peak_of_one_512_grid(self):
         # the complex 512^2 grid of rho_hat (4 MB) plus block-sized temporaries; 12.0 MB when
@@ -378,8 +396,8 @@ class TestSuiteRunner:
         calls = _count_calls(monkeypatch, verify, ("rho_hat", "rho_tilde", "heat_kernel_h"))
         report = verify.run_suite("pde")
         assert report["passed"]
-        # u and rho-hat probe n = 1 only; rho-tilde and heat-kernel probe n = 1 and n = 2
-        assert calls == {"rho_hat": 2, "rho_tilde": 2, "heat_kernel_h": 2}
+        # u probes n = 1 only; rho-hat, rho-tilde and heat-kernel probe n = 1 and n = 2
+        assert calls == {"rho_hat": 3, "rho_tilde": 2, "heat_kernel_h": 2}
         assert [c["check"] for c in report["checks"]] == [
             "residual-order-u-transformed",
             "residual-order-rho-hat",
