@@ -327,11 +327,12 @@ def _exp_kernel(params: KernelParams, const, envelope, twist, forms, *args):
     """exp(const - envelope*sq + twist*cross), (sq, cross) = forms(*args), a complex for 0-d output.
 
     forms reduces the last axis of the args, whose leading axes broadcast
-    with the coefficients.  The output is allocated once; per block of about
-    _EXP_BLOCK elements along its leading axis, forms runs on the args' rows
-    and the slice starts as twist*cross, gets the real and imaginary parts
-    of const - envelope*sq added (that expression's IEEE operations, zero
-    signs included) and is exponentiated in place.  The blocks are
+    with the coefficients.  The output is allocated once and its leading axis
+    cut into the fewest blocks of at most _EXP_BLOCK elements (at least one
+    row each), whose row counts differ by at most one.  Per block, forms
+    runs on the args' rows and the slice starts as twist*cross, gets the
+    real and imaginary parts of const - envelope*sq added (that expression's
+    IEEE operations, zero signs included) and is exponentiated in place.  The blocks are
     independent and run through _map_blocks, so forms must be untraced.
     Where a far-tail square overflows to inf and leaves a NaN, a zero
     coefficient contributes 0 and a decay of +inf gives -inf; an infinite
@@ -343,14 +344,17 @@ def _exp_kernel(params: KernelParams, const, envelope, twist, forms, *args):
     out = np.empty(shape, dtype=complex)
     rows = out if out.ndim else out.reshape(1)
     step = max(1, _EXP_BLOCK // max(1, math.prod(rows.shape[1:])))
+    count = -(-len(rows) // step)
+    bounds = [len(rows) * k // count for k in range(count + 1)]
     # an input with the output's leading axis is cut into the blocks; an arg's last axis is its components
     inputs = (const, envelope, twist, *args)
     cut = [np.ndim(v) == rows.ndim + (k > 2) and np.shape(v)[0] != 1 for k, v in enumerate(inputs)]
 
-    def block(lo) -> bool:
-        """Fill rows[lo:lo + step]; True when a value there is past the double range."""
-        buf = rows[lo:lo + step]
-        c, e, tw, *block_args = (v[lo:lo + step] if cut_v else v for v, cut_v in zip(inputs, cut))
+    def block(span) -> bool:
+        """Fill rows[lo:hi] for span (lo, hi); True when a value there is past the double range."""
+        part = slice(*span)
+        buf = rows[part]
+        c, e, tw, *block_args = (v[part] if cut_v else v for v, cut_v in zip(inputs, cut))
         with np.errstate(over="ignore", invalid="ignore"):
             sq, cross = forms(*block_args)
             np.multiply(tw, cross, out=buf)
@@ -371,7 +375,7 @@ def _exp_kernel(params: KernelParams, const, envelope, twist, forms, *args):
             return True
         return False
 
-    if any(_map_blocks(block, range(0, len(rows), step))):
+    if any(_map_blocks(block, zip(bounds, bounds[1:]))):
         with np.errstate(over="ignore", invalid="ignore"):
             peak = np.nanmax(np.real(const) - envelope * forms(*args)[0])
         raise _overflow(f"kernel value (log|value| up to {peak:.6g})", params)

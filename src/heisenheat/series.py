@@ -137,13 +137,17 @@ def u_series(
     convergence is estimated a posteriori from the half-budget partial sum,
     raising SeriesConvergenceError when even that estimate misses the
     tolerance.  terms_used is M + 1; tail_bound the largest bound or estimate.
-    s, tau and gamma follow the kernels' rules (KernelParams), and a
-    prefactor past the double range is KernelOverflowError.
+    s, tau and gamma follow the kernels' rules (KernelParams), a NaN or
+    infinite alpha or beta is a ValueError naming it, and a prefactor past
+    the double range is KernelOverflowError.
     """
     s, alpha, beta, tau = (np.asarray(v, dtype=float) for v in (s, alpha, beta, tau))
     if not (tau > 0).all():
         raise ValueError(f"u_series requires tau > 0, got {tau}")
     params = KernelParams(s=s, tau=tau, gamma=gamma)
+    for name, value in (("alpha", alpha), ("beta", beta)):
+        if not np.isfinite(value).all():
+            raise ValueError(f"{name} must be finite, got {value}")
     x, y = alpha / np.sqrt(tau), beta / np.sqrt(tau)
     with np.errstate(over="ignore", invalid="ignore"):
         pref = _SQRT_2PI * np.exp(-(1.0 + gamma) * s * tau / 4.0)

@@ -329,8 +329,10 @@ def eigenfunction_residual_report(step_sizes=DEFAULT_STEP_SIZES) -> ResidualRepo
 # DFT inversion of rho_hat against rho_tilde
 # ---------------------------------------------------------------------------
 
-# rows of rho_hat's grid per block of the first inverse-FFT pass (512 KB of complex at N = 512)
-_IFFT_BLOCK_ROWS = 64
+# rows of the grid per block of the first inverse-FFT pass (256 KB of complex at N = 512).  On two
+# threads a 512^2 check then peaks below twice its rho_hat half-plane, the heap trim threshold glibc
+# sets when it frees that array, so the heap is not trimmed and faulted in again on every check
+_IFFT_BLOCK_ROWS = 32
 
 
 def dft_inversion_check(params: KernelParams, grid_extent: float = 40.0, grid_count: int = 512) -> float:
@@ -343,10 +345,18 @@ def dft_inversion_check(params: KernelParams, grid_extent: float = 40.0, grid_co
     normalized by the max of |rho_tilde| over the same region (pointwise
     relative error is meaningless in the far Gaussian tails).
 
-    rho_hat is sampled in FFT order; the first FFT pass runs in row blocks,
-    spread over the usable CPUs like rho_hat's own blocks, and the second on
-    the compared block only, so no second grid-sized array is formed.  The
-    result is == the centred full-grid ifft2's.
+    The frequency grid is alpha_j = (j - N/2) * step in FFT order, with
+    step = L/N and L = grid_extent, so freqs[-j] == -freqs[j] for every j
+    but N/2.  rho_hat's exponent takes the same IEEE operations on the same
+    bits at (-alpha, -beta) as at (alpha, beta), so one rho_hat call covers
+    rows 0..N/2 of the grid and one extra column at beta = +L/2: row J > N/2
+    is row N - J read at columns (N - k) mod N, its beta = -L/2 entry from
+    the extra column.  The first FFT pass runs in row blocks, spread over the usable
+    CPUs like rho_hat's own blocks, reading evaluated rows as views and
+    building mirrored rows per block, so no N x N array is formed; the
+    second pass runs on the compared block only.  rho_tilde, even in (x, y)
+    the same way, is evaluated on the rows x <= 0 of that block and
+    mirrored.  The result is == the centred full-grid ifft2's.
 
     Raises InsufficientDecayError when |rho_hat| exceeds 1e-12 anywhere on
     the transform-grid boundary.
@@ -360,13 +370,22 @@ def dft_inversion_check(params: KernelParams, grid_extent: float = 40.0, grid_co
         # the rolled frequency grid starts at alpha = 0, as the FFT expects,
         # only for even N
         raise ValueError(f"grid_count must be even and >= 16, got {grid_count}")
-    half = grid_count // 2
+    half, eighth = grid_count // 2, grid_count // 8
     step = grid_extent / grid_count
-    # FFT order: alpha = 0 first, the ends -L/2 and L/2 - step at N/2 and N/2 - 1
-    freqs = np.fft.ifftshift(-0.5 * grid_extent + step * np.arange(grid_count))
-    f_hat = rho_hat(params, freqs[:, np.newaxis], freqs)
+    # FFT order, alpha_j = (j - N/2) * step at index (j - N/2) mod N: alpha = 0 first, the ends
+    # -L/2 and L/2 - step at N/2 and N/2 - 1, and freqs[-j] == -freqs[j] for every j but N/2
+    freqs = step * np.fft.ifftshift(np.arange(grid_count) - half)
+    # rows 0..N/2 and the column beta = +L/2; row J > N/2 is row N - J at columns mirror
+    f_hat = rho_hat(params, freqs[:half + 1, np.newaxis], np.append(freqs, half * step))
+    mirror = -np.arange(grid_count) % grid_count
+    mirror[half] = grid_count
 
-    edges = (f_hat[half - 1:half + 1, :], f_hat[:, half - 1:half + 1])
+    # the grid's rows N/2 - 1 and N/2 and its columns N/2 - 1 and N/2, which rows past N/2 read at N/2 + 1 and N
+    edges = (
+        f_hat[half - 1:, :grid_count],
+        f_hat[:, half - 1:half + 1],
+        f_hat[1:half, [half + 1, grid_count]],
+    )
     boundary = max(float(np.max(np.abs(edge))) for edge in edges)
     if boundary > 1e-12:
         raise InsufficientDecayError(
@@ -380,18 +399,29 @@ def dft_inversion_check(params: KernelParams, grid_extent: float = 40.0, grid_co
     # step^2 N^2 / (2 pi)^2 = (L / 2 pi)^2.  ifft2 is ifft along axis 1, then
     # axis 0: the second pass on only the compared columns |m - N/2| <= N/8,
     # at m mod N in FFT order, gives the same numbers on 1/4 of the grid, as do row blocks.
-    m_idx = np.arange(-(grid_count // 8), grid_count // 8 + 1)
+    m_idx = np.arange(-eighth, eighth + 1)
     keep = m_idx % grid_count
     columns = np.empty((grid_count, keep.size), dtype=complex)
 
     def first_pass(lo):
-        columns[lo:lo + _IFFT_BLOCK_ROWS] = np.fft.ifft(f_hat[lo:lo + _IFFT_BLOCK_ROWS], axis=1)[:, keep]
+        hi = min(lo + _IFFT_BLOCK_ROWS, grid_count)
+        mid = min(max(lo, half + 1), hi)
+        # rows lo..mid are views of evaluated rows; rows mid..hi are rows N - mid down to N - hi + 1, mirrored
+        for rows, block in (
+            (slice(lo, mid), f_hat[lo:mid, :grid_count]),
+            (slice(mid, hi), f_hat[grid_count - mid:grid_count - hi:-1, mirror]),
+        ):
+            if rows.start < rows.stop:
+                columns[rows] = np.fft.ifft(block, axis=1)[:, keep]
 
     _map_blocks(first_pass, range(0, grid_count, _IFFT_BLOCK_ROWS))
+    del f_hat, edges  # freed before the second pass allocates, for the peak _IFFT_BLOCK_ROWS keeps
     num = (grid_extent / (2.0 * math.pi)) ** 2 * np.fft.ifft(columns, axis=0)[keep]
 
+    # x[-m] == -x[m]: rows m <= 0 are evaluated, rows m > 0 mirrored
     x = m_idx * (2.0 * math.pi / grid_extent)
-    exact = rho_tilde(params, x[:, np.newaxis], x)
+    exact = rho_tilde(params, x[:eighth + 1, np.newaxis], x)
+    exact = np.concatenate([exact, exact[-2::-1, ::-1]])
     scale = float(np.max(np.abs(exact)))
     return float(np.max(np.abs(num - exact)) / scale)
 

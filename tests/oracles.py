@@ -301,7 +301,7 @@ def dft_inversion_centred(params, grid_extent, grid_count):
     No decay check.
     """
     step = grid_extent / grid_count
-    freqs = -0.5 * grid_extent + step * np.arange(grid_count)
+    freqs = step * (np.arange(grid_count) - grid_count // 2)
     f_hat = rho_hat_one_expression(params, freqs[:, np.newaxis], freqs)
     transform = np.fft.fftshift(np.fft.ifft2(np.fft.ifftshift(f_hat)))
     inverted = (grid_extent / (2.0 * np.pi)) ** 2 * transform

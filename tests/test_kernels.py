@@ -1068,6 +1068,29 @@ class TestBlockedExponent:
         assert np.array_equal(_bits(np.where(nan, 0, got)), _bits(np.where(nan, 0, expect)))
         assert np.all(got[nan] == 0)
 
+    @pytest.mark.parametrize(("rows", "cols", "starts"), (
+        (129, 129, [0, 64]),  # at most 127 rows a block: 64 + 65, no 2-row sliver
+        (257, 513, [0, 28, 57, 85, 114, 142, 171, 199, 228]),  # at most 31: no 9-row sliver
+        (128, 128, [0]),
+        (20000, 1, [0, 10000]),
+    ))
+    def test_row_blocks_differ_by_at_most_one_row(self, monkeypatch, rows, cols, starts):
+        # the fewest blocks of at most _EXP_BLOCK elements, with equal row counts where they divide
+        spans = []
+        original = kernels._map_blocks
+
+        def recorded(func, blocks):
+            spans.extend(blocks)
+            return original(func, spans)
+
+        monkeypatch.setattr(kernels, "_map_blocks", recorded)
+        params = KernelParams(0.7, -1.3, 0.2 + 0.5j)
+        alpha, beta = np.linspace(-3.0, 3.0, rows)[:, np.newaxis], np.linspace(-2.0, 2.0, cols)
+        got = rho_hat(params, alpha, beta)
+        assert [lo for lo, _ in spans] == starts
+        assert [hi for _, hi in spans] == starts[1:] + [rows]
+        assert np.array_equal(_bits(got), _bits(oracles.rho_hat_one_expression(params, alpha, beta)))
+
     @pytest.mark.parametrize("block", BLOCKS[:-1])
     @pytest.mark.parametrize("n", (1, 2))
     def test_apply_kernel_same_bits(self, block, n):

@@ -110,6 +110,14 @@ class TestUSeries:
             func(cfg, 1.0, 0.0, 0.0, 1.0, complex(math.nan, 0.0))
         with pytest.raises(ValueError, match="gamma must be finite"):
             func(cfg, 1.0, 0.0, 0.0, 1.0, math.inf * 1j)
+        # alpha and beta by name, NaN or +-inf, scalar or in an array
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"alpha must be finite, got {bad}"):
+                func(cfg, 1.0, bad, 0.0, 1.0)
+            with pytest.raises(ValueError, match=f"beta must be finite, got {bad}"):
+                func(cfg, 1.0, 0.0, bad, 1.0)
+            with pytest.raises(ValueError, match="beta must be finite"):
+                func(cfg, 1.0, np.zeros(3), np.array([0.5, bad, 1.0]), 1.0)
         # exp(-(1+gamma)*s*tau/4) = exp(1500) is past the double range
         with pytest.raises(KernelOverflowError, match=r"series prefactor .* at gamma=-3\.0, s=1\.0, tau=3000\.0"):
             func(cfg, 1.0, 0.0, 0.0, 3000.0, -3.0)

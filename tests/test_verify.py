@@ -153,6 +153,23 @@ class TestDftInversion:
         got = dft_inversion_check(params, 40.0, grid_count)
         assert got == oracles.dft_inversion_centred(params, 40.0, grid_count)
 
+    @pytest.mark.parametrize("grid_count", (18, 20, 130))
+    @pytest.mark.parametrize("params", (
+        KernelParams(s=1.0, tau=1.0), KernelParams(s=0.5, tau=-2.0, gamma=1j), KernelParams(s=2.0, tau=0.0, gamma=1.0),
+    ))
+    def test_non_dyadic_extent_equals_the_centred_full_transform(self, params, grid_count):
+        # step = 37.3 / N is not dyadic: alpha_j = (j - N/2) * step, and the mirrored half-plane
+        # gives the centred grid's bits only if the grid is built that way
+        got = dft_inversion_check(params, 37.3, grid_count)
+        assert got == oracles.dft_inversion_centred(params, 37.3, grid_count)
+
+    def test_one_half_plane_call_per_kernel(self, monkeypatch):
+        # rho_hat on rows 0..N/2 of the 512^2 grid and the extra column beta = +L/2, rho_tilde on
+        # the rows x <= 0 of the 129^2 compared block; the other rows are mirrored
+        points = _count_points(monkeypatch, verify, ("rho_hat", "rho_tilde"))
+        dft_inversion_check(KernelParams(1.0, 0.5, 1j), 40.0, 512)
+        assert points == {"rho_hat": [257 * 513], "rho_tilde": [65 * 129]}
+
     @pytest.mark.parametrize("rows", (1, 7, 100))
     @pytest.mark.parametrize("exp_block", (64, 16384))
     def test_blocks_equal_the_centred_full_transform(self, monkeypatch, rows, exp_block):
@@ -185,6 +202,20 @@ class TestDftInversion:
             tracemalloc.stop()
         assert peak < 7 * 2**20
 
+    def test_memory_peak_of_one_512_grid_on_two_threads(self, monkeypatch):
+        # rho_hat's half-plane (2.1 MB), the compared columns (1.1 MB) and one 32-row FFT block per
+        # thread: ~4.1 MiB, against 6.28 MiB when rho_hat covered the whole grid
+        monkeypatch.setattr(kernels, "_THREADS", 2)
+        params = KernelParams(1.0, 0.5, 1j)
+        dft_inversion_check(params, 40.0, 512)
+        tracemalloc.start()
+        try:
+            dft_inversion_check(params, 40.0, 512)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.5 * 2**20
+
     @pytest.mark.parametrize("axis", (0, 1))
     @pytest.mark.parametrize("end", (0, -1))
     def test_each_boundary_edge_is_checked(self, monkeypatch, axis, end):
@@ -197,6 +228,22 @@ class TestDftInversion:
             coords = np.broadcast_arrays(alpha, beta)
             on_edge = (coords[axis] == ends[end]) & ~np.isin(coords[1 - axis], ends)
             return np.where(on_edge, 1e-6, 0.0).astype(complex)
+
+        monkeypatch.setattr(verify, "rho_hat", fake_rho_hat)
+        with pytest.raises(InsufficientDecayError, match="1.000e-06"):
+            dft_inversion_check(KernelParams(s=1.0, tau=1.0), extent, count)
+
+    @pytest.mark.parametrize("beta", (-20.0, 19.375))
+    def test_boundary_of_mirrored_rows_is_checked(self, monkeypatch, beta):
+        # an even rho_hat that is 1e-6 only at +-(-5 step, beta), beta = -L/2 or L/2 - step: the grid
+        # holds it on a beta edge at alpha < 0, a row the half-plane reads from its mirror at alpha > 0
+        extent, count = 40.0, 64
+        point = (-5 * extent / count, beta)
+
+        def fake_rho_hat(params, alpha, beta):
+            a, b = np.broadcast_arrays(alpha, beta)
+            bump = ((a == point[0]) & (b == point[1])) | ((a == -point[0]) & (b == -point[1]))
+            return np.where(bump, 1e-6, 0.0).astype(complex)
 
         monkeypatch.setattr(verify, "rho_hat", fake_rho_hat)
         with pytest.raises(InsufficientDecayError, match="1.000e-06"):
@@ -359,6 +406,23 @@ def _count_calls(monkeypatch, module, names):
     for name in names:
         monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     return calls
+
+
+def _count_points(monkeypatch, module, names):
+    """Wrap module.<name> for each name to record the size of each call's output; returns the live lists."""
+    points = {name: [] for name in names}
+
+    def counted(name, func):
+        def wrapper(*args, **kwargs):
+            value = func(*args, **kwargs)
+            points[name].append(int(np.size(value)))
+            return value
+
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    return points
 
 
 class TestSuiteRunner:
