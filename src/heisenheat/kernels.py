@@ -553,7 +553,7 @@ class GridSpec:
 
     @property
     def size(self) -> int:
-        return int(np.prod([ax.count for ax in self.axes], dtype=np.int64))
+        return math.prod(ax.count for ax in self.axes)
 
     def coordinates(self) -> dict[str, np.ndarray]:
         """Flattened per-axis coordinates of every grid point, row-major."""
@@ -588,36 +588,45 @@ class FieldSample:
     def to_csv_text(self) -> str:
         """One row per grid point: coordinates in axis order, then Re, Im.
 
-        Each axis point is formatted once.  Per chunk of the last axis, one
-        template holds its rows' coordinates and "%.17g" slots for Re and Im;
-        per point of the leading axes its coordinates go in front of every
-        row, and one % fills the template with the chunk's values.  Chunks
-        hold at most _WRITE_CHUNK_ROWS rows, so memory beyond the output
-        stays bounded for a long last axis.
+        Each axis point is formatted once, and so is each distinct double of
+        the values (:func:`_distinct_strings`).  Per chunk of the last axis,
+        one template holds its rows' coordinates and "%s" slots for Re and
+        Im; per point of the leading axes its coordinates go in front of
+        every row, and one % fills the template with the chunk's strings.
+        Chunks hold at most _WRITE_CHUNK_ROWS rows, and the distinct strings
+        and their index are dropped before the final join, however long the
+        last axis.
         """
         *lead, last = self.grid.axes
         # each row starts with "\n", so a leading-axis point's coordinates go in by one replace
         tails = [
-            (("\n%.17g,%%.17g,%%.17g" * len(piece)) % tuple(piece.tolist()), 2 * len(piece))
+            ((b"\n%.17g,%%s,%%s" * len(piece)) % tuple(piece.tolist()), 2 * len(piece))
             for piece in np.split(last.points(), range(_WRITE_CHUNK_ROWS, last.count, _WRITE_CHUNK_ROWS))
         ]
         # a short last axis takes several of its runs per template, one when it spans several chunks
         runs = max(1, _WRITE_CHUNK_ROWS // last.count)
-        heads = itertools.product(*(["%.17g," % v for v in ax.points().tolist()] for ax in lead))
-        flat = np.ascontiguousarray(self.values).view(float)
+        heads = itertools.product(*([b"%.17g," % v for v in ax.points().tolist()] for ax in lead))
+        strings, index = _distinct_strings(self.values)
         parts = [",".join([ax.name for ax in self.grid.axes] + ["re", "im"])]
         lo = 0
-        while starts := ["\n" + "".join(head) for head in itertools.islice(heads, runs)]:
+        while starts := [b"\n" + b"".join(head) for head in itertools.islice(heads, runs)]:
             for tail, width in tails:
                 hi = lo + width * len(starts)
-                template = "".join([tail.replace("\n", start) for start in starts])
-                parts.append(template % tuple(flat[lo:hi].tolist()))
+                template = b"".join([tail.replace(b"\n", start) for start in starts])
+                parts.append((template % tuple(strings[index[lo:hi]].tolist())).decode("ascii"))
                 lo = hi
+        # so the peak stays the output text plus its parts
+        del strings, index
         parts.append("\n")
         return "".join(parts)
 
     def to_json_text(self) -> str:
-        """Serialize with every float rendered at 17 significant digits."""
+        """Serialize with every float rendered at 17 significant digits.
+
+        Each distinct double of the values is formatted once
+        (:func:`_distinct_strings`), and one % per chunk of _WRITE_CHUNK_ROWS
+        pairs fills "%s" slots from those strings.
+        """
         parts = ['{\n  "kernel": ' + json.dumps(self.kernel)]
         if self.params is not None:
             p = self.params
@@ -632,20 +641,32 @@ class FieldSample:
         )
         parts.append('  "grid": [%s]' % axes)
         parts.append('  "values": [')
-        # one % per chunk of _WRITE_CHUNK_ROWS pairs; the final join copies the values text once
-        flat = np.ascontiguousarray(self.values).view(float)
-        vals = ", ".join(
-            ", ".join(["[%.17g, %.17g]"] * (len(piece) // 2)) % tuple(piece.tolist())
-            for piece in np.split(flat, range(2 * _WRITE_CHUNK_ROWS, len(flat), 2 * _WRITE_CHUNK_ROWS))
-        )
-        return "".join([",\n".join(parts), vals, "]\n}\n"])
+        strings, index = _distinct_strings(self.values)
+        # every pair is followed by ", ", which the last one trades for the closing brackets
+        parts = [",\n".join(parts)] + [
+            (b"[%s, %s], " * (len(piece) // 2) % tuple(strings[piece].tolist())).decode("ascii")
+            for piece in np.split(index, range(2 * _WRITE_CHUNK_ROWS, len(index), 2 * _WRITE_CHUNK_ROWS))
+        ]
+        parts[-1] = parts[-1][:-2] + "]\n}\n"
+        # so the peak stays the output text plus its parts
+        del strings, index
+        return "".join(parts)
 
     @classmethod
     def from_json(cls, path) -> "FieldSample":
+        """Rebuild a sample from JSON written by :meth:`to_json_text`.
+
+        Every number must be a JSON number token, not a string or a boolean:
+        the grid's min, max and count, the params' s, tau, gamma and n, and
+        the values; count and n must be integer tokens.  A field that breaks
+        this, or an integer token past the double range, is a ValueError
+        naming the field.
+        """
         with open(path, "r", encoding="ascii") as fh:
             doc = json.load(fh, parse_int=_parse_json_int)
         axes = tuple(
-            GridAxis(a["name"], float(a["min"]), float(a["max"]), int(a["count"]))
+            GridAxis(a["name"], _json_number(a["min"], "min"), _json_number(a["max"], "max"),
+                     _json_number(a["count"], "count", int))
             for a in doc["grid"]
         )
         # every entry is typed before the one float conversion, which takes numeric strings
@@ -654,15 +675,20 @@ class FieldSample:
         flat = list(itertools.chain.from_iterable(rows)) if all_pairs else []
         if not all_pairs or not set(map(type, flat)) <= {int, float}:
             raise ValueError("values must be a list of [re, im] pairs of JSON numbers")
-        values = np.array(flat, dtype=float).view(complex)
+        try:
+            values = np.array(flat, dtype=float).view(complex)
+        except OverflowError:
+            raise ValueError("values must be a list of [re, im] pairs of JSON numbers in the double range") from None
         params = None
         if "params" in doc:
             p = doc["params"]
+            if type(p["gamma"]) is not list or len(p["gamma"]) != 2:
+                raise ValueError(f"gamma must be an [re, im] pair of JSON numbers, got {p['gamma']!r:.40}")
             params = KernelParams(
-                s=float(p["s"]),
-                tau=float(p["tau"]),
-                gamma=complex(p["gamma"][0], p["gamma"][1]),
-                n=int(p["n"]),
+                s=_json_number(p["s"], "s"),
+                tau=_json_number(p["tau"], "tau"),
+                gamma=complex(*(_json_number(part, "gamma") for part in p["gamma"])),
+                n=_json_number(p["n"], "n", int),
             )
         return cls(grid=GridSpec(axes), values=values, kernel=doc.get("kernel", ""), params=params)
 
@@ -700,6 +726,36 @@ class FieldSample:
             if not np.array_equal(coords[name], data[:, k]):
                 raise ValueError("CSV rows are not in row-major grid order")
         return cls(grid=grid, values=data[:, -2] + 1j * data[:, -1])
+
+
+def _distinct_strings(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """"%.17g" of each distinct double of complex `values`, and the index of every Re and Im into them.
+
+    Doubles are told apart by their bits, so -0.0 and 0.0 keep "-0" and "0".  The
+    strings are 24-byte ASCII, the longest "%.17g" writes, padded with NULs, which
+    the array's bytes drop; the index takes the smallest unsigned integer type.
+    They are formatted 2*_WRITE_CHUNK_ROWS at a time, so the text in flight stays
+    bounded.
+    """
+    bits, index = np.unique(np.ascontiguousarray(values).view(np.int64), return_inverse=True)
+    strings = np.empty(len(bits), dtype="S24")
+    for lo in range(0, len(bits), 2 * _WRITE_CHUNK_ROWS):
+        piece = bits[lo:lo + 2 * _WRITE_CHUNK_ROWS].view(float)
+        # "%.17g" writes no space, so the spaces of "%-24.17g" are all padding
+        text = ("%-24.17g" * len(piece) % tuple(piece.tolist())).encode("ascii").replace(b" ", b"\0")
+        strings[lo:lo + len(piece)] = np.frombuffer(text, dtype="S24")
+    return strings, index.astype(np.min_scalar_type(len(bits)))
+
+
+def _json_number(value, name: str, kind: type = float):
+    """A JSON field as `kind`: float takes integer and float tokens, int only integer tokens;
+    a string, a boolean or any other value, or an integer past the double range, is a ValueError."""
+    if type(value) not in ((int, float) if kind is float else (int,)):
+        raise ValueError(f"{name} must be a JSON {'number' if kind is float else 'integer'}, got {value!r:.40}")
+    try:
+        return kind(value)
+    except OverflowError:
+        raise ValueError(f"{name} exceeds the double range") from None
 
 
 def _parse_json_int(token: str) -> int | float:

@@ -34,10 +34,10 @@ from numpy.polynomial.legendre import leggauss
 from . import __version__, hermite, series
 from .kernels import (
     KernelParams,
+    _coth_sinh_coefficients,
     _map_blocks,
     _scalar_params,
     apply_kernel,
-    coefficients_ab,
     heat_kernel_h,
     rho_hat,
     rho_tilde,
@@ -441,9 +441,12 @@ def _adaptive_apply(caller, params, f, point, centres, radius_factor, others=())
     """H[f](s, point) by apply_kernel on tensor Gauss-Legendre rules over a box.
 
     params and `others` must be scalar, share (tau, gamma) and have n = 1;
-    caller names the check in errors.  The box spans the (x, y) centres
-    plus radius_factor/sqrt(envelope) on each side, with the smallest
-    envelope (tau/4)*coth(s*tau/4) of them all.  The order runs through
+    caller names the check in errors.  The integrand is read as a product
+    of Gaussian factors, one per (x, y) centre, with the envelopes
+    (tau/4)*coth(s*tau/4) of (*others, params) in turn.  That product is
+    one Gaussian with the summed envelope, centred on the envelope-weighted
+    mean of the centres, and the box spans radius_factor/sqrt(summed
+    envelope) on each side of that mean.  The order runs through
     _QUAD_ORDERS until two successive sums agree to _QUAD_REL_TOL.
     """
     _scalar_params(caller, *others, params)
@@ -451,8 +454,9 @@ def _adaptive_apply(caller, params, f, point, centres, radius_factor, others=())
         raise ValueError(f"{caller} requires identical (tau, gamma, n)")
     if params.n != 1:
         raise ValueError(f"{caller} quadrature is implemented for n = 1")
-    radius = radius_factor / math.sqrt(min(coefficients_ab(p.s, p.tau)[-1] for p in (*others, params)))
-    box = [(min(c) - radius, max(c) + radius) for c in zip(*centres)]
+    envelopes = [float(_coth_sinh_coefficients(caller, p)[1]) for p in (*others, params)]
+    radius = radius_factor / math.sqrt(sum(envelopes))
+    box = [(c - radius, c + radius) for c in np.average(centres, axis=0, weights=envelopes).tolist()]
     prev = None
     for order in _QUAD_ORDERS:
         unit_nodes, unit_weights = _unit_rule(order)
@@ -475,13 +479,13 @@ def semigroup_check(params1: KernelParams, params2: KernelParams, point_pair) ->
 
     iint H(s1, x, y, w, v) H(s2, w, v, x', y') dw dv should match
     H(s1+s2, x, y, x', y'); the integral is evaluated by tensor
-    Gauss-Legendre on a box sized from the Gaussian envelopes of both
-    factors (< 1e-14 at the boundary), with adaptive order refinement.
+    Gauss-Legendre on the box where the product of both factors' Gaussian
+    envelopes lies (< 1e-14 at the boundary), with adaptive order refinement.
     This composition law is an operator-semigroup consequence of the kernel,
     used as an implementation-added oracle.
     """
     (x0, y0), (x1, y1) = point_pair
-    # H_{s2}[H_{s1}(x0, y0; .)](x1, y1), on a box 7/sqrt(envelope) past both points
+    # H_{s2}[H_{s1}(x0, y0; .)](x1, y1), on a box 7/sqrt(summed envelope) around the factors' product
     f = functools.partial(heat_kernel_h, params1, x0, y0)
     composed = _adaptive_apply("semigroup_check", params2, f, (x1, y1), point_pair, 7.0, others=(params1,))
     exact = heat_kernel_h(replace(params1, s=params1.s + params2.s), x0, y0, x1, y1)

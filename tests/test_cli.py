@@ -397,7 +397,8 @@ class TestApply:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "case", ("string-row", "null-row", "integer-gamma", "top-level-list", "empty-grid", "count-1-span")
+        "case", ("string-row", "null-row", "integer-gamma", "top-level-list", "empty-grid", "count-1-span",
+                 "string-count", "bool-min", "fractional-n", "huge-max", "huge-value")
     )
     def test_malformed_json_input_exit_2(self, tmp_path, capsys, case):
         _write_gaussian_field(tmp_path / "f.json", count=5, extent=2.0)
@@ -414,6 +415,17 @@ class TestApply:
         elif case == "count-1-span":
             # one point on an axis from -2 to 2
             doc["grid"][0]["count"] = 1
+        elif case == "string-count":
+            doc["grid"][0]["count"] = "5"
+        elif case == "bool-min":
+            doc["grid"][0]["min"] = True
+        elif case == "fractional-n":
+            doc["params"] = {"s": 1.0, "tau": 1.0, "gamma": [0.0, 0.0], "n": 1.9}
+        elif case == "huge-max":
+            # an integer token past the double range
+            doc["grid"][0]["max"] = 10**400
+        elif case == "huge-value":
+            doc["values"][0] = [10**400, 0.0]
         else:
             doc = [1, 2]
         (tmp_path / "bad.json").write_text(json.dumps(doc))

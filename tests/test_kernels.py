@@ -1,7 +1,10 @@
+import functools
 import itertools
 import json
 import math
+import operator
 import sys
+import tracemalloc
 import warnings
 from dataclasses import replace
 from unittest import mock
@@ -624,6 +627,11 @@ class TestGridEvaluation:
         with pytest.raises(ValueError):
             GridSpec((GridAxis("alpha", 0.0, 1.0, 2), GridAxis("alpha", 0.0, 1.0, 2)))
 
+    def test_size_past_int64(self):
+        # counts are Python ints, so their product does not wrap (2**64 read as 0 in int64)
+        grid = GridSpec((GridAxis("a", 0.0, 1.0, 2**32), GridAxis("b", 0.0, 1.0, 2**32)))
+        assert grid.size == 2**64
+
     def test_empty_grid_rejected(self):
         # an axis-free grid has size 1 but no coordinates to write
         with pytest.raises(ValueError, match="at least one axis"):
@@ -673,7 +681,7 @@ class TestFieldSampleSerialization:
         assert np.array_equal(loaded.values.view(np.uint64), expect.view(np.uint64))
 
     @pytest.mark.parametrize(
-        "row", (["1", "2"], None, [1.0], [1.0, 2.0, 3.0], [True, 0.0], [1.0, [2.0]], "ab", {"re": 1.0}),
+        "row", (["1", "2"], None, [1.0], [1.0, 2.0, 3.0], [True, 0.0], [1.0, [2.0]], "ab", {"re": 1.0}, [10**400, 0.0]),
     )
     def test_json_values_must_be_number_pairs(self, tmp_path, row):
         sample = self._sample()
@@ -683,6 +691,31 @@ class TestFieldSampleSerialization:
         path.write_text(json.dumps(doc), encoding="ascii")
         with pytest.raises(ValueError, match="^values must be a list of"):
             FieldSample.from_json(path)
+
+    @pytest.mark.parametrize("keys, value, message", (
+        pytest.param(("grid", 0, "count"), 2.7, "count must be a JSON integer, got 2.7", id="count-2.7"),
+        pytest.param(("grid", 0, "count"), "2", "count must be a JSON integer, got '2'", id="count-string"),
+        pytest.param(("grid", 0, "count"), True, "count must be a JSON integer, got True", id="count-bool"),
+        # an integer token, so the grid's size, a Python int, cannot match the values
+        pytest.param(("grid", 0, "count"), 10**400, "values length 10 != grid size 2000", id="count-10**400"),
+        pytest.param(("grid", 0, "min"), "0", "min must be a JSON number, got '0'", id="min-string"),
+        pytest.param(("grid", 0, "min"), True, "min must be a JSON number, got True", id="min-bool"),
+        pytest.param(("grid", 0, "max"), 10**400, "max exceeds the double range", id="max-10**400"),
+        pytest.param(("params", "s"), "1", "s must be a JSON number, got '1'", id="s-string"),
+        pytest.param(("params", "tau"), None, "tau must be a JSON number, got None", id="tau-null"),
+        pytest.param(("params", "gamma"), [0.5, "0"], "gamma must be a JSON number, got '0'", id="gamma-string"),
+        pytest.param(("params", "gamma"), [0.5, 0.25, 0.0], "gamma must be an \\[re, im\\] pair", id="gamma-triple"),
+        pytest.param(("params", "gamma"), 5, "gamma must be an \\[re, im\\] pair", id="gamma-number"),
+        pytest.param(("params", "n"), 1.9, "n must be a JSON integer, got 1.9", id="n-1.9"),
+        pytest.param(("params", "n"), "1", "n must be a JSON integer, got '1'", id="n-string"),
+    ))
+    def test_json_header_fields_must_be_numbers(self, tmp_path, keys, value, message):
+        doc = json.loads(self._sample().to_json_text())
+        *path, last = keys
+        functools.reduce(operator.getitem, path, doc)[last] = value
+        (tmp_path / "field.json").write_text(json.dumps(doc), encoding="ascii")
+        with pytest.raises(ValueError, match=f"^{message}"):
+            FieldSample.from_json(tmp_path / "field.json")
 
     def test_json_is_parseable(self, tmp_path):
         sample = self._sample()
@@ -718,7 +751,8 @@ _EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 1.7e308, -1.7e308, 2.225073858507201
 
 @st.composite
 def _field_samples(draw):
-    """1-4 axes of 1-5 points, values of random magnitude with edge cases at random places."""
+    """1-4 axes of 1-5 points; values of random magnitude with edge cases at random places, or
+    drawn from a small pool that holds 0.0 with -0.0 and each x with -x, every member placed once."""
     axes = []
     for name in "abcd"[: draw(st.integers(1, 4))]:
         # the span of any two bounds within +-8e307 is a finite double
@@ -727,9 +761,15 @@ def _field_samples(draw):
         axes.append(GridAxis(name, lo, hi if count > 1 else lo, count))
     grid = GridSpec(tuple(axes))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    parts = rng.standard_normal(2 * grid.size) * 10.0 ** rng.integers(-320, 308, 2 * grid.size)
-    edges = draw(st.lists(st.sampled_from(_EDGE_FLOATS), max_size=2 * grid.size))
-    parts[rng.permutation(2 * grid.size)[: len(edges)]] = edges
+    if draw(st.booleans()):
+        xs = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=3))
+        pool = np.array([0.0, -0.0, *xs, *(-x for x in xs)])
+        parts = pool[rng.integers(len(pool), size=2 * grid.size)]
+        parts[rng.permutation(2 * grid.size)[: len(pool)]] = pool[: 2 * grid.size]
+    else:
+        parts = rng.standard_normal(2 * grid.size) * 10.0 ** rng.integers(-320, 308, 2 * grid.size)
+        edges = draw(st.lists(st.sampled_from(_EDGE_FLOATS), max_size=2 * grid.size))
+        parts[rng.permutation(2 * grid.size)[: len(edges)]] = edges
     params = draw(st.none() | st.just(KernelParams(s=0.5, tau=-1e-5, gamma=-0.0 + 2.5j, n=2)))
     return FieldSample(grid=grid, values=parts.view(complex), kernel="rho-hat", params=params)
 
@@ -759,6 +799,20 @@ class TestWritersMatchPerValueReference:
         sample = FieldSample(grid=grid, values=rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size))
         assert sample.to_csv_text() == oracles.csv_text_per_row(sample)
         assert sample.to_json_text() == oracles.json_text_per_pair(sample)
+
+    @pytest.mark.parametrize("writer", ("to_csv_text", "to_json_text"))
+    def test_memory_peak_on_a_symmetric_field(self, writer):
+        # the output text and its chunks, at most 0.5 MiB more: per-value formatting peaked at
+        # 13.86 MiB for the 6.90 MiB CSV and 8.47 MiB for the 4.23 MiB JSON
+        grid = GridSpec((GridAxis("x", -3.0, 3.0, 301), GridAxis("y", -3.0, 3.0, 301)))
+        sample = evaluate_on_grid("rho-tilde", KernelParams(s=1.0, tau=0.7, gamma=0.5), grid)
+        tracemalloc.start()
+        try:
+            size = len(getattr(sample, writer)())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * size + 2**19
 
 
 class TestKernelParams:

@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heisenheat import hermite, kernels, series, verify
 from heisenheat.kernels import KernelParams, heat_kernel_h, rho_hat, rho_tilde
@@ -286,6 +288,19 @@ class TestSemigroup:
         err = semigroup_check(p1, p2, ((0.3, 0.1), (-0.2, 0.4)))
         assert err < 1e-6
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        s=st.tuples(st.floats(0.1, 2.0), st.floats(0.1, 2.0)),
+        tau=st.just(0.0) | st.floats(-5.0, 5.0),
+        gamma=st.complex_numbers(max_magnitude=2.0),
+        coords=st.tuples(*[st.floats(-1.0, 1.0)] * 4),
+    )
+    def test_random_parameters(self, s, tau, gamma, coords):
+        # 1e-9 relative, the quadrature's own stopping rule, fixed before any draw was measured
+        p1, p2 = (KernelParams(s=part, tau=tau, gamma=gamma) for part in s)
+        x0, y0, x1, y1 = coords
+        assert semigroup_check(p1, p2, ((x0, y0), (x1, y1))) < 1e-9
+
     @pytest.mark.parametrize("which", (0, 1))
     def test_non_scalar_s_rejected(self, which):
         params = [KernelParams(s=0.5, tau=1.0), KernelParams(s=0.5, tau=1.0)]
@@ -302,8 +317,8 @@ class TestSemigroup:
             semigroup_check(*params, ((0.2, -0.3), (0.2, -0.3)))
 
     def test_suite_pairs_at_roundoff(self, monkeypatch):
-        # the box of radius 7/sqrt(envelope) leaves the composition at roundoff (worst ~8e-15),
-        # far inside the suite's 1e-6; a radius of 3 reads ~4e-9
+        # the box of radius 7/sqrt(summed envelope) leaves the composition at roundoff (worst ~7e-15),
+        # far inside the suite's 1e-6; a radius of 3 reads ~4e-5
         errors = []
         original = verify.semigroup_check
         monkeypatch.setattr(verify, "semigroup_check", lambda *a: errors.append(original(*a)) or errors[-1])
