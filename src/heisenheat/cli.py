@@ -170,9 +170,9 @@ def _cmd_apply(args) -> int:
     params = _params_from_args(args)
     field_in = _load_field(args.input)
     names = [ax.name for ax in field_in.grid.axes]
-    expected = _component_names("x", params.n) + _component_names("y", params.n)
-    if names != expected:
-        raise ValueError(f"input grid axes {names} do not match the expected {expected}")
+    # the expected names are built only when the input has as many axes, 2n
+    if len(names) != 2 * params.n or names != _component_names("x", params.n) + _component_names("y", params.n):
+        raise ValueError(f"input grid axes {names} do not match the 2n axes x.., y.. of n = {params.n}")
     out_grid = GridSpec(tuple(_parse_axis(a) for a in args.axis))
     _, (x, y) = _component_blocks(out_grid, ("x", "y"), params.n)
     axis_points = [ax.points() for ax in field_in.grid.axes]

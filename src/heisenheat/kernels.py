@@ -112,6 +112,12 @@ _EXP_BLOCK = 16384
 # process may use (the CPU count where the affinity mask cannot be read)
 _THREADS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
+# largest work of one eval or apply output grid: its points times n, what its coordinates and
+# values grow with.  An n = 1 eval to JSON peaks at ~120 B and takes 1-2 us per point (1e6 and 2e6
+# points: 143 and 270 MB, 1.4 and 4.3 s), so one at the bound needs ~16 GB.  apply holds a chunk of
+# output points against the input mesh at a time, so its memory does not grow with their product
+_MAX_WORK = 2**27
+
 # rows per filled template of the CSV and JSON writers: bounds the template, value
 # tuple and formatted chunk held at once, whatever the length of the grid's last axis
 _WRITE_CHUNK_ROWS = 4096
@@ -281,6 +287,17 @@ def _helper_pool(threads: int, pid: int):
     return ThreadPoolExecutor(threads - 1, thread_name_prefix="heisenheat-block")
 
 
+def _block_share(size: int) -> int:
+    """size, the elements or rows of one block on one or two threads, cut for _THREADS threads.
+
+    2 * size // _THREADS from three threads on, at least 1, so up to 8 threads
+    hold no more in flight at once than two do; past 8 threads a block stays
+    at size // 4 (a 4096-element exponent block costs ~10% more per element
+    than a 16384-element one on one thread, a 2048-element one ~33%).
+    """
+    return max(1, 2 * size // min(max(_THREADS, 2), 8))
+
+
 def _map_blocks(func, starts) -> list:
     """[func(lo) for lo in starts], the blocks spread over the calling thread and _THREADS - 1 helpers.
 
@@ -317,6 +334,9 @@ def _map_blocks(func, starts) -> list:
     for future in futures:
         if not future.cancel():
             future.result()
+    # a helper drops its task after the future is done, maybe after this call returns: the task's
+    # drain must not keep func, and through it the caller's arrays, alive
+    del func
     for _, exc in outcomes:
         if exc is not None:
             raise exc
@@ -328,8 +348,8 @@ def _exp_kernel(params: KernelParams, const, envelope, twist, forms, *args):
 
     forms reduces the last axis of the args, whose leading axes broadcast
     with the coefficients.  The output is allocated once and its leading axis
-    cut into the fewest blocks of at most _EXP_BLOCK elements (at least one
-    row each), whose row counts differ by at most one.  Per block, forms
+    cut into the fewest blocks of at most _block_share(_EXP_BLOCK) elements
+    (at least one row each), whose row counts differ by at most one.  Per block, forms
     runs on the args' rows and the slice starts as twist*cross, gets the
     real and imaginary parts of const - envelope*sq added (that expression's
     IEEE operations, zero signs included) and is exponentiated in place.  The blocks are
@@ -343,7 +363,7 @@ def _exp_kernel(params: KernelParams, const, envelope, twist, forms, *args):
     shape = np.broadcast_shapes(*map(np.shape, (const, envelope, twist)), *(np.shape(a)[:-1] for a in args))
     out = np.empty(shape, dtype=complex)
     rows = out if out.ndim else out.reshape(1)
-    step = max(1, _EXP_BLOCK // max(1, math.prod(rows.shape[1:])))
+    step = max(1, _block_share(_EXP_BLOCK) // max(1, math.prod(rows.shape[1:])))
     count = -(-len(rows) // step)
     bounds = [len(rows) * k // count for k in range(count + 1)]
     # an input with the output's leading axis is cut into the blocks; an arg's last axis is its components
@@ -358,7 +378,9 @@ def _exp_kernel(params: KernelParams, const, envelope, twist, forms, *args):
         with np.errstate(over="ignore", invalid="ignore"):
             sq, cross = forms(*block_args)
             np.multiply(tw, cross, out=buf)
-            np.add(np.real(c) - e * sq, buf.real, out=buf.real)
+            # const - envelope*sq formed in one block-sized temporary, not two
+            decay = np.multiply(e, sq, out=np.empty(buf.shape))
+            np.add(np.subtract(np.real(c), decay, out=decay), buf.real, out=buf.real)
             np.add(np.imag(c), buf.imag, out=buf.imag)
             nan = np.isnan(buf)
             if nan.any():
@@ -777,8 +799,14 @@ def _component_names(base: str, n: int) -> list[str]:
 
 
 def _component_blocks(grid: GridSpec, bases, n: int, extra=()) -> tuple[dict, list[np.ndarray]]:
-    """The grid's coordinates and one (size, n) block per base, 0 where a component has no axis;
-    an axis naming neither a component nor one of `extra` is GridMismatchError, before any coordinate."""
+    """The grid's coordinates and one (size, n) block per base, 0 where a component has no axis.
+
+    Before any name or coordinate is built, grid.size * n past _MAX_WORK is a
+    ValueError naming the sizes; then an axis naming neither a component nor
+    one of `extra` is GridMismatchError.
+    """
+    if grid.size * n > _MAX_WORK:
+        raise ValueError(f"{grid.size} grid points x n = {n} is {grid.size * n}, past the work bound {_MAX_WORK}")
     names = [_component_names(base, n) for base in bases]
     allowed = set(extra).union(*names)
     for ax in grid.axes:

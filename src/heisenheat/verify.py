@@ -35,6 +35,7 @@ from . import __version__, hermite, series
 from .kernels import (
     KernelParams,
     _coth_sinh_coefficients,
+    _block_share,
     _map_blocks,
     _scalar_params,
     apply_kernel,
@@ -329,10 +330,58 @@ def eigenfunction_residual_report(step_sizes=DEFAULT_STEP_SIZES) -> ResidualRepo
 # DFT inversion of rho_hat against rho_tilde
 # ---------------------------------------------------------------------------
 
-# rows of the grid per block of the first inverse-FFT pass (256 KB of complex at N = 512).  On two
-# threads a 512^2 check then peaks below twice its rho_hat half-plane, the heap trim threshold glibc
-# sets when it frees that array, so the heap is not trimmed and faulted in again on every check
+# rows of the grid per block of the first inverse-FFT pass on one or two threads (256 KB of complex
+# at N = 512), cut by _block_share on more, so the check's heap peak does not grow with the CPU count
 _IFFT_BLOCK_ROWS = 32
+
+
+def _orbits(k, span):
+    """One representative of each orbit of the index grid k x k under (i, l) -> (l, i) and (i, l) -> (-i, -l).
+
+    k holds signed indices in [-span, span]; the images of a point may leave k but not
+    [-span, span].  Each orbit is coded by the smallest (i + span) * (2 span + 1) + l + span
+    of its points.  Returns the representatives' i and l, those smallest codes decoded, and
+    the (len(k), len(k)) index of every grid point into them.  The codes and the index take
+    the smallest signed type that holds (2 span + 1)^2 (int32 at N = 512) and no sort, so the
+    temporaries stay at three grid-sized arrays of it.
+    """
+    width = 2 * span + 1
+    dtype = np.min_scalar_type(-width * width)
+    u, flipped = (k + span).astype(dtype), (span - k).astype(dtype)
+    codes = np.add.outer(width * u, u)
+    # the codes of (l, i), (-i, -l) and (-l, -i): a sign flip takes i + span to span - i
+    for first, second in ((u, width * u), (width * flipped, flipped), (flipped, width * flipped)):
+        np.minimum(codes, np.add.outer(first, second), out=codes)
+    used = np.zeros(width * width, dtype=bool)
+    used[codes] = True
+    reps = np.flatnonzero(used)
+    number = np.cumsum(used, dtype=dtype)
+    number -= 1
+    return reps // width - span, reps % width - span, number[codes]
+
+
+@functools.lru_cache(maxsize=2)
+def _inversion_orbits(grid_count):
+    """dft_inversion_check's evaluation points per grid_count, cached for the last 2 grid sizes.
+
+    At N = 512 one entry holds 1.6 MiB, 1 MiB of it the N^2 index.
+
+    rho_hat: the orbit representatives of the frequency grid in FFT order, whose
+    indices run over -N/2..N/2 - 1 (a representative may sit at +N/2), followed by
+    the 4N - 4 points of the grid's boundary edges, indices -N/2 and N/2 - 1; and the
+    index of every grid point into the representatives.  rho_tilde: the same for the
+    compared block, indices -N/8..N/8.
+    """
+    half, eighth = grid_count // 2, grid_count // 8
+    fft_order = np.fft.ifftshift(np.arange(grid_count) - half)
+    rep_i, rep_l, index = _orbits(fft_order, half)
+    ends, inner = np.array([-half, half - 1]), np.arange(1 - half, half - 1)
+    hat = (
+        np.concatenate([rep_i, np.repeat(ends, grid_count), np.tile(inner, 2)], dtype=np.int32),
+        np.concatenate([rep_l, np.tile(fft_order, 2), np.repeat(ends, grid_count - 2)], dtype=np.int32),
+        index,
+    )
+    return hat, _orbits(np.arange(-eighth, eighth + 1), eighth)
 
 
 def dft_inversion_check(params: KernelParams, grid_extent: float = 40.0, grid_count: int = 512) -> float:
@@ -346,17 +395,19 @@ def dft_inversion_check(params: KernelParams, grid_extent: float = 40.0, grid_co
     relative error is meaningless in the far Gaussian tails).
 
     The frequency grid is alpha_j = (j - N/2) * step in FFT order, with
-    step = L/N and L = grid_extent, so freqs[-j] == -freqs[j] for every j
-    but N/2.  rho_hat's exponent takes the same IEEE operations on the same
-    bits at (-alpha, -beta) as at (alpha, beta), so one rho_hat call covers
-    rows 0..N/2 of the grid and one extra column at beta = +L/2: row J > N/2
-    is row N - J read at columns (N - k) mod N, its beta = -L/2 entry from
-    the extra column.  The first FFT pass runs in row blocks, spread over the usable
-    CPUs like rho_hat's own blocks, reading evaluated rows as views and
-    building mirrored rows per block, so no N x N array is formed; the
-    second pass runs on the compared block only.  rho_tilde, even in (x, y)
-    the same way, is evaluated on the rows x <= 0 of that block and
-    mirrored.  The result is == the centred full-grid ifft2's.
+    step = L/N and L = grid_extent.  rho_hat's exponent takes the same IEEE
+    operations on the same bits at (beta, alpha) and at (-alpha, -beta) as
+    at (alpha, beta), so one rho_hat call covers one point of each orbit of
+    the grid under the swap and the sign flip (the unmatched -L/2 end maps
+    to +L/2), 66,048 points at N = 512, and the 4N - 4 points of the grid's
+    boundary edges, which the decay test reads.  The first FFT pass runs in
+    row blocks, spread over the usable CPUs like rho_hat's own blocks and
+    sized like them by _block_share, each gathering its rows from the orbit
+    values, so no N x N array is formed;
+    the second pass runs on the compared block only.  rho_tilde, symmetric
+    in (x, y) the same way, is evaluated on one point of each orbit of that
+    block and gathered.  The orbits are _inversion_orbits(N).  The result is
+    == the centred full-grid ifft2's.
 
     Raises InsufficientDecayError when |rho_hat| exceeds 1e-12 anywhere on
     the transform-grid boundary.
@@ -370,23 +421,11 @@ def dft_inversion_check(params: KernelParams, grid_extent: float = 40.0, grid_co
         # the rolled frequency grid starts at alpha = 0, as the FFT expects,
         # only for even N
         raise ValueError(f"grid_count must be even and >= 16, got {grid_count}")
-    half, eighth = grid_count // 2, grid_count // 8
     step = grid_extent / grid_count
-    # FFT order, alpha_j = (j - N/2) * step at index (j - N/2) mod N: alpha = 0 first, the ends
-    # -L/2 and L/2 - step at N/2 and N/2 - 1, and freqs[-j] == -freqs[j] for every j but N/2
-    freqs = step * np.fft.ifftshift(np.arange(grid_count) - half)
-    # rows 0..N/2 and the column beta = +L/2; row J > N/2 is row N - J at columns mirror
-    f_hat = rho_hat(params, freqs[:half + 1, np.newaxis], np.append(freqs, half * step))
-    mirror = -np.arange(grid_count) % grid_count
-    mirror[half] = grid_count
-
-    # the grid's rows N/2 - 1 and N/2 and its columns N/2 - 1 and N/2, which rows past N/2 read at N/2 + 1 and N
-    edges = (
-        f_hat[half - 1:, :grid_count],
-        f_hat[:, half - 1:half + 1],
-        f_hat[1:half, [half + 1, grid_count]],
-    )
-    boundary = max(float(np.max(np.abs(edge))) for edge in edges)
+    (hat_i, hat_l, hat_index), (tilde_i, tilde_l, tilde_index) = _inversion_orbits(grid_count)
+    # the orbit representatives, then the boundary edges
+    f_hat = rho_hat(params, step * hat_i, step * hat_l)
+    boundary = float(np.max(np.abs(f_hat[len(f_hat) - (4 * grid_count - 4):])))
     if boundary > 1e-12:
         raise InsufficientDecayError(
             f"|rho_hat| = {boundary:.3e} > 1e-12 on the transform-grid boundary; "
@@ -399,29 +438,22 @@ def dft_inversion_check(params: KernelParams, grid_extent: float = 40.0, grid_co
     # step^2 N^2 / (2 pi)^2 = (L / 2 pi)^2.  ifft2 is ifft along axis 1, then
     # axis 0: the second pass on only the compared columns |m - N/2| <= N/8,
     # at m mod N in FFT order, gives the same numbers on 1/4 of the grid, as do row blocks.
-    m_idx = np.arange(-eighth, eighth + 1)
+    m_idx = np.arange(-(grid_count // 8), grid_count // 8 + 1)
     keep = m_idx % grid_count
     columns = np.empty((grid_count, keep.size), dtype=complex)
 
-    def first_pass(lo):
-        hi = min(lo + _IFFT_BLOCK_ROWS, grid_count)
-        mid = min(max(lo, half + 1), hi)
-        # rows lo..mid are views of evaluated rows; rows mid..hi are rows N - mid down to N - hi + 1, mirrored
-        for rows, block in (
-            (slice(lo, mid), f_hat[lo:mid, :grid_count]),
-            (slice(mid, hi), f_hat[grid_count - mid:grid_count - hi:-1, mirror]),
-        ):
-            if rows.start < rows.stop:
-                columns[rows] = np.fft.ifft(block, axis=1)[:, keep]
+    block_rows = _block_share(_IFFT_BLOCK_ROWS)
 
-    _map_blocks(first_pass, range(0, grid_count, _IFFT_BLOCK_ROWS))
-    del f_hat, edges  # freed before the second pass allocates, for the peak _IFFT_BLOCK_ROWS keeps
+    def first_pass(lo):
+        rows = slice(lo, lo + block_rows)
+        columns[rows] = np.fft.ifft(np.take(f_hat, hat_index[rows]), axis=1)[:, keep]
+
+    _map_blocks(first_pass, range(0, grid_count, block_rows))
+    del f_hat  # freed before the second pass allocates
     num = (grid_extent / (2.0 * math.pi)) ** 2 * np.fft.ifft(columns, axis=0)[keep]
 
-    # x[-m] == -x[m]: rows m <= 0 are evaluated, rows m > 0 mirrored
-    x = m_idx * (2.0 * math.pi / grid_extent)
-    exact = rho_tilde(params, x[:eighth + 1, np.newaxis], x)
-    exact = np.concatenate([exact, exact[-2::-1, ::-1]])
+    unit = 2.0 * math.pi / grid_extent
+    exact = np.take(rho_tilde(params, unit * tilde_i, unit * tilde_l), tilde_index)
     scale = float(np.max(np.abs(exact)))
     return float(np.max(np.abs(num - exact)) / scale)
 

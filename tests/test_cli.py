@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import heisenheat
-from heisenheat import cli
+from heisenheat import cli, kernels
 from heisenheat.kernels import FieldSample, GridAxis, GridSpec, KernelParams, evaluate_on_grid
 
 
@@ -212,6 +212,19 @@ class TestEval:
         assert "axis x: a count-1 axis needs min == max" in capsys.readouterr().err
         assert not (tmp_path / "x.json").exists()
 
+    @pytest.mark.parametrize("flags, points, n", (
+        (["--axis", "alpha:0:1:100000000000"], 10**11, 1),
+        (["--n", "100000000", "--axis", "alpha1:0:1:10"], 10, 10**8),
+    ))
+    def test_work_past_the_bound_exit_2(self, tmp_path, capsys, flags, points, n):
+        # rejected before any name or coordinate is built: numpy's MemoryError exited 1 with a traceback
+        out = tmp_path / "out.json"
+        code = run(["eval", "--kernel", "rho-hat", "--s", "1", "--tau", "1", *flags, "--output", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{points} grid points x n = {n} is {points * n}, past the work bound" in err
+        assert not out.exists()
+
     def test_bad_axis_exit_2(self, tmp_path):
         code = run(
             [
@@ -381,6 +394,19 @@ class TestApply:
         assert code == 2
         assert "axis 'z'" in capsys.readouterr().err
         assert not (tmp_path / "out.json").exists()
+
+    def test_work_past_the_bound_exit_2(self, tmp_path, capsys):
+        # output points x n one past the bound, as for eval: rejected before any output coordinate.
+        # The input mesh does not count, so a 161^2 field onto 300^2 output points still runs
+        _write_gaussian_field(tmp_path / "f.json", count=11, extent=3.0)
+        out, count = tmp_path / "out.json", kernels._MAX_WORK + 1
+        argv = ["apply", "--input", str(tmp_path / "f.json"), "--s", "0.5", "--tau", "1", "--output", str(out)]
+        assert run([*argv, "--axis", f"x:-1:1:{count}"]) == 2
+        assert f"{count} grid points x n = 1 is {count}, past the work bound" in capsys.readouterr().err
+        # a huge n is an axis-count mismatch, found before its 2n names are built
+        assert run([*argv, "--n", "100000000", "--axis", "x:-1:1:3"]) == 2
+        assert "do not match the 2n axes x.., y.. of n = 100000000" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_subnormal_s_overflow_exit_2(self, tmp_path, capsys):
         # the kernel's Gaussian envelope ~1/s is past the double range

@@ -6,12 +6,13 @@ import operator
 import sys
 import tracemalloc
 import warnings
+import weakref
 from dataclasses import replace
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from heisenheat import kernels
@@ -295,6 +296,30 @@ class TestRhoTilde:
             order=160,
         )
         assert mass == pytest.approx(rho_hat(p, 0.0, 0.0), rel=1e-9)
+
+
+class TestOrbitSymmetry:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(1, 2),
+        s=st.floats(1e-3, 4.0),
+        z=st.just(0.0) | st.floats(1e-12, 0.99e-4) | st.floats(1e-4, 20.0),
+        sign=st.sampled_from((1.0, -1.0)),
+        gamma=st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False),
+        coords=st.lists(_COORD | st.floats(1e150, 1e308) | st.floats(-1e308, -1e150), min_size=4, max_size=4),
+    )
+    # summing the squares of (u, v) as one sequence of 2n terms breaks the swap here, at n = 2
+    @example(n=2, s=1.3, z=0.91, sign=1.0, gamma=0.5 + 0.25j, coords=[0.3, 0.3, 0.3, -1.9])
+    def test_swap_and_sign_flip_keep_the_bits(self, n, s, z, sign, gamma, coords):
+        # the exponents read only |u|^2 + |v|^2 and u.v, so dft_inversion_check evaluates one point
+        # per orbit of its grids under (u, v) -> (v, u) and (u, v) -> (-u, -v); |s*tau| = z picks
+        # the coefficient branch (Taylor below 1e-4), and far-tail arguments overflow the squares
+        p = KernelParams(s=s, tau=sign * z / s, gamma=gamma, n=n)
+        u, v = np.array(coords[:n]), np.array(coords[2:2 + n])
+        for kernel in (rho_hat, rho_tilde):
+            value = _bits(kernel(p, u, v))
+            assert np.array_equal(_bits(kernel(p, v, u)), value)
+            assert np.array_equal(_bits(kernel(p, -u, -v)), value)
 
 
 class TestHeatKernel:
@@ -626,6 +651,24 @@ class TestGridEvaluation:
             GridAxis("alpha", 0.0, 1.0, 1)
         with pytest.raises(ValueError):
             GridSpec((GridAxis("alpha", 0.0, 1.0, 2), GridAxis("alpha", 0.0, 1.0, 2)))
+
+    @pytest.mark.parametrize("n", (1, 2))
+    def test_work_bound_at_its_edge(self, monkeypatch, n):
+        # points x n at the bound passes the check and reaches the coordinates, stubbed so that no
+        # grid is built; one point more is a ValueError naming the sizes, raised before them
+        class Reached(Exception):
+            pass
+
+        def coordinates(grid):
+            raise Reached
+
+        monkeypatch.setattr(GridSpec, "coordinates", coordinates)
+        name, count = ("alpha" if n == 1 else "alpha1"), kernels._MAX_WORK // n
+        with pytest.raises(Reached):
+            evaluate_on_grid("rho-hat", KernelParams(1.0, 1.0, n=n), GridSpec((GridAxis(name, 0.0, 1.0, count),)))
+        past = GridSpec((GridAxis(name, 0.0, 1.0, count + 1),))
+        with pytest.raises(ValueError, match=f"^{count + 1} grid points x n = {n} is {(count + 1) * n}, past the work"):
+            evaluate_on_grid("rho-hat", KernelParams(1.0, 1.0, n=n), past)
 
     def test_size_past_int64(self):
         # counts are Python ints, so their product does not wrap (2**64 read as 0 in int64)
@@ -1129,7 +1172,9 @@ class TestBlockedExponent:
         (20000, 1, [0, 10000]),
     ))
     def test_row_blocks_differ_by_at_most_one_row(self, monkeypatch, rows, cols, starts):
-        # the fewest blocks of at most _EXP_BLOCK elements, with equal row counts where they divide
+        # the fewest blocks of at most _EXP_BLOCK elements, with equal row counts where they divide,
+        # on two threads (_block_share cuts them on more)
+        monkeypatch.setattr(kernels, "_THREADS", 2)
         spans = []
         original = kernels._map_blocks
 
@@ -1215,6 +1260,28 @@ class TestMapBlocks:
 
         with pytest.raises(ValueError, match="^block 5$"):
             kernels._map_blocks(fail, range(100))
+
+    @pytest.mark.parametrize("threads", range(1, 13))
+    def test_block_share_keeps_what_is_in_flight(self, monkeypatch, threads):
+        # up to 8 threads hold at most what two hold; past 8 a block stays at a quarter
+        monkeypatch.setattr(kernels, "_THREADS", threads)
+        for size in (1, 7, 32, kernels._EXP_BLOCK):
+            share = kernels._block_share(size)
+            assert share >= max(1, size // 4)
+            assert min(threads, 8) * share <= max(2 * size, min(threads, 8))
+        assert kernels._block_share(32) == (32 if threads <= 2 else max(8, 64 // threads))
+
+    def test_returns_without_keeping_the_blocks_arrays(self, monkeypatch):
+        # a task cancelled before a helper woke stays queued until a helper takes it, and a finished
+        # one is dropped after the caller may have returned: neither may hold func, or the arrays
+        # func reads outlive the call (1 MiB of a 512^2 DFT check's)
+        monkeypatch.setattr(kernels, "_THREADS", 8)
+        for _ in range(200):
+            data = np.ones(8)
+            alive = weakref.ref(data)
+            kernels._map_blocks(functools.partial(operator.getitem, data), range(8))
+            del data
+            assert alive() is None
 
 
 def _pooled_calls(n):
