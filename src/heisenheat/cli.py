@@ -150,17 +150,18 @@ def _load_field(path: str) -> FieldSample:
         if path.endswith(".csv"):
             return FieldSample.from_csv(path)
         return FieldSample.from_json(path)
+    except UnicodeDecodeError as exc:
+        byte = exc.object[exc.start]
+        raise ValueError(f"cannot load field sample {path!r}: the file is not ASCII (byte {byte:#x})") from exc
     except (ValueError, KeyError, TypeError) as exc:
         raise ValueError(f"cannot load field sample {path!r}: {exc}") from exc
 
 
-def _trapezoid_weights(points: np.ndarray) -> np.ndarray:
-    if len(points) < 2:
-        raise ValueError("apply requires at least 2 points per input axis")
-    steps = np.diff(points)
-    if not np.allclose(steps, steps[0], rtol=1e-12, atol=0.0):
-        raise ValueError("apply requires a uniform input grid")
-    w = np.full(len(points), steps[0])
+def _trapezoid_weights(axis: GridAxis) -> np.ndarray:
+    """Trapezoid weights of a GridAxis: its own step (max - min)/(count - 1), halved at both ends."""
+    if axis.count < 2:
+        raise ValueError(f"apply requires at least 2 points per input axis, axis {axis.name} has 1")
+    w = np.full(axis.count, (axis.hi - axis.lo) / (axis.count - 1))
     w[0] *= 0.5
     w[-1] *= 0.5
     return w
@@ -176,7 +177,7 @@ def _cmd_apply(args) -> int:
     out_grid = GridSpec(tuple(_parse_axis(a) for a in args.axis))
     _, (x, y) = _component_blocks(out_grid, ("x", "y"), params.n)
     axis_points = [ax.points() for ax in field_in.grid.axes]
-    weights = [_trapezoid_weights(p) for p in axis_points]
+    weights = [_trapezoid_weights(ax) for ax in field_in.grid.axes]
     out_vals = apply_kernel(params, axis_points, weights, field_in.values, x, y)
     sample = FieldSample(grid=out_grid, values=out_vals, kernel="heat-kernel-apply", params=params)
     summary = f"heat-kernel-apply: {out_grid.size} points"

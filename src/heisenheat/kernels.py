@@ -680,12 +680,14 @@ class FieldSample:
 
         Every number must be a JSON number token, not a string or a boolean:
         the grid's min, max and count, the params' s, tau, gamma and n, and
-        the values; count and n must be integer tokens.  A field that breaks
-        this, or an integer token past the double range, is a ValueError
-        naming the field.
+        the values; count and n must be integer tokens.  The document must be
+        a JSON object and its kernel a string.  A field that breaks this, or an
+        integer token past the double range, is a ValueError naming the field.
         """
         with open(path, "r", encoding="ascii") as fh:
             doc = json.load(fh, parse_int=_parse_json_int)
+        if type(doc) is not dict:
+            raise ValueError(f"a field must be a JSON object, got {doc!r:.40}")
         axes = tuple(
             GridAxis(a["name"], _json_number(a["min"], "min"), _json_number(a["max"], "max"),
                      _json_number(a["count"], "count", int))
@@ -712,7 +714,10 @@ class FieldSample:
                 gamma=complex(*(_json_number(part, "gamma") for part in p["gamma"])),
                 n=_json_number(p["n"], "n", int),
             )
-        return cls(grid=GridSpec(axes), values=values, kernel=doc.get("kernel", ""), params=params)
+        kernel = doc.get("kernel", "")
+        if type(kernel) is not str:
+            raise ValueError(f"kernel must be a JSON string, got {kernel!r:.40}")
+        return cls(grid=GridSpec(axes), values=values, kernel=kernel, params=params)
 
     @classmethod
     def from_csv(cls, path) -> "FieldSample":

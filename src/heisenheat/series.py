@@ -43,7 +43,6 @@ __all__ = [
     "SeriesConfig",
     "UValue",
     "SeriesConvergenceError",
-    "MehlerIdentityError",
     "u_series",
     "rho_hat_series",
     "mehler_sum",
@@ -57,16 +56,11 @@ _SQRT_PI_INV = math.pi ** -0.5
 # (-i)**m cycles with period 4
 _MINUS_I_POW = (1.0 + 0.0j, -1.0j, -1.0 + 0.0j, 1.0j)
 
-MEHLER_TOLERANCE = 1e-11
 MEHLER_MAX_DEGREE = 8000
 
 
 class SeriesConvergenceError(RuntimeError):
     """The requested tail tolerance is unreachable within the term budget."""
-
-
-class MehlerIdentityError(RuntimeError):
-    """Truncated Mehler sum and closed form disagree beyond tolerance."""
 
 
 @dataclass(frozen=True)
@@ -210,8 +204,8 @@ def mehler_closed_form(big_s, x, y):
 def mehler_terms(big_s) -> int:
     """Terms mehler_sum adds for these S values in (0, 1), one count for the whole array.
 
-    Past the degree where the tail bound is 1e-14, ~100x under
-    MEHLER_TOLERANCE, up to MEHLER_MAX_DEGREE.
+    Past the degree where the tail bound is 1e-14 absolute, up to
+    MEHLER_MAX_DEGREE.
     """
     big_s = np.asarray(big_s, dtype=float)
     if not ((0.0 < big_s) & (big_s < 1.0)).all():
@@ -222,19 +216,9 @@ def mehler_terms(big_s) -> int:
 def mehler_sum(big_s, x, y):
     """Truncated oscillator-semigroup sum sum_m (-i*S)**m psi_m(x) psi_m(y), elementwise.
 
-    Adds mehler_terms(S) terms, then asserts agreement with the closed form
-    to MEHLER_TOLERANCE relative at every element, raising
-    MehlerIdentityError on violation.  Returns the truncated sum.
+    Adds mehler_terms(S) terms, so the tail is below 1e-14 absolute.  The
+    sum is not compared with mehler_closed_form here: verify's
+    mehler-identity check does that and reports the result.
     """
     big_s, x, y = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (big_s, x, y)))
-    total = _hermite_product_sum(big_s, x, y, mehler_terms(big_s) - 1)
-    closed = mehler_closed_form(big_s, x, y)
-    gap = np.abs(total - closed)
-    violated = gap > MEHLER_TOLERANCE * np.abs(closed)
-    if violated.any():
-        k = np.argmax(violated)
-        raise MehlerIdentityError(
-            f"Mehler identity violated at S={big_s.flat[k]}, x={x.flat[k]}, y={y.flat[k]}: "
-            f"|sum - closed| = {gap.flat[k]:.3e}, |closed| = {abs(closed.flat[k]):.3e}"
-        )
-    return total[()]
+    return _hermite_product_sum(big_s, x, y, mehler_terms(big_s) - 1)[()]

@@ -364,24 +364,15 @@ def _orbits(k, span):
 def _inversion_orbits(grid_count):
     """dft_inversion_check's evaluation points per grid_count, cached for the last 2 grid sizes.
 
-    At N = 512 one entry holds 1.6 MiB, 1 MiB of it the N^2 index.
+    At N = 512 one entry holds 2.1 MiB, 1 MiB of it the N^2 index.
 
-    rho_hat: the orbit representatives of the frequency grid in FFT order, whose
-    indices run over -N/2..N/2 - 1 (a representative may sit at +N/2), followed by
-    the 4N - 4 points of the grid's boundary edges, indices -N/2 and N/2 - 1; and the
-    index of every grid point into the representatives.  rho_tilde: the same for the
+    rho_hat: _orbits of the frequency grid in FFT order, whose indices run over
+    -N/2..N/2 - 1 (a representative may sit at +N/2).  rho_tilde: _orbits of the
     compared block, indices -N/8..N/8.
     """
     half, eighth = grid_count // 2, grid_count // 8
     fft_order = np.fft.ifftshift(np.arange(grid_count) - half)
-    rep_i, rep_l, index = _orbits(fft_order, half)
-    ends, inner = np.array([-half, half - 1]), np.arange(1 - half, half - 1)
-    hat = (
-        np.concatenate([rep_i, np.repeat(ends, grid_count), np.tile(inner, 2)], dtype=np.int32),
-        np.concatenate([rep_l, np.tile(fft_order, 2), np.repeat(ends, grid_count - 2)], dtype=np.int32),
-        index,
-    )
-    return hat, _orbits(np.arange(-eighth, eighth + 1), eighth)
+    return _orbits(fft_order, half), _orbits(np.arange(-eighth, eighth + 1), eighth)
 
 
 def dft_inversion_check(params: KernelParams, grid_extent: float = 40.0, grid_count: int = 512) -> float:
@@ -399,8 +390,9 @@ def dft_inversion_check(params: KernelParams, grid_extent: float = 40.0, grid_co
     operations on the same bits at (beta, alpha) and at (-alpha, -beta) as
     at (alpha, beta), so one rho_hat call covers one point of each orbit of
     the grid under the swap and the sign flip (the unmatched -L/2 end maps
-    to +L/2), 66,048 points at N = 512, and the 4N - 4 points of the grid's
-    boundary edges, which the decay test reads.  The first FFT pass runs in
+    to +L/2), 66,048 points at N = 512.  The decay test reads the grid's
+    boundary edges, rows and columns -N/2 and N/2 - 1, through the same orbit
+    index, which holds their values bit for bit.  The first FFT pass runs in
     row blocks, spread over the usable CPUs like rho_hat's own blocks and
     sized like them by _block_share, each gathering its rows from the orbit
     values, so no N x N array is formed;
@@ -423,9 +415,10 @@ def dft_inversion_check(params: KernelParams, grid_extent: float = 40.0, grid_co
         raise ValueError(f"grid_count must be even and >= 16, got {grid_count}")
     step = grid_extent / grid_count
     (hat_i, hat_l, hat_index), (tilde_i, tilde_l, tilde_index) = _inversion_orbits(grid_count)
-    # the orbit representatives, then the boundary edges
     f_hat = rho_hat(params, step * hat_i, step * hat_l)
-    boundary = float(np.max(np.abs(f_hat[len(f_hat) - (4 * grid_count - 4):])))
+    # in FFT order the indices N/2 - 1 and -N/2 sit at positions N/2 - 1 and N/2
+    edges = [grid_count // 2 - 1, grid_count // 2]
+    boundary = max(float(np.max(np.abs(np.take(f_hat, idx)))) for idx in (hat_index[edges], hat_index[:, edges]))
     if boundary > 1e-12:
         raise InsufficientDecayError(
             f"|rho_hat| = {boundary:.3e} > 1e-12 on the transform-grid boundary; "

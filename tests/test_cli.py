@@ -509,6 +509,43 @@ class TestApply:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("x_axis", ("x:1:1.000000000001:7", "x:1e6:1.000001e6:5"))
+    def test_eval_output_on_a_narrow_axis_applies(self, tmp_path, x_axis):
+        # the rounded points of such an axis are not evenly spaced to 1e-12; the weights come from
+        # the axis' own step, so apply takes the field that eval writes
+        field, out = tmp_path / "f.json", tmp_path / "out.json"
+        assert run(["eval", "--kernel", "rho-tilde", "--s", "1", "--tau", "1",
+                    "--axis", x_axis, "--axis", "y:-1:1:5", "--output", str(field)]) == 0
+        assert run(["apply", "--input", str(field), "--s", "0.5", "--tau", "1",
+                    "--axis", "x:1:1:1", "--axis", "y:0:0:1", "--output", str(out)]) == 0
+        assert FieldSample.from_json(out).values.shape == (1,)
+
+    def test_one_point_input_axis_exit_2(self, tmp_path, capsys):
+        grid = GridSpec((GridAxis("x", -1, 1, 5), GridAxis("y", 0.5, 0.5, 1)))
+        (tmp_path / "f.json").write_text(FieldSample(grid=grid, values=np.ones(5, complex)).to_json_text())
+        out = tmp_path / "out.json"
+        code = run(["apply", "--input", str(tmp_path / "f.json"), "--s", "0.5", "--tau", "1",
+                    "--axis", "x:-1:1:3", "--output", str(out)])
+        assert code == 2
+        assert "at least 2 points per input axis, axis y has 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name, text", (
+        ("bom.csv", "x,y,re,im\n0,0,1,0\n0,1,1,0\n1,0,1,0\n1,1,1,0\n"),
+        ("bom.json", '{"grid": [{"name": "x", "min": 0, "max": 1, "count": 2}, {"name": "y", "min": 0, "max": 1, '
+                     '"count": 2}], "values": [[1, 0], [1, 0], [1, 0], [1, 0]]}'),
+    ))
+    def test_non_ascii_input_exit_2(self, tmp_path, capsys, name, text):
+        # a UTF-8 byte-order mark before a field that loads without it
+        (tmp_path / name).write_text("\ufeff" + text, encoding="utf-8")
+        code = run(["apply", "--input", str(tmp_path / name), "--s", "0.5", "--tau", "1", "--axis", "x:-1:1:3"])
+        assert code == 2
+        path = str(tmp_path / name)
+        assert f"cannot load field sample {path!r}: the file is not ASCII (byte 0xef)" in capsys.readouterr().err
+        (tmp_path / name).write_text(text, encoding="ascii")
+        assert run(["apply", "--input", path, "--s", "0.5", "--tau", "1", "--axis", "x:-1:1:3",
+                    "--output", str(tmp_path / "out.json")]) == 0
+
     def test_missing_input_exit_2(self, tmp_path):
         code = run(
             [
@@ -586,6 +623,18 @@ class TestIdentities:
     def test_points_too_many_or_without_seed_exit_2(self, argv, capsys):
         assert run(["identities", *argv]) == 2
         assert "--points" in capsys.readouterr().err
+
+
+def test_failed_rename_leaves_no_temporary_file(tmp_path, monkeypatch, capsys):
+    # the text is written to a temporary file in the output directory, which a failed rename removes
+    def no_replace(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(cli.os, "replace", no_replace)
+    out = tmp_path / "report.json"
+    assert run(["identities", "--report", str(out)]) == 3
+    assert f"cannot write {out}: rename refused" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv", (["verify", "--suite", "hermite"], ["identities"]))

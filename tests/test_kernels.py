@@ -751,6 +751,7 @@ class TestFieldSampleSerialization:
         pytest.param(("params", "gamma"), 5, "gamma must be an \\[re, im\\] pair", id="gamma-number"),
         pytest.param(("params", "n"), 1.9, "n must be a JSON integer, got 1.9", id="n-1.9"),
         pytest.param(("params", "n"), "1", "n must be a JSON integer, got '1'", id="n-string"),
+        pytest.param(("kernel",), 5, "kernel must be a JSON string, got 5", id="kernel-5"),
     ))
     def test_json_header_fields_must_be_numbers(self, tmp_path, keys, value, message):
         doc = json.loads(self._sample().to_json_text())
@@ -759,6 +760,23 @@ class TestFieldSampleSerialization:
         (tmp_path / "field.json").write_text(json.dumps(doc), encoding="ascii")
         with pytest.raises(ValueError, match=f"^{message}"):
             FieldSample.from_json(tmp_path / "field.json")
+
+    def test_json_must_be_an_object(self, tmp_path):
+        (tmp_path / "field.json").write_text("[1, 2]", encoding="ascii")
+        with pytest.raises(ValueError, match=r"^a field must be a JSON object, got \[1, 2\]"):
+            FieldSample.from_json(tmp_path / "field.json")
+
+    @pytest.mark.parametrize("lines, message", (
+        (["x,y,a,b", "0,0,1,0"], "CSV must end with re,im columns"),
+        # x and y take 2 values each, but only 3 of the 4 grid points have a row
+        (["x,y,re,im", "0,0,1,0", "0,1,1,0", "1,0,1,0"], "CSV rows do not form a full row-major rectangular grid"),
+        # the 4 grid points with y varying slowest
+        (["x,y,re,im", "0,0,1,0", "1,0,1,0", "0,1,1,0", "1,1,1,0"], "CSV rows are not in row-major grid order"),
+    ), ids=("header", "missing-row", "column-major"))
+    def test_csv_layout_rejected(self, tmp_path, lines, message):
+        (tmp_path / "field.csv").write_text("\n".join(lines) + "\n", encoding="ascii")
+        with pytest.raises(ValueError, match=f"^{message}"):
+            FieldSample.from_csv(tmp_path / "field.csv")
 
     def test_json_is_parseable(self, tmp_path):
         sample = self._sample()

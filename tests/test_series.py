@@ -48,6 +48,14 @@ class TestCoefficientAm:
 
 
 class TestUSeries:
+    @pytest.mark.parametrize("fields, message", (
+        ({"max_terms": 0}, "max_terms must be >= 1, got 0"),
+        ({"tail_tol": 0.0}, "tail_tol must be > 0, got 0.0"),
+    ))
+    def test_config_rejected(self, fields, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SeriesConfig(**fields)
+
     def test_large_s_single_term_domination(self):
         cfg = SeriesConfig(max_terms=50, tail_tol=1e-14)
         alpha, beta, tau, gamma = 0.4, -0.9, 1.0, 0.5

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 from dataclasses import replace
@@ -7,12 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heisenheat import hermite, kernels, series, verify
+from heisenheat import cli, hermite, kernels, series, verify
 from heisenheat.kernels import KernelParams, heat_kernel_h, rho_hat, rho_tilde
 from heisenheat.verify import (
     GaussianTestFunction,
     InsufficientDecayError,
     Probe,
+    QuadratureError,
     apply_kernel_to_function,
     default_probe_set,
     dft_inversion_check,
@@ -54,6 +56,10 @@ class TestResidualSuites:
     def test_negative_tau_probes_included(self):
         for equation in ("u-transformed", "rho-hat", "rho-tilde", "heat-kernel"):
             assert any(p.tau < 0 for p in default_probe_set(equation))
+
+    def test_unknown_equation_rejected(self):
+        with pytest.raises(ValueError, match="^unknown equation 'nope'$"):
+            default_probe_set("nope")
 
     def test_u_probes_skip_tau_zero(self):
         assert all(p.tau != 0 for p in default_probe_set("u-transformed"))
@@ -167,11 +173,11 @@ class TestDftInversion:
 
     def test_one_half_plane_call_per_kernel(self, monkeypatch):
         # rho_hat on one point of each orbit of the 512^2 grid under the swap and the sign flip,
-        # 257^2 - 1 of them, and the 4 * 512 - 4 points of the boundary edges; rho_tilde on one
-        # point of each orbit of the 129^2 compared block, (129^2 + 2 * 129 + 1) / 4 of them
+        # 257^2 - 1 of them, which hold the boundary edges too; rho_tilde on one point of each
+        # orbit of the 129^2 compared block, (129^2 + 2 * 129 + 1) / 4 of them
         points = _count_points(monkeypatch, verify, ("rho_hat", "rho_tilde"))
         dft_inversion_check(KernelParams(1.0, 0.5, 1j), 40.0, 512)
-        assert points == {"rho_hat": [66_048 + 2_044], "rho_tilde": [4_225]}
+        assert points == {"rho_hat": [66_048], "rho_tilde": [4_225]}
 
     @pytest.mark.parametrize("rows", (1, 7, 100))
     @pytest.mark.parametrize("exp_block", (64, 16384))
@@ -226,33 +232,23 @@ class TestDftInversion:
     @pytest.mark.parametrize("axis", (0, 1))
     @pytest.mark.parametrize("end", (0, -1))
     def test_each_boundary_edge_is_checked(self, monkeypatch, axis, end):
-        # 1e-6 on one edge (alpha or beta at -L/2 or L/2 - step), off the corners it shares
-        # with the other edges, and 0 elsewhere must raise
+        # 1e-6 on the orbit of one point of one edge (alpha or beta at -L/2 or L/2 - step), off the
+        # corners, and 0 elsewhere must raise.  The orbit of a point on an L/2 - step edge meets no
+        # -L/2 edge, and the reverse, so each end is read on its own
         extent, count = 40.0, 64
-        ends = (-0.5 * extent + extent / count * np.arange(count))[[0, -1]]
-
-        def fake_rho_hat(params, alpha, beta):
-            coords = np.broadcast_arrays(alpha, beta)
-            on_edge = (coords[axis] == ends[end]) & ~np.isin(coords[1 - axis], ends)
-            return np.where(on_edge, 1e-6, 0.0).astype(complex)
-
-        monkeypatch.setattr(verify, "rho_hat", fake_rho_hat)
+        step = extent / count
+        edge = (-0.5 * extent + step * np.arange(count))[end]
+        point = (edge, 3 * step) if axis == 0 else (3 * step, edge)
+        monkeypatch.setattr(verify, "rho_hat", _symmetric_bump(point))
         with pytest.raises(InsufficientDecayError, match="1.000e-06"):
             dft_inversion_check(KernelParams(s=1.0, tau=1.0), extent, count)
 
     @pytest.mark.parametrize("beta", (-20.0, 19.375))
     def test_boundary_of_mirrored_rows_is_checked(self, monkeypatch, beta):
-        # an even rho_hat that is 1e-6 only at +-(-5 step, beta), beta = -L/2 or L/2 - step: the grid
-        # holds it on a beta edge at alpha < 0, a row the half-plane reads from its mirror at alpha > 0
+        # 1e-6 only on the orbit of (-5 step, beta), beta = -L/2 or L/2 - step: the grid holds it on a
+        # beta edge at alpha < 0, a row the half-plane reads from its mirror at alpha > 0
         extent, count = 40.0, 64
-        point = (-5 * extent / count, beta)
-
-        def fake_rho_hat(params, alpha, beta):
-            a, b = np.broadcast_arrays(alpha, beta)
-            bump = ((a == point[0]) & (b == point[1])) | ((a == -point[0]) & (b == -point[1]))
-            return np.where(bump, 1e-6, 0.0).astype(complex)
-
-        monkeypatch.setattr(verify, "rho_hat", fake_rho_hat)
+        monkeypatch.setattr(verify, "rho_hat", _symmetric_bump((-5 * extent / count, beta)))
         with pytest.raises(InsufficientDecayError, match="1.000e-06"):
             dft_inversion_check(KernelParams(s=1.0, tau=1.0), extent, count)
 
@@ -263,10 +259,30 @@ class TestDftInversion:
             dft_inversion_check(params, 40.0, 64)
 
     def test_preconditions(self):
+        # rho_hat itself accepts s = 0, where it is 1 everywhere and never decays
+        with pytest.raises(ValueError, match="requires s > 0, got s=0.0"):
+            dft_inversion_check(KernelParams(s=0.0, tau=1.0), 40.0, 128)
         with pytest.raises(ValueError):
             dft_inversion_check(KernelParams(s=1.0, tau=0.0, n=2), 40.0, 128)
         with pytest.raises(ValueError):
             dft_inversion_check(KernelParams(s=1.0, tau=0.0), 40.0, 129)
+
+
+def _symmetric_bump(point):
+    """A fake rho_hat, 1e-6 on the orbit of point under (a, b) -> (b, a) and (a, b) -> (-a, -b), 0 elsewhere.
+
+    It has the symmetry of rho_hat's exponent that dft_inversion_check relies on.
+    """
+    p, q = point
+
+    def fake_rho_hat(params, alpha, beta):
+        a, b = np.broadcast_arrays(alpha, beta)
+        bump = np.zeros(a.shape, dtype=bool)
+        for u, v in ((p, q), (q, p), (-p, -q), (-q, -p)):
+            bump |= (a == u) & (b == v)
+        return np.where(bump, 1e-6, 0.0).astype(complex)
+
+    return fake_rho_hat
 
 
 class TestSemigroup:
@@ -336,6 +352,18 @@ class TestSemigroup:
         p2 = KernelParams(s=0.5, tau=2.0, gamma=0.0)
         with pytest.raises(ValueError):
             semigroup_check(p1, p2, ((0.0, 0.0), (0.0, 0.0)))
+
+    def test_n2_rejected(self):
+        p = KernelParams(s=0.5, tau=1.0, gamma=0.0, n=2)
+        with pytest.raises(ValueError, match="^semigroup_check quadrature is implemented for n = 1$"):
+            semigroup_check(p, p, ((0.0, 0.0), (0.0, 0.0)))
+
+    def test_unsettled_quadrature_raises(self, monkeypatch):
+        # one order leaves no pair of successive sums to compare
+        monkeypatch.setattr(verify, "_QUAD_ORDERS", (64,))
+        p = KernelParams(s=0.5, tau=1.0, gamma=0.0)
+        with pytest.raises(QuadratureError, match="did not stabilize to 1.0e-09 within order 64"):
+            semigroup_check(p, p, ((0.2, -0.3), (0.2, -0.3)))
 
 
 class TestInitialCondition:
@@ -469,6 +497,21 @@ class TestSuiteRunner:
         assert 0 < agreement["tail_bound"] < 1e-13
         assert mehler["check"] == "mehler-identity"
         assert mehler["terms_used"] == series.mehler_terms(0.9)
+
+    def test_mehler_failure_shows_in_the_report(self, monkeypatch, tmp_path, capsys):
+        # a closed form off by 1e-9 relative: the mehler-identity check fails in the report, and
+        # nothing raises before the report is written
+        closed_form = series.mehler_closed_form
+        monkeypatch.setattr(series, "mehler_closed_form", lambda *a: closed_form(*a) * (1 + 1e-9))
+        report = verify.run_suite("series")
+        checks = {c["check"]: c for c in report["checks"]}
+        assert checks["mehler-identity"]["passed"] is False
+        assert checks["series-vs-closed-form"]["passed"] is True
+        assert not report["passed"]
+        path = tmp_path / "series.json"
+        assert cli.main(["verify", "--suite", "series", "--report", str(path)]) == 1
+        assert "[FAIL] mehler-identity" in capsys.readouterr().out
+        assert [c["passed"] for c in json.loads(path.read_text())["checks"]] == [True, False]
 
     def test_inversion_suite_is_one_rho_hat_call_per_panel_point(self, monkeypatch):
         calls = _count_calls(monkeypatch, verify, ("rho_hat",))
