@@ -119,8 +119,18 @@ _THREADS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else
 _MAX_WORK = 2**27
 
 # rows per filled template of the CSV and JSON writers: bounds the template, value
-# tuple and formatted chunk held at once, whatever the length of the grid's last axis
+# tuple and formatted chunk held at once, whatever the length of the grid's last axis.
+# _format_17g takes as many doubles at a time, for ~0.4 MiB of temporaries
 _WRITE_CHUNK_ROWS = 4096
+
+# doubles |x| in [_FAST_MIN, _FAST_MAX) get their "%.17g" digits from _format_17g's own arithmetic,
+# which scales them by 10**(16-k) from a table.  Their k = floor(log10|x|), and np.log10's k one off
+# from it, lie in _POW10_EXPONENTS, where 10**(16-k) and its rounding error are normal doubles
+_FAST_MIN, _FAST_MAX = 1e-291, 1e307
+_POW10_EXPONENTS = range(-292, 308)
+# a scaled double whose fraction lies this close to 1/2 may round either way, so "%.17g" formats it;
+# the double-double product is good to ~1e-14 of a unit
+_TIE_MARGIN = 2.0**-30
 
 
 class GridMismatchError(ValueError):
@@ -610,8 +620,11 @@ class FieldSample:
     def to_csv_text(self) -> str:
         """One row per grid point: coordinates in axis order, then Re, Im.
 
-        Each axis point is formatted once, and so is each distinct double of
-        the values (:func:`_distinct_strings`).  Per chunk of the last axis,
+        Each axis point is formatted once with "%.17g".  Each distinct double
+        of the values is formatted once too (:func:`_distinct_strings`): numpy
+        arithmetic makes the digits "%.17g" would write, and "%.17g" itself
+        writes only near-ties, zeros, subnormals and the outermost exponents
+        (:func:`_format_17g`).  Per chunk of the last axis,
         one template holds its rows' coordinates and "%s" slots for Re and
         Im; per point of the leading axes its coordinates go in front of
         every row, and one % fills the template with the chunk's strings.
@@ -645,9 +658,12 @@ class FieldSample:
     def to_json_text(self) -> str:
         """Serialize with every float rendered at 17 significant digits.
 
-        Each distinct double of the values is formatted once
-        (:func:`_distinct_strings`), and one % per chunk of _WRITE_CHUNK_ROWS
-        pairs fills "%s" slots from those strings.
+        The header's numbers are formatted with "%.17g".  Each distinct double
+        of the values is formatted once (:func:`_distinct_strings`): numpy
+        arithmetic makes the digits "%.17g" would write, and "%.17g" itself
+        writes only near-ties, zeros, subnormals and the outermost exponents
+        (:func:`_format_17g`).  One % per chunk of _WRITE_CHUNK_ROWS pairs
+        fills "%s" slots from those strings.
         """
         parts = ['{\n  "kernel": ' + json.dumps(self.kernel)]
         if self.params is not None:
@@ -681,17 +697,21 @@ class FieldSample:
         Every number must be a JSON number token, not a string or a boolean:
         the grid's min, max and count, the params' s, tau, gamma and n, and
         the values; count and n must be integer tokens.  The document must be
-        a JSON object and its kernel a string.  A field that breaks this, or an
-        integer token past the double range, is a ValueError naming the field.
+        a JSON object, its grid a list of axis objects, and its kernel and
+        every axis name strings.  A field that breaks this, or an integer
+        token past the double range, is a ValueError naming the field.
         """
         with open(path, "r", encoding="ascii") as fh:
             doc = json.load(fh, parse_int=_parse_json_int)
         if type(doc) is not dict:
             raise ValueError(f"a field must be a JSON object, got {doc!r:.40}")
+        grid = doc["grid"]
+        if type(grid) is not list or not set(map(type, grid)) <= {dict}:
+            raise ValueError(f"grid must be a list of axis objects, got {grid!r:.40}")
         axes = tuple(
-            GridAxis(a["name"], _json_number(a["min"], "min"), _json_number(a["max"], "max"),
-                     _json_number(a["count"], "count", int))
-            for a in doc["grid"]
+            GridAxis(_json_value(a["name"], "name", str), _json_value(a["min"], "min"),
+                     _json_value(a["max"], "max"), _json_value(a["count"], "count", int))
+            for a in grid
         )
         # every entry is typed before the one float conversion, which takes numeric strings
         rows = doc["values"]
@@ -709,14 +729,12 @@ class FieldSample:
             if type(p["gamma"]) is not list or len(p["gamma"]) != 2:
                 raise ValueError(f"gamma must be an [re, im] pair of JSON numbers, got {p['gamma']!r:.40}")
             params = KernelParams(
-                s=_json_number(p["s"], "s"),
-                tau=_json_number(p["tau"], "tau"),
-                gamma=complex(*(_json_number(part, "gamma") for part in p["gamma"])),
-                n=_json_number(p["n"], "n", int),
+                s=_json_value(p["s"], "s"),
+                tau=_json_value(p["tau"], "tau"),
+                gamma=complex(*(_json_value(part, "gamma") for part in p["gamma"])),
+                n=_json_value(p["n"], "n", int),
             )
-        kernel = doc.get("kernel", "")
-        if type(kernel) is not str:
-            raise ValueError(f"kernel must be a JSON string, got {kernel!r:.40}")
+        kernel = _json_value(doc.get("kernel", ""), "kernel", str)
         return cls(grid=GridSpec(axes), values=values, kernel=kernel, params=params)
 
     @classmethod
@@ -761,24 +779,187 @@ def _distinct_strings(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Doubles are told apart by their bits, so -0.0 and 0.0 keep "-0" and "0".  The
     strings are 24-byte ASCII, the longest "%.17g" writes, padded with NULs, which
     the array's bytes drop; the index takes the smallest unsigned integer type.
-    They are formatted 2*_WRITE_CHUNK_ROWS at a time, so the text in flight stays
-    bounded.
+    :func:`_format_17g` makes them _WRITE_CHUNK_ROWS at a time, so its temporaries
+    stay bounded.  It takes the digits from a double-double product with a power of
+    ten, int64 division and a digit table, and leaves to "%.17g" itself a product
+    within _TIE_MARGIN of a rounding tie, zeros, subnormals and |x| outside
+    [_FAST_MIN, _FAST_MAX).
     """
     bits, index = np.unique(np.ascontiguousarray(values).view(np.int64), return_inverse=True)
-    strings = np.empty(len(bits), dtype="S24")
-    for lo in range(0, len(bits), 2 * _WRITE_CHUNK_ROWS):
-        piece = bits[lo:lo + 2 * _WRITE_CHUNK_ROWS].view(float)
+    # narrowed first, so the int64 index is gone before the strings are made
+    index = index.astype(np.min_scalar_type(len(bits)))
+    strings = np.zeros(len(bits), dtype="S24")
+    rows = strings.view(np.uint8).reshape(-1, 24)
+    for lo in range(0, len(bits), _WRITE_CHUNK_ROWS):
+        _format_17g(bits[lo:lo + _WRITE_CHUNK_ROWS].view(float), rows[lo:lo + _WRITE_CHUNK_ROWS])
+    return strings, index
+
+
+def _format_17g(x: np.ndarray, out: np.ndarray) -> int:
+    """Write "%.17g" of each double of `x` into its row of `out`, a zeroed (len(x), 24) uint8 array;
+    return how many rows "%.17g" itself wrote.
+
+    :func:`_significand` gives the 17 significant digits as an integer and the decimal exponent
+    k, and :func:`_ascii_digits` the digits' ASCII.  C's %g rules lay them out: fixed notation
+    for k in -4..16, d.ddd...e+XX otherwise, with trailing zeros and a bare "." dropped.  One
+    slice copy per run of equal sign and layout places them, so sorted input, such as
+    np.unique's, takes few copies.  "%.17g" itself formats the rest: a product within
+    _TIE_MARGIN of a rounding tie, such as an exact decimal tie, which it rounds half to even;
+    zeros and subnormals; and |x| outside [_FAST_MIN, _FAST_MAX).
+    """
+    d, k, fast = _significand(x)
+    digits = _ascii_digits(d)
+    exponents = _format_tables()[2]
+    exp = (k < -4) | (k > 16)
+    # the mantissa of d.ddde+XX is laid out as fixed notation at k = 0
+    fixed_k = np.where(exp, 0, k)
+    neg = np.signbit(x)
+    key = 2 * fixed_k + neg + 64 * exp
+    bounds = [0, *(np.flatnonzero(key[1:] != key[:-1]) + 1).tolist(), len(x)]
+    for lo, hi in itertools.pairwise(bounds):
+        f, sign = int(fixed_k[lo]), int(neg[lo])
+        # the integer part is digits[start:point]: the padding's "0" when k < 0
+        start, point = 7 + min(f, 0), 8 + f
+        dot = sign + point - start
+        out[lo:hi, :sign] = ord("-")
+        out[lo:hi, sign:dot] = digits[lo:hi, start:point]
+        out[lo:hi, dot] = ord(".")
+        out[lo:hi, dot + 1:dot + 25 - point] = digits[lo:hi, point:]
+        if exp[lo]:
+            out[lo:hi, dot + 17:dot + 22] = exponents[k[lo:hi] - _POW10_EXPONENTS.start]
+    # every digit, the point and the exponent are written; only rows whose last digit is 0, or
+    # at k = 16 whose point ends them, are cut short
+    cut = np.flatnonzero((digits[:, 23] == ord("0")) | (fixed_k == 16))
+    if cut.size:
+        cut_k = fixed_k[cut]
+        significant = 17 - np.argmax(digits[cut, :6:-1] != ord("0"), axis=1)
+        fraction = np.maximum(significant - 1 - cut_k, 0)
+        length = neg[cut] + 1 + np.maximum(cut_k, 0) + (fraction > 0) * (fraction + 1)
+        out[cut] *= np.arange(24) < length[:, np.newaxis]
+        e = cut[exp[cut]]
+        at = length[exp[cut], np.newaxis] + np.arange(5)
+        out[e[:, np.newaxis], at] = exponents[k[e] - _POW10_EXPONENTS.start]
+
+    slow = np.flatnonzero(~fast)
+    if slow.size:
         # "%.17g" writes no space, so the spaces of "%-24.17g" are all padding
-        text = ("%-24.17g" * len(piece) % tuple(piece.tolist())).encode("ascii").replace(b" ", b"\0")
-        strings[lo:lo + len(piece)] = np.frombuffer(text, dtype="S24")
-    return strings, index.astype(np.min_scalar_type(len(bits)))
+        text = ("%-24.17g" * len(slow) % tuple(x[slow].tolist())).encode("ascii").replace(b" ", b"\0")
+        out[slow] = np.frombuffer(text, np.uint8).reshape(-1, 24)
+    return slow.size
 
 
-def _json_number(value, name: str, kind: type = float):
-    """A JSON field as `kind`: float takes integer and float tokens, int only integer tokens;
-    a string, a boolean or any other value, or an integer past the double range, is a ValueError."""
-    if type(value) not in ((int, float) if kind is float else (int,)):
-        raise ValueError(f"{name} must be a JSON {'number' if kind is float else 'integer'}, got {value!r:.40}")
+def _significand(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(D, k, fast) for doubles x: D = round(|x| * 10**(16-k)) in [1e16, 1e17) and k = floor(log10|x|),
+    where `fast` marks the |x| in [_FAST_MIN, _FAST_MAX) whose product is not within _TIE_MARGIN of a tie.
+
+    :func:`_times_pow10` forms the product as a double-double, and np.log10's k moves by one where
+    the product falls outside [1e16, 1e17).  D = 1e17 is 1e16 at k + 1.
+    """
+    a = np.abs(x)
+    fast = (a >= _FAST_MIN) & (a < _FAST_MAX)
+    # a stand-in keeps log10 and the table in range; "%.17g" rewrites these rows
+    a[~fast] = 1.0
+    k = np.floor(np.log10(a)).astype(np.int64)
+    ph, rest = _times_pow10(a, k)
+    # np.log10 can be one off next to a power of ten.  A product within ~1e-14 of 1e16 or 1e17 may
+    # land on either side of it, and both sides give the same digits
+    shift = ((ph > 1e17) | ((ph == 1e17) & (rest >= 0))).astype(np.int64)
+    shift -= (ph < 1e16) | ((ph == 1e16) & (rest < 0))
+    moved = np.flatnonzero(shift)
+    if moved.size:
+        k[moved] += shift[moved]
+        ph[moved], rest[moved] = _times_pow10(a[moved], k[moved])
+    # ph, at least 1e16, is an integer: D is ph plus rest rounded to nearest
+    whole = np.floor(rest)
+    rest -= whole
+    fast &= np.abs(rest - 0.5) >= _TIE_MARGIN
+    d = ph.astype(np.int64)
+    d += whole.astype(np.int64)
+    d += rest > 0.5
+    carry = d == 10**17
+    d[carry] = 10**16
+    k += carry
+    return d, k, fast
+
+
+def _ascii_digits(d: np.ndarray) -> np.ndarray:
+    """A (len(d), 24) uint8 array: seven "0"s, then the 17 ASCII digits of each D in [1e16, 1e17).
+
+    Int64 division splits D into the first digit and four groups of four, and a table gives the
+    four ASCII digits of each group.
+    """
+    # the groups "0000", "000" and the first digit, then the other 16 digits in four
+    groups = np.zeros((len(d), 6), np.int64)
+    high = d // 10**8
+    low = d - high * 10**8
+    groups[:, 1] = high // 10**8
+    high -= groups[:, 1] * 10**8
+    groups[:, 2] = high // 10**4
+    groups[:, 3] = high - groups[:, 2] * 10**4
+    groups[:, 4] = low // 10**4
+    groups[:, 5] = low - groups[:, 4] * 10**4
+    return _format_tables()[1].take(groups).view(np.uint8)
+
+
+def _times_pow10(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a * 10**(16-k) as ph + rest: ph the rounded product, rest what it lacks, to ~1e-14 where ph < 2**57.
+
+    With 10**(16-k) = hi + lo from the table, Dekker's product gives a * hi - ph exactly, and
+    a * lo adds the part of the power that hi lacks.  The sums run in Dekker's order, in place.
+    """
+    hi, top, bottom, lo = _format_tables()[0]
+    j = k - _POW10_EXPONENTS.start
+    a_top = _top_half(a)
+    a_bottom = a - a_top
+    ph = a * hi[j]
+    top, bottom = top[j], bottom[j]
+    rest = a_top * top
+    rest -= ph
+    rest += a_top * bottom
+    rest += a_bottom * top
+    rest += a_bottom * bottom
+    rest += a * lo[j]
+    return ph, rest
+
+
+def _top_half(a: np.ndarray) -> np.ndarray:
+    """Positive normal doubles rounded to their top 26 significand bits; a - _top_half(a) needs at most 26.
+
+    Dekker's split, on the bit pattern: his multiply by 2**27 + 1 would overflow above ~1e300.
+    """
+    return ((a.view(np.int64) + (1 << 26)) & -(1 << 27)).view(float)
+
+
+@functools.cache
+def _format_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The tables of _format_17g, built on its first call, not at import.
+
+    For each k in _POW10_EXPONENTS: 10**(16-k) as the doubles hi + lo, and hi's two _top_half
+    parts, in rows hi, top, bottom, lo; and "e%+03d" % k as 5 NUL-padded bytes.  Also the four
+    ASCII digits of each of 0..9999 as one uint32.  hi is 10**(16-k) rounded to a double and lo
+    the rest, rounded; both are quotients of Python integers, which CPython rounds correctly.
+    """
+    hi, lo = [], []
+    for k in _POW10_EXPONENTS:
+        num, den = (10 ** (16 - k), 1) if k <= 16 else (1, 10 ** (k - 16))
+        h = num / den
+        h_num, h_den = h.as_integer_ratio()
+        hi.append(h)
+        lo.append((num * h_den - h_num * den) / (den * h_den))
+    hi = np.array(hi)
+    top = _top_half(hi)
+    digit = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    four = np.stack(np.meshgrid(digit, digit, digit, digit, indexing="ij"), axis=-1)
+    exponents = np.frombuffer(b"".join((b"e%+03d" % k).ljust(5, b"\0") for k in _POW10_EXPONENTS), np.uint8)
+    return np.array([hi, top, hi - top, lo]), four.view(np.uint32).ravel(), exponents.reshape(-1, 5)
+
+
+def _json_value(value, name: str, kind: type = float):
+    """A JSON field as `kind`: float takes integer and float tokens, int only integer tokens, str only
+    strings; any other value, or an integer past the double range, is a ValueError naming the field."""
+    types, label = {float: ((int, float), "number"), int: ((int,), "integer"), str: ((str,), "string")}[kind]
+    if type(value) not in types:
+        raise ValueError(f"{name} must be a JSON {label}, got {value!r:.40}")
     try:
         return kind(value)
     except OverflowError:

@@ -424,7 +424,8 @@ class TestApply:
 
     @pytest.mark.parametrize(
         "case", ("string-row", "null-row", "integer-gamma", "top-level-list", "empty-grid", "count-1-span",
-                 "string-count", "bool-min", "fractional-n", "huge-max", "huge-value")
+                 "string-count", "bool-min", "fractional-n", "huge-max", "huge-value", "grid-object",
+                 "grid-of-numbers")
     )
     def test_malformed_json_input_exit_2(self, tmp_path, capsys, case):
         _write_gaussian_field(tmp_path / "f.json", count=5, extent=2.0)
@@ -452,6 +453,10 @@ class TestApply:
             doc["grid"][0]["max"] = 10**400
         elif case == "huge-value":
             doc["values"][0] = [10**400, 0.0]
+        elif case == "grid-object":
+            doc["grid"] = {"x": 1}
+        elif case == "grid-of-numbers":
+            doc["grid"] = [5]
         else:
             doc = [1, 2]
         (tmp_path / "bad.json").write_text(json.dumps(doc))
@@ -463,7 +468,10 @@ class TestApply:
             ]
         )
         assert code == 2
-        assert "cannot load field sample" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "cannot load field sample" in err
+        # a grid that is not a list of objects is named as such, not by the indexing error it would raise
+        assert not case.startswith("grid-") or "grid must be a list of axis objects" in err
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -752,6 +752,9 @@ class TestFieldSampleSerialization:
         pytest.param(("params", "n"), 1.9, "n must be a JSON integer, got 1.9", id="n-1.9"),
         pytest.param(("params", "n"), "1", "n must be a JSON integer, got '1'", id="n-string"),
         pytest.param(("kernel",), 5, "kernel must be a JSON string, got 5", id="kernel-5"),
+        pytest.param(("grid", 0, "name"), 5, "name must be a JSON string, got 5", id="name-5"),
+        pytest.param(("grid",), {"x": 1}, "grid must be a list of axis objects, got \\{'x': 1\\}", id="grid-object"),
+        pytest.param(("grid",), [5], "grid must be a list of axis objects, got \\[5\\]", id="grid-of-numbers"),
     ))
     def test_json_header_fields_must_be_numbers(self, tmp_path, keys, value, message):
         doc = json.loads(self._sample().to_json_text())
@@ -874,6 +877,54 @@ class TestWritersMatchPerValueReference:
         finally:
             tracemalloc.stop()
         assert peak < 2 * size + 2**19
+
+
+def _format_17g(x):
+    """kernels._format_17g of each double of `x` as bytes, and how many of them "%.17g" itself wrote."""
+    out = np.zeros((len(x), 24), np.uint8)
+    slow = kernels._format_17g(x, out)
+    return out.view("S24").ravel().tolist(), slow
+
+
+def _percent_17g(x):
+    return [b"%.17g" % v for v in x.tolist()]
+
+
+# every power of ten from the smallest subnormal one up, rounded to a double, and its neighbours
+_POWERS_OF_TEN = np.array([float(f"1e{k}") for k in range(-323, 309)])
+
+
+class TestFormat17g:
+    """The writers' digits, made by numpy arithmetic, are "%.17g"'s bytes for every finite double."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), ordered=st.booleans())
+    def test_random_bit_patterns(self, seed, ordered):
+        # all exponents, subnormals and both zeros; sorted by bits, as the writers pass them, or not
+        bits = np.random.default_rng(seed).integers(0, 2**64, 2000, dtype=np.uint64).view(np.int64)
+        x = (np.unique(bits) if ordered else bits).view(float)
+        x = x[np.isfinite(x)]
+        assert _format_17g(x)[0] == _percent_17g(x)
+
+    @pytest.mark.parametrize("sign", (1.0, -1.0))
+    def test_powers_of_ten_and_their_neighbours(self, sign):
+        # np.log10 can be one off next to a power of ten, and a product can round up to 1e17
+        x = np.concatenate([_POWERS_OF_TEN, np.nextafter(_POWERS_OF_TEN, 0), np.nextafter(_POWERS_OF_TEN, np.inf)])
+        x = sign * np.unique(x[np.isfinite(x)])
+        assert _format_17g(x)[0] == _percent_17g(x)
+
+    @pytest.mark.parametrize("value, slow", (
+        # exact decimal ties, which "%.17g" rounds half to even: 2**-25 = 2.98023223876953125e-08 is
+        # written 2.9802322387695312e-08, and 10240000001/1024 = 10000000.0009765625 10000000.000976562
+        (2.0**-25, 1), (-3 * 2.0**-25, 1), (10240000001 / 1024, 1),
+        # zeros, subnormals and |x| outside [1e-291, 1e307)
+        (0.0, 1), (-0.0, 1), (5e-324, 1), (2.2250738585072014e-308, 1), (1.7976931348623157e308, 1), (1e307, 1),
+        (1e-291, 0), (np.nextafter(1e307, 0), 0),
+        # trailing zeros cut: an integer at k = 16, a mantissa of one digit, a short fraction
+        (1e16, 0), (12345678901234568.0, 0), (-5e-200, 0), (0.00025, 0), (1200.5, 0), (1e22, 0),
+    ))
+    def test_what_goes_to_percent_17g(self, value, slow):
+        assert _format_17g(np.array([value])) == ([b"%.17g" % value], slow)
 
 
 class TestKernelParams:
