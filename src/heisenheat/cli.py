@@ -170,6 +170,8 @@ def _trapezoid_weights(axis: GridAxis) -> np.ndarray:
 def _cmd_apply(args) -> int:
     params = _params_from_args(args)
     field_in = _load_field(args.input)
+    if field_in.params is not None and field_in.params.n != params.n:
+        raise ValueError(f"input header n = {field_in.params.n} does not match --n {params.n}")
     names = [ax.name for ax in field_in.grid.axes]
     # the expected names are built only when the input has as many axes, 2n
     if len(names) != 2 * params.n or names != _component_names("x", params.n) + _component_names("y", params.n):

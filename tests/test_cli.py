@@ -383,6 +383,19 @@ class TestApply:
         )
         assert code == 2
 
+    def test_header_n_differs_from_flag_exit_2(self, tmp_path, capsys):
+        # the axes x, y fit --n 1; the header's n = 2 does not
+        path = tmp_path / "f.json"
+        axes = ["--axis", "x:-2:2:9", "--axis", "y:-2:2:9"]
+        assert run(["eval", "--kernel", "heat-kernel", "--n", "1", "--s", "0.5", "--tau", "1", *axes,
+                    "--output", str(path)]) == 0
+        path.write_text(path.read_text().replace('"n": 1}', '"n": 2}'))
+        code = run(["apply", "--input", str(path), "--n", "1", "--s", "0.5", "--tau", "1", *axes,
+                    "--output", str(tmp_path / "out.json")])
+        assert code == 2
+        assert "header n = 2 does not match --n 1" in capsys.readouterr().err
+        assert not (tmp_path / "out.json").exists()
+
     def test_unknown_output_axis_exit_2(self, tmp_path, capsys):
         _write_gaussian_field(tmp_path / "f.json", count=21, extent=4.0)
         code = run(
