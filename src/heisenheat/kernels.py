@@ -30,21 +30,23 @@ The coefficient pair
 
 has a removable singularity at tau = 0 (A -> s/2, B -> 0).  One function,
 :func:`coefficients_ab`, evaluates it together with the other coefficients
-the kernels need, elementwise over arrays, on one path: both branches run
-on every element and one threshold picks per element, a Taylor expansion
-in z = s*tau, cut after the z**2 terms, where |z| < TAYLOR_BRANCH_THRESHOLD,
-the closed forms elsewhere.  At the threshold both branches agree to
-~1e-15 relative.  Of the kernels only rho_hat uses A and B.  Every exponent
-has one form, const - envelope*sq + twist*cross with a signed twist
-coefficient, assembled in log space and exponentiated in place, so large
-|s*tau|*n underflows gracefully to 0 and the real power cosh(s*tau/2)**(n/2)
-never touches a complex branch cut.  One primitive does this in blocks of
-~16K output elements: a call holds its complex output and a few
-block-sized temporaries per thread, whatever its size.  The blocks of a
-large call run on every CPU the process may use (its affinity mask), the
-calling thread included; each element sees the same operations on any
-thread, so the results are bit-identical to one thread's.  Far tails give
-0, silently.
+the kernels need, elementwise over arrays, on one path: both branches run on
+every element and one threshold picks per element, a Taylor expansion in
+z = s*tau, cut after the z**2 terms, where |z| < TAYLOR_BRANCH_THRESHOLD, the
+closed forms elsewhere; the parts of its logarithms linear in s*|tau| and
+gamma's factor e**(-gamma*s*tau/4) form one term, exactly 0 at the Box_b
+extremes gamma = -n*sign(tau), where the kernels tend to limits as s -> inf.
+At the threshold both branches agree to ~1e-15 relative.  Of the kernels
+only rho_hat uses A and B.  Every exponent has one form, const -
+envelope*sq + twist*cross with a signed twist coefficient, assembled in log
+space and exponentiated in place, so large |s*tau|*n underflows gracefully
+to 0 and the real power cosh(s*tau/2)**(n/2) never touches a complex branch cut.  One
+primitive does this in blocks of ~16K output elements: a call holds its
+complex output and a few block-sized temporaries per thread, whatever its
+size.  The blocks of a large call run on every CPU the process may use (its
+affinity mask), the calling thread included; each element sees the same
+operations on any thread, so the results are bit-identical to one thread's.
+Far tails give 0, silently.
 
 Spatial arguments are length-n vectors; every kernel also broadcasts over
 leading axes of inputs shaped (..., n).  For n == 1 one rule covers all
@@ -192,7 +194,7 @@ def _coefficients_series(s, tau):
     p = 1.0 - z2 / 96.0
     # at s = 0 (reached only by rho_hat) both quarter-argument terms are +inf, their limit;
     # at subnormal s the envelope overflows to +inf, which the kernels using it report
-    log_tau_over_sinh = _LOG_4 - np.log(s) + np.log(p)
+    log_tau_over_sinh = _LOG_4 - np.log(s) + np.log(p) + 0.25 * np.abs(s * tau)
     envelope = (1.0 + z2 / 48.0) / s
     return a, b, log_tau_over_sinh, envelope
 
@@ -203,21 +205,23 @@ def _coefficients_direct(s, tau):
     a = np.tanh(0.5 * s * tau) / tau
     # 2*sinh^2(z/4)/cosh(z/2) = expm1(-|z|/2)^2 / (1 + e^-|z|)
     b = np.expm1(-0.5 * w) ** 2 / ((1.0 + np.exp(-w)) * tau)
-    log_sinh_quarter = 0.25 * w + np.log(-np.expm1(-0.5 * w)) - _LOG_2
     envelope = 0.25 * np.abs(tau) / np.tanh(0.25 * w)
-    return a, b, np.log(np.abs(tau)) - log_sinh_quarter, envelope
+    # log(tau/sinh(|z|/4)) + |z|/4, with sinh(|z|/4) = e^(|z|/4) * -expm1(-|z|/2) / 2
+    return a, b, np.log(np.abs(tau)) - np.log(-np.expm1(-0.5 * w)) + _LOG_2, envelope
 
 
 def coefficients_ab(s, tau):
     """Every coefficient the kernels use, elementwise over broadcast s and tau arrays.
 
-    Returns the tuple (A, B, log cosh(s*tau/2), log(tau/sinh(s*tau/4)),
-    (tau/4)*coth(s*tau/4)) with A = sinh(s*tau/2)/(tau*cosh(s*tau/2)) and
-    B = 2*sinh(s*tau/4)**2/(tau*cosh(s*tau/2)).  Elements with
-    |s*tau| < TAYLOR_BRANCH_THRESHOLD take the Taylor expansions in s*tau
+    Returns the tuple (A, B, log cosh(z/2) - |z|/2, log(tau/sinh(z/4)) + |z|/4,
+    (tau/4)*coth(z/4)), z = s*tau, with A = sinh(z/2)/(tau*cosh(z/2)) and
+    B = 2*sinh(z/4)**2/(tau*cosh(z/2)).  The two logarithms lack their parts
+    linear in |z|, so they stay bounded (-log 2 and log(2*|tau|) as |z| -> inf);
+    the kernels add those parts in _linear_exponent.  Elements with
+    |z| < TAYLOR_BRANCH_THRESHOLD take the Taylor expansions in z
     (relative error < 1e-14), which settle the removable singularity:
-    A(s, 0) = s/2, B(s, 0) = 0, tau/sinh(s*tau/4) -> 4/s,
-    (tau/4)*coth(s*tau/4) -> 1/s.  The last two are formed from their own
+    A(s, 0) = s/2, B(s, 0) = 0, tau/sinh(z/4) -> 4/s,
+    (tau/4)*coth(z/4) -> 1/s.  The last two are formed from their own
     expressions, not from A and B.  At s = 0 they are +inf, and so is the
     envelope where it is past the double range (subnormal s); the kernels
     that use it raise KernelOverflowError there.
@@ -228,7 +232,7 @@ def coefficients_ab(s, tau):
     if (s < 0).any():
         raise ValueError(f"heat time s must be >= 0, got {s}")
     w = np.abs(s * tau)
-    log_cosh = 0.5 * w + np.log1p(np.exp(-w)) - _LOG_2
+    log_cosh_rest = np.log1p(np.exp(-w)) - _LOG_2
     small = w < TAYLOR_BRANCH_THRESHOLD
     # both branches run on every element and np.where keeps one per element.  A warning
     # silenced here comes from the branch not picked, or is one of the +inf above: the
@@ -237,7 +241,7 @@ def coefficients_ab(s, tau):
         series = _coefficients_series(s, tau)
         direct = _coefficients_direct(s, tau)
     a, b, log_tau_over_sinh, envelope = (np.where(small, ser, dire)[()] for ser, dire in zip(series, direct))
-    return a, b, log_cosh, log_tau_over_sinh, envelope
+    return a, b, log_cosh_rest, log_tau_over_sinh, envelope
 
 
 # ---------------------------------------------------------------------------
@@ -414,6 +418,11 @@ def _exp_kernel(params: KernelParams, const, envelope, twist, forms, *args):
     return complex(out) if out.ndim == 0 else out
 
 
+def _linear_exponent(params: KernelParams):
+    """-(s*tau/4)*(gamma + n*sign(tau)), the kernels' one gamma*s*tau/4 term; exactly 0 at gamma = -n*sign(tau)."""
+    return -(params.s * params.tau / 4.0) * (params.gamma + params.n * np.sign(params.tau))
+
+
 def rho_hat(params: KernelParams, alpha, beta):
     """Spatial Fourier transform of the fundamental solution.
 
@@ -424,25 +433,25 @@ def rho_hat(params: KernelParams, alpha, beta):
     tau = 0 it reduces to the Gaussian exp(-s*(|alpha|^2+|beta|^2)/4).
     """
     a, b = _components(params.n, alpha=alpha, beta=beta)
-    a_c, b_c, log_cosh, _, _ = coefficients_ab(params.s, params.tau)
-    const = -params.gamma * params.s * params.tau / 4.0 - 0.5 * params.n * log_cosh
+    a_c, b_c, log_cosh_rest, _, _ = coefficients_ab(params.s, params.tau)
+    const = _linear_exponent(params) - 0.5 * params.n * log_cosh_rest
     return _exp_kernel(params, const, 0.5 * a_c, 1j * b_c, _quadratic_forms, a, b, b)
 
 
 def _coth_sinh_coefficients(caller: str, params: KernelParams):
-    """log(tau/sinh(s*tau/4)) and the envelope (tau/4)*coth(s*tau/4); the one s > 0 and finite-envelope guard."""
+    """log(tau/sinh(z/4)) + |z|/4 and (tau/4)*coth(z/4), z = s*tau; the one s > 0 and finite-envelope guard."""
     if (np.asarray(params.s) <= 0).any():
         raise ValueError(f"{caller} requires s > 0, got s={params.s}")
-    _, _, _, log_tau_over_sinh, envelope = coefficients_ab(params.s, params.tau)
+    _, _, _, log_sinh_rest, envelope = coefficients_ab(params.s, params.tau)
     if not np.isfinite(envelope).all():
         raise _overflow("the Gaussian envelope (tau/4)*coth(s*tau/4)", params)
-    return log_tau_over_sinh, envelope
+    return log_sinh_rest, envelope
 
 
 def _coth_sinh_kernel(caller: str, params: KernelParams, forms, *args):
     """H's closed form with its forms |x-x'|^2 + |y-y'|^2 and (x-x').(y+y') from forms(*args)."""
-    log_tau_over_sinh, envelope = _coth_sinh_coefficients(caller, params)
-    const = -params.gamma * params.s * params.tau / 4.0 + params.n * (log_tau_over_sinh - _LOG_4PI)
+    log_sinh_rest, envelope = _coth_sinh_coefficients(caller, params)
+    const = _linear_exponent(params) + params.n * (log_sinh_rest - _LOG_4PI)
     return _exp_kernel(params, const, envelope, -0.5j * params.tau, forms, *args)
 
 
@@ -507,9 +516,9 @@ def apply_kernel(params: KernelParams, nodes, weights, values, x, y) -> np.ndarr
         raise ValueError(f"apply_kernel needs {2 * n} node and weight arrays for n={n}")
     _scalar_params("apply_kernel", params)
     x, y = (a.reshape(-1, n) for a in _components(n, x=x, y=y))
-    log_tau_over_sinh, envelope = _coth_sinh_coefficients("apply_kernel", params)
+    log_sinh_rest, envelope = _coth_sinh_coefficients("apply_kernel", params)
     # each component is the n = 1 kernel with gamma/n
-    log_c = -params.gamma * params.s * params.tau / (4.0 * n) + log_tau_over_sinh - _LOG_4PI
+    log_c = _linear_exponent(params) / n + log_sinh_rest - _LOG_4PI
     t = 0.5 * params.tau
     sparse = np.meshgrid(*nodes, indexing="ij", sparse=True)
     coupling = sum(sparse[c] * sparse[n + c] for c in range(n))

@@ -9,7 +9,8 @@ Four families of checks, none of which reuse the algebra being verified:
 * discrete-Fourier-transform inversion of rho_hat in (alpha, beta), built
   from A and B, against the simplified coth/sinh closed form of rho_tilde:
   the Gaussian integral the derivation leaves implicit, together with its
-  reduction by B/(A^2+B^2) = tau/2 and A/B = coth(s*tau/4),
+  reduction by B/(A^2+B^2) = tau/2 and A/B = coth(s*tau/4), at gamma = 0
+  and at the Box_b extremes gamma = -sign(tau) (gamma: the other families),
 * quadrature checks of the semigroup composition and the initial condition
   of the twisted kernel H (the semigroup property is an operator consequence
   of the kernel, added here as an oracle, not quoted from a stated formula),
@@ -622,13 +623,13 @@ def _suite_hermite() -> list[dict]:
 
 
 def _suite_series() -> list[dict]:
-    # rho_hat from one u_series call over the whole panel against the closed form
+    # rho_hat from one u_series call over the whole panel against the closed form: an s, tau, gamma, alpha,
+    # beta mesh and three Box_b points gamma = -1 at s*tau in {1e6, 1e12, 1e17}, at rho_hat's s -> inf limit
     config = series.SeriesConfig(max_terms=400, tail_tol=1e-13)
     coords = (-3.0, -1.0, 0.0, 1.0, 3.0)
-    s, tau, gamma, a, b = (
-        g.ravel()
-        for g in np.meshgrid((0.5, 1.0, 2.0), (0.5, 1.0, 3.0), (0.0, 1.0, 1j), coords, coords, indexing="ij")
-    )
+    mesh = np.meshgrid((0.5, 1.0, 2.0), (0.5, 1.0, 3.0), (0.0, 1.0, 1j), coords, coords, indexing="ij")
+    box_b = np.broadcast_arrays((2e6, 2e12, 2e17), 0.5, -1.0, 1.0, -1.0)
+    s, tau, gamma, a, b = (np.append(g.ravel(), extra) for g, extra in zip(mesh, box_b))
     closed = rho_hat(KernelParams(s=s, tau=tau, gamma=gamma, n=1), a, b)
     u = series.u_series(config, s, a, b, tau, gamma)
     agreement = np.max(np.abs(np.exp(1j * a * b / tau) * u.value - closed) / np.abs(closed))
@@ -652,18 +653,20 @@ def _suite_pde() -> list[dict]:
 
 
 def _worst_checks(name, errors_by_tau) -> list[dict]:
-    """Checks on the worst error of all (tau, error) pairs (< 1e-6) and of those at tau = 0 (< 1e-8)."""
-    worst = max((err for _, err in errors_by_tau), default=0.0)
-    worst_tau0 = max((err for tau, err in errors_by_tau if tau == 0.0), default=0.0)
+    """Checks on the worst error of all (tau, error) pairs (< 1e-6) and of those at tau = 0 (< 1e-8); NaN fails."""
+    worst = float(np.max([err for _, err in errors_by_tau], initial=0.0))
+    worst_tau0 = float(np.max([err for tau, err in errors_by_tau if tau == 0.0], initial=0.0))
     return [_check(name, worst, 1e-6), _check(f"{name}-tau0", worst_tau0, 1e-8)]
 
 
 def _suite_inversion() -> list[dict]:
+    # gamma = 0, and the Box_b extremes at s*|tau| = 1e12: both kernels take gamma from kernels._linear_exponent,
+    # so other gamma would check it against itself; the series, pde and semigroup suites check gamma
+    panel = [(s, tau, 0.0) for s in (0.5, 1.0, 2.0) for tau in (-2.0, -0.5, 0.0, 0.5, 2.0)]
+    panel += [(5e11, -2.0, 1.0), (5e11, 2.0, -1.0)]
     return _worst_checks("dft-inversion", [
         (tau, dft_inversion_check(KernelParams(s=s, tau=tau, gamma=gamma, n=1), 40.0, 512))
-        for s in (0.5, 1.0, 2.0)
-        for tau in (-2.0, -0.5, 0.0, 0.5, 2.0)
-        for gamma in (0.0, 1.0, 1j)
+        for s, tau, gamma in panel
     ])
 
 

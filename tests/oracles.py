@@ -213,6 +213,11 @@ def _exp_one_expression(expo):
     return complex(values) if values.ndim == 0 else values
 
 
+def _linear_exponent(params):
+    """-(s*tau/4)*(gamma + n*sign(tau)), the kernels' folded linear term restated with the same operations."""
+    return -(params.s * params.tau / 4.0) * (params.gamma + params.n * np.sign(params.tau))
+
+
 def rho_hat_one_expression(params, alpha, beta):
     """kernels.rho_hat with its exponent as one expression, exponentiated into a new array.
 
@@ -222,12 +227,12 @@ def rho_hat_one_expression(params, alpha, beta):
     from heisenheat.kernels import _components, coefficients_ab
 
     a, b = _components(params.n, alpha=alpha, beta=beta)
-    a_c, b_c, log_cosh, _, _ = coefficients_ab(params.s, params.tau)
+    a_c, b_c, log_cosh_rest, _, _ = coefficients_ab(params.s, params.tau)
     sq = np.sum(a * a, axis=-1) + np.sum(b * b, axis=-1)
     dot = np.sum(a * b, axis=-1)
     return _exp_one_expression(
-        -params.gamma * params.s * params.tau / 4.0
-        - 0.5 * params.n * log_cosh
+        _linear_exponent(params)
+        - 0.5 * params.n * log_cosh_rest
         - 0.5 * a_c * sq
         + 1j * b_c * dot
     )
@@ -240,12 +245,15 @@ def rho_tilde_one_expression(params, x, y):
         * exp(-A*(|x|^2+|y|^2)/(2*(A^2+B^2)) - i*B*x.y/(A^2+B^2))
 
     The package evaluates the simplified coth/sinh form instead, so this is an
-    accuracy reference, not a bitwise one.  No overflow check.
+    accuracy reference, not a bitwise one.  It adds s*|tau|/2 back to
+    coefficients_ab's log cosh(s*tau/2) - s*|tau|/2, which cancels against
+    the gamma term only at the |s*tau| <= 1e4 the tests draw.  No overflow check.
     """
     from heisenheat.kernels import _components, coefficients_ab
 
     xv, yv = _components(params.n, x=x, y=y)
-    a_c, b_c, log_cosh, _, _ = coefficients_ab(params.s, params.tau)
+    a_c, b_c, log_cosh_rest, _, _ = coefficients_ab(params.s, params.tau)
+    log_cosh = log_cosh_rest + 0.5 * np.abs(params.s * params.tau)
     ratio = b_c / a_c
     q = ratio * ratio
     a_over_denom = 1.0 / (a_c * (1.0 + q))
@@ -263,10 +271,10 @@ def rho_tilde_one_expression(params, x, y):
 def _coth_sinh_one_expression(params, r2, tw):
     from heisenheat.kernels import coefficients_ab
 
-    _, _, _, log_tau_over_sinh, envelope = coefficients_ab(params.s, params.tau)
+    _, _, _, log_sinh_rest, envelope = coefficients_ab(params.s, params.tau)
     return _exp_one_expression(
-        -params.gamma * params.s * params.tau / 4.0
-        + params.n * (log_tau_over_sinh - math.log(4.0 * math.pi))
+        _linear_exponent(params)
+        + params.n * (log_sinh_rest - math.log(4.0 * math.pi))
         - envelope * r2
         - 0.5j * params.tau * tw
     )

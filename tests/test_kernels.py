@@ -1009,6 +1009,96 @@ class TestKernelOverflow:
         assert got == pytest.approx(value, rel=1e-9)
 
 
+def _rho_hat_limit(tau, n, alpha, beta):
+    """2**(n/2) * exp(-(|alpha|^2+|beta|^2)/(2|tau|) + i*alpha.beta/tau): rho_hat as s -> inf at gamma = -n*sign(tau)."""
+    sq = np.sum(alpha * alpha, axis=-1) + np.sum(beta * beta, axis=-1)
+    return 2.0 ** (n / 2) * np.exp(-sq / (2 * np.abs(tau)) + 1j * np.sum(alpha * beta, axis=-1) / tau)
+
+
+def _heat_kernel_limit(tau, n, xp, yp, x, y):
+    """(|tau|/(2 pi))**n * exp(-(|tau|/4)(|x-x'|^2+|y-y'|^2) - i(tau/2)(x-x').(y+y')), H's limit there."""
+    u, v = x - xp, y - yp
+    sq = np.sum(u * u, axis=-1) + np.sum(v * v, axis=-1)
+    twist = np.sum(u * (y + yp), axis=-1)
+    return (np.abs(tau) / (2 * np.pi)) ** n * np.exp(-0.25 * np.abs(tau) * sq - 0.5j * tau * twist)
+
+
+class TestLongTimeLimit:
+    """At gamma = -n*sign(tau) the kernels tend to finite limits as s -> inf, reached in doubles from s*|tau| = 80.
+
+    A -> 1/|tau|, B -> 1/tau and coth(s*tau/4) -> sign(tau).  Stated before
+    measuring: each kernel value within 1e-14 of its limit, relative, and
+    each apply_kernel sum within 1e-14 of the limit's sum, relative to the
+    sum of its terms' moduli.  Coordinates keep every exponent below ~12.
+    """
+
+    TAUS = (-2.0, -1.0, -0.5, 0.5, 2.0)
+    S_TAUS = (1e2, 1e6, 1e9, 1e12, 1e15, 1e17)
+    POINTS = np.array([[0.0, 0.0], [1.0, 1.0], [1.0, 0.5], [-0.7, 0.3], [0.4, -1.0]])
+
+    @staticmethod
+    def _params(n, s_tau, tau):
+        tau = np.asarray(tau, dtype=float)
+        return KernelParams(s=s_tau / np.abs(tau), tau=tau, gamma=-n * np.sign(tau), n=n)
+
+    @staticmethod
+    def _close(got, expect, rel=1e-14):
+        assert np.all(np.isfinite(got))
+        assert np.max(np.abs(got - expect) / np.abs(expect)) <= rel
+
+    @pytest.mark.parametrize("n", (1, 2))
+    def test_table(self, n):
+        # every (tau, s*|tau|) of the table in one call per kernel: params (K, 1) against points (P,)
+        tau, s_tau = (g.reshape(-1, 1) for g in np.meshgrid(self.TAUS, self.S_TAUS, indexing="ij"))
+        params = self._params(n, s_tau, tau)
+        a, b = (np.repeat(self.POINTS[:, k:k + 1], n, axis=1) / math.sqrt(n) for k in (0, 1))
+        self._close(rho_hat(params, a, b), _rho_hat_limit(tau, n, a, b))
+        self._close(rho_tilde(params, a, b), _heat_kernel_limit(tau, n, 0.0, 0.0, a, b))
+        xp, yp = -0.5 * b, 0.25 * a
+        self._close(heat_kernel_h(params, xp, yp, a, b), _heat_kernel_limit(tau, n, xp, yp, a, b))
+
+    @pytest.mark.parametrize("n, s, value", ((1, 1e17, math.sqrt(2.0)), (2, 1e12, 2.0), (2, 1e16, 2.0)))
+    def test_rho_hat_at_origin(self, n, s, value):
+        got = rho_hat(KernelParams.for_box_b(s, -1.0, n, 0), np.zeros(n), np.zeros(n))
+        assert got == pytest.approx(value, rel=1e-15)
+
+    @pytest.mark.parametrize("n, count", ((1, 9), (2, 4)))
+    def test_apply_kernel(self, n, count):
+        rng = np.random.default_rng(17)
+        nodes = [np.linspace(-1.0, 1.0, count) / math.sqrt(n)] * (2 * n)
+        weights = [rng.uniform(0.2, 1.0, count) for _ in range(2 * n)]
+        values = rng.normal(size=(count,) * (2 * n)) + 1j * rng.normal(size=(count,) * (2 * n))
+        x, y = rng.uniform(-1.0, 1.0, (2, 3, n)) / math.sqrt(n)
+        meshes = np.meshgrid(*nodes, indexing="ij")
+        xp, yp = (np.stack([m.ravel() for m in part], axis=-1) for part in (meshes[:n], meshes[n:]))
+        wf = functools.reduce(np.multiply.outer, weights).ravel() * values.ravel()
+        for tau, s_tau in itertools.product(self.TAUS, self.S_TAUS):
+            got = apply_kernel(self._params(n, s_tau, tau), nodes, weights, values, x, y)
+            terms = wf * _heat_kernel_limit(tau, n, xp, yp, x[:, np.newaxis], y[:, np.newaxis])
+            assert np.all(np.abs(got - terms.sum(axis=1)) <= 1e-14 * np.abs(terms).sum(axis=1))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(1, 3),
+        s_tau=st.floats(80.0, 1e17),
+        tau=st.floats(0.5, 2.0),
+        sign=st.sampled_from((1.0, -1.0)),
+        points=st.integers(1, 4),
+    )
+    def test_property(self, data, n, s_tau, tau, sign, points):
+        coord = st.floats(-1.0, 1.0)
+        xp, yp, x, y = (
+            np.reshape(data.draw(st.lists(coord, min_size=points * n, max_size=points * n)), (points, n))
+            for _ in range(4)
+        )
+        tau *= sign
+        params = self._params(n, s_tau, tau)
+        self._close(rho_hat(params, x, y), _rho_hat_limit(tau, n, x, y))
+        self._close(rho_tilde(params, x, y), _heat_kernel_limit(tau, n, 0.0, 0.0, x, y))
+        self._close(heat_kernel_h(params, xp, yp, x, y), _heat_kernel_limit(tau, n, xp, yp, x, y))
+
+
 class TestProductFactorization:
     @settings(max_examples=200, deadline=None)
     @given(

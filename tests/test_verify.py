@@ -517,7 +517,42 @@ class TestSuiteRunner:
         calls = _count_calls(monkeypatch, verify, ("rho_hat",))
         report = verify.run_suite("inversion")
         assert report["passed"]
-        assert calls == {"rho_hat": 45}
+        assert calls == {"rho_hat": 17}
+
+    @pytest.mark.parametrize(
+        "name, defect, failing",
+        [
+            ("rho_hat", np.real, {"series-vs-closed-form", "residual-order-u-transformed", "residual-order-rho-hat"}),
+            ("rho_hat", lambda g: g / 2, {
+                "series-vs-closed-form", "residual-order-u-transformed", "residual-order-rho-hat", "dft-inversion",
+            }),
+            ("rho_tilde", np.real, {"residual-order-rho-tilde"}),
+            ("rho_tilde", lambda g: g / 2, {"residual-order-rho-tilde", "dft-inversion"}),
+            ("heat_kernel_h", np.real, {"residual-order-heat-kernel", "semigroup-composition"}),
+            ("heat_kernel_h", lambda g: g / 2, {"residual-order-heat-kernel", "semigroup-composition"}),
+        ],
+        ids=["rho_hat-real", "rho_hat-half", "rho_tilde-real", "rho_tilde-half", "heat_kernel_h-real",
+             "heat_kernel_h-half"],
+    )
+    def test_gamma_defect_in_one_kernel_fails(self, monkeypatch, name, defect, failing):
+        # the inversion panel holds gamma != 0 only at its Box_b rows: a kernel that reads gamma
+        # wrongly still fails verify through the series, pde and semigroup checks.  Under gamma / 2
+        # the Box_b points' values are 0, so a relative error divides by 0
+        kernel = getattr(verify, name)
+        monkeypatch.setattr(
+            verify, name, lambda params, *args: kernel(replace(params, gamma=defect(params.gamma)), *args)
+        )
+        with np.errstate(divide="ignore", invalid="ignore"):
+            report = verify.run_suite("all")
+        assert not report["passed"]
+        assert {c["check"] for c in report["checks"] if not c["passed"]} == failing
+
+    def test_nan_error_fails_its_check(self):
+        # a NaN error after the first fails both checks it reaches, as inf would
+        for errors in ([(0.5, 1e-9), (0.0, math.nan)], [(0.0, 1e-9), (0.0, math.nan), (2.0, 0.0)]):
+            checks = verify._worst_checks("dft-inversion", errors)
+            assert [c["passed"] for c in checks] == [False, False]
+            assert all(math.isnan(c["worst"]) for c in checks)
 
     def test_pde_suite_is_one_kernel_call_per_probe_dimension(self, monkeypatch):
         calls = _count_calls(monkeypatch, verify, ("rho_hat", "rho_tilde", "heat_kernel_h"))
