@@ -41,12 +41,9 @@ only rho_hat uses A and B.  Every exponent has one form, const -
 envelope*sq + twist*cross with a signed twist coefficient, assembled in log
 space and exponentiated in place, so large |s*tau|*n underflows gracefully
 to 0 and the real power cosh(s*tau/2)**(n/2) never touches a complex branch cut.  One
-primitive does this in blocks of ~16K output elements: a call holds its
-complex output and a few block-sized temporaries per thread, whatever its
-size.  The blocks of a large call run on every CPU the process may use (its
-affinity mask), the calling thread included; each element sees the same
-operations on any thread, so the results are bit-identical to one thread's.
-Far tails give 0, silently.
+primitive does this in blocks of ~16K output elements, one after another on
+the calling thread: a call holds its complex output and a few block-sized
+temporaries, whatever its size.  Far tails give 0, silently.
 
 Spatial arguments are length-n vectors; every kernel also broadcasts over
 leading axes of inputs shaped (..., n).  For n == 1 one rule covers all
@@ -73,8 +70,6 @@ import inspect
 import itertools
 import json
 import math
-import os
-import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -109,10 +104,6 @@ _APPLY_CHUNK_MESHES = 4
 
 # elements per block of a kernel's output: its temporaries stay cache-sized and are reused, not faulted in again
 _EXP_BLOCK = 16384
-
-# threads that run the blocks of one large call, the calling thread included: the CPUs this
-# process may use (the CPU count where the affinity mask cannot be read)
-_THREADS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 # largest work of one eval or apply output grid: its points times n, what its coordinates and
 # values grow with.  An n = 1 eval to JSON peaks at ~120 B and takes 1-2 us per point (1e6 and 2e6
@@ -293,81 +284,16 @@ def _scalar_params(caller: str, *params: KernelParams):
             raise ValueError(f"{caller} needs a scalar {name}, got shape {np.shape(value)}")
 
 
-@functools.cache
-def _helper_pool(threads: int, pid: int):
-    """The threads - 1 helper threads of _map_blocks, started on first use; a forked child (new pid) gets its own."""
-    from concurrent.futures import ThreadPoolExecutor
-
-    return ThreadPoolExecutor(threads - 1, thread_name_prefix="heisenheat-block")
-
-
-def _block_share(size: int) -> int:
-    """size, the elements or rows of one block on one or two threads, cut for _THREADS threads.
-
-    2 * size // _THREADS from three threads on, at least 1, so up to 8 threads
-    hold no more in flight at once than two do; past 8 threads a block stays
-    at size // 4 (a 4096-element exponent block costs ~10% more per element
-    than a 16384-element one on one thread, a 2048-element one ~33%).
-    """
-    return max(1, 2 * size // min(max(_THREADS, 2), 8))
-
-
-def _map_blocks(func, starts) -> list:
-    """[func(lo) for lo in starts], the blocks spread over the calling thread and _THREADS - 1 helpers.
-
-    func must run only untraced code, numpy's ufuncs and FFTs, which release
-    the GIL, and set its own np.errstate: a helper starts with numpy's
-    default.  The threads claim blocks in order until none is left, so a
-    helper slow to wake leaves its share to the caller.  Every block runs;
-    the first error in block order is raised, as a loop would raise it.
-    One block, or one CPU, runs on the calling thread alone.
-    """
-    starts = list(starts)
-    helpers = min(_THREADS, len(starts)) - 1
-    if helpers < 1:
-        return [func(lo) for lo in starts]
-    outcomes = [None] * len(starts)
-    claims = iter(range(len(starts)))
-    lock = threading.Lock()
-
-    def drain():
-        while True:
-            with lock:
-                k = next(claims, None)
-            if k is None:
-                return
-            try:
-                outcomes[k] = (func(starts[k]), None)
-            except Exception as exc:  # kept for the caller, which raises it in block order
-                outcomes[k] = (None, exc)
-
-    pool = _helper_pool(_THREADS, os.getpid())
-    futures = [pool.submit(drain) for _ in range(helpers)]
-    drain()
-    # a helper that never started has nothing left to claim; one that did finishes its last block
-    for future in futures:
-        if not future.cancel():
-            future.result()
-    # a helper drops its task after the future is done, maybe after this call returns: the task's
-    # drain must not keep func, and through it the caller's arrays, alive
-    del func
-    for _, exc in outcomes:
-        if exc is not None:
-            raise exc
-    return [value for value, _ in outcomes]
-
-
 def _exp_kernel(params: KernelParams, const, envelope, twist, forms, *args):
     """exp(const - envelope*sq + twist*cross), (sq, cross) = forms(*args), a complex for 0-d output.
 
     forms reduces the last axis of the args, whose leading axes broadcast
     with the coefficients.  The output is allocated once and its leading axis
-    cut into the fewest blocks of at most _block_share(_EXP_BLOCK) elements
-    (at least one row each), whose row counts differ by at most one.  Per block, forms
+    cut into the fewest blocks of at most _EXP_BLOCK elements (at least one
+    row each), whose row counts differ by at most one.  Per block, forms
     runs on the args' rows and the slice starts as twist*cross, gets the
     real and imaginary parts of const - envelope*sq added (that expression's
-    IEEE operations, zero signs included) and is exponentiated in place.  The blocks are
-    independent and run through _map_blocks, so forms must be untraced.
+    IEEE operations, zero signs included) and is exponentiated in place.
     Where a far-tail square overflows to inf and leaves a NaN, a zero
     coefficient contributes 0 and a decay of +inf gives -inf; an infinite
     phase at a finite decay is KernelOverflowError, and so, after every
@@ -377,7 +303,7 @@ def _exp_kernel(params: KernelParams, const, envelope, twist, forms, *args):
     shape = np.broadcast_shapes(*map(np.shape, (const, envelope, twist)), *(np.shape(a)[:-1] for a in args))
     out = np.empty(shape, dtype=complex)
     rows = out if out.ndim else out.reshape(1)
-    step = max(1, _block_share(_EXP_BLOCK) // max(1, math.prod(rows.shape[1:])))
+    step = max(1, _EXP_BLOCK // max(1, math.prod(rows.shape[1:])))
     count = -(-len(rows) // step)
     bounds = [len(rows) * k // count for k in range(count + 1)]
     # an input with the output's leading axis is cut into the blocks; an arg's last axis is its components
@@ -411,7 +337,9 @@ def _exp_kernel(params: KernelParams, const, envelope, twist, forms, *args):
             return True
         return False
 
-    if any(_map_blocks(block, zip(bounds, bounds[1:]))):
+    # every block runs before an overflow is raised, so a later block's phase error comes first
+    overflowed = [block(span) for span in zip(bounds, bounds[1:])]
+    if any(overflowed):
         with np.errstate(over="ignore", invalid="ignore"):
             peak = np.nanmax(np.real(const) - envelope * forms(*args)[0])
         raise _overflow(f"kernel value (log|value| up to {peak:.6g})", params)

@@ -36,8 +36,6 @@ from . import __version__, hermite, series
 from .kernels import (
     KernelParams,
     _coth_sinh_coefficients,
-    _block_share,
-    _map_blocks,
     _scalar_params,
     apply_kernel,
     heat_kernel_h,
@@ -111,13 +109,21 @@ class ResidualReport:
         }
 
 
+def _relative(error, scale):
+    """error / scale; inf or NaN, which fail every check, where a broken kernel makes scale 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.divide(error, scale)
+
+
 def _fitted_report(equation, step_sizes, norms) -> ResidualReport:
-    """The report whose convergence order is the log-log slope of norms against steps."""
+    """The report whose convergence order is the log-log slope of norms against steps; NaN if a norm is 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_norms = np.log(norms)
     return ResidualReport(
         equation=equation,
         step_sizes=tuple(step_sizes),
         residual_norms=tuple(float(v) for v in norms),
-        convergence_order=float(np.polyfit(np.log(step_sizes), np.log(norms), 1)[0]),
+        convergence_order=float(np.polyfit(np.log(step_sizes), log_norms, 1)[0]),
     )
 
 
@@ -331,8 +337,8 @@ def eigenfunction_residual_report(step_sizes=DEFAULT_STEP_SIZES) -> ResidualRepo
 # DFT inversion of rho_hat against rho_tilde
 # ---------------------------------------------------------------------------
 
-# rows of the grid per block of the first inverse-FFT pass on one or two threads (256 KB of complex
-# at N = 512), cut by _block_share on more, so the check's heap peak does not grow with the CPU count
+# rows of the grid per block of the first inverse-FFT pass (256 KB of complex at N = 512), so that
+# pass never holds an N x N array
 _IFFT_BLOCK_ROWS = 32
 
 
@@ -394,13 +400,12 @@ def dft_inversion_check(params: KernelParams, grid_extent: float = 40.0, grid_co
     to +L/2), 66,048 points at N = 512.  The decay test reads the grid's
     boundary edges, rows and columns -N/2 and N/2 - 1, through the same orbit
     index, which holds their values bit for bit.  The first FFT pass runs in
-    row blocks, spread over the usable CPUs like rho_hat's own blocks and
-    sized like them by _block_share, each gathering its rows from the orbit
-    values, so no N x N array is formed;
-    the second pass runs on the compared block only.  rho_tilde, symmetric
-    in (x, y) the same way, is evaluated on one point of each orbit of that
-    block and gathered.  The orbits are _inversion_orbits(N).  The result is
-    == the centred full-grid ifft2's.
+    blocks of _IFFT_BLOCK_ROWS rows, each gathering its rows from the orbit
+    values, so no N x N array is formed; the second pass runs on the
+    compared block only.  rho_tilde, symmetric in (x, y) the same way, is
+    evaluated on one point of each orbit of that block and gathered.  The
+    orbits are _inversion_orbits(N).  The result is == the centred full-grid
+    ifft2's.
 
     Raises InsufficientDecayError when |rho_hat| exceeds 1e-12 anywhere on
     the transform-grid boundary.
@@ -436,20 +441,16 @@ def dft_inversion_check(params: KernelParams, grid_extent: float = 40.0, grid_co
     keep = m_idx % grid_count
     columns = np.empty((grid_count, keep.size), dtype=complex)
 
-    block_rows = _block_share(_IFFT_BLOCK_ROWS)
-
-    def first_pass(lo):
-        rows = slice(lo, lo + block_rows)
+    for lo in range(0, grid_count, _IFFT_BLOCK_ROWS):
+        rows = slice(lo, lo + _IFFT_BLOCK_ROWS)
         columns[rows] = np.fft.ifft(np.take(f_hat, hat_index[rows]), axis=1)[:, keep]
-
-    _map_blocks(first_pass, range(0, grid_count, block_rows))
     del f_hat  # freed before the second pass allocates
     num = (grid_extent / (2.0 * math.pi)) ** 2 * np.fft.ifft(columns, axis=0)[keep]
 
     unit = 2.0 * math.pi / grid_extent
     exact = np.take(rho_tilde(params, unit * tilde_i, unit * tilde_l), tilde_index)
     scale = float(np.max(np.abs(exact)))
-    return float(np.max(np.abs(num - exact)) / scale)
+    return float(_relative(np.max(np.abs(num - exact)), scale))
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +516,7 @@ def semigroup_check(params1: KernelParams, params2: KernelParams, point_pair) ->
     f = functools.partial(heat_kernel_h, params1, x0, y0)
     composed = _adaptive_apply("semigroup_check", params2, f, (x1, y1), point_pair, 7.0, others=(params1,))
     exact = heat_kernel_h(replace(params1, s=params1.s + params2.s), x0, y0, x1, y1)
-    return abs(composed - exact) / abs(exact)
+    return float(_relative(abs(composed - exact), abs(exact)))
 
 
 @dataclass(frozen=True)
@@ -632,12 +633,12 @@ def _suite_series() -> list[dict]:
     s, tau, gamma, a, b = (np.append(g.ravel(), extra) for g, extra in zip(mesh, box_b))
     closed = rho_hat(KernelParams(s=s, tau=tau, gamma=gamma, n=1), a, b)
     u = series.u_series(config, s, a, b, tau, gamma)
-    agreement = np.max(np.abs(np.exp(1j * a * b / tau) * u.value - closed) / np.abs(closed))
+    agreement = np.max(_relative(np.abs(np.exp(1j * a * b / tau) * u.value - closed), np.abs(closed)))
     # one mehler_sum call over S in {0.1, 0.5, 0.9} and a 13 x 13 grid on [-3, 3]^2
     grid = np.linspace(-3.0, 3.0, 13)
     big_s, x, y = (g.ravel() for g in np.meshgrid((0.1, 0.5, 0.9), grid, grid, indexing="ij"))
     closed = series.mehler_closed_form(big_s, x, y)
-    mehler = np.max(np.abs(series.mehler_sum(big_s, x, y) - closed) / np.abs(closed))
+    mehler = np.max(_relative(np.abs(series.mehler_sum(big_s, x, y) - closed), np.abs(closed)))
     return [
         _check(
             "series-vs-closed-form", float(agreement), 1e-10,

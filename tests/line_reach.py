@@ -1,7 +1,7 @@
 """The lines of src/heisenheat that tier-1 never runs, found with the standard library's `trace`.
 
 Runs tier-1 (pytest over tests/, in-process) under `trace.Trace`, on the main
-thread and on the threads started after it, such as the kernels' block threads.
+thread and on any thread started after it.
 It then prints every line of src/heisenheat/*.py that starts a statement and
 that no test ran; docstrings do not count.  A line left unreached on purpose is
 listed in REASONS with why, and is printed with that reason.  Any other

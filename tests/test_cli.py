@@ -1,5 +1,6 @@
 import json
 import platform
+import threading
 import warnings
 from unittest import mock
 
@@ -663,3 +664,18 @@ def test_unwritable_report_exit_3(tmp_path, argv):
     code = run(argv + ["--report", str(tmp_path / "no-such-dir" / "report.json")])
     assert code == 3
     assert list(tmp_path.iterdir()) == []
+
+
+def test_no_command_starts_a_thread(tmp_path):
+    # a 300^2 eval and an 81^2 apply run many exponent blocks, and verify many FFT row blocks, all on
+    # the calling thread
+    before = threading.active_count()
+    eval_argv = ["eval", "--kernel", "rho-hat", "--s", "0.5", "--tau", "1", "--n", "1",
+                 "--axis", "alpha:-3:3:300", "--axis", "beta:-3:3:300", "--output", str(tmp_path / "grid.json")]
+    assert run(eval_argv) == 0
+    _write_gaussian_field(tmp_path / "f.json", count=81, extent=3.0)
+    assert run(["apply", "--input", str(tmp_path / "f.json"), "--s", "0.5", "--tau", "1",
+                "--axis", "x:-1:1:30", "--axis", "y:-1:1:30", "--output", str(tmp_path / "out.json")]) == 0
+    assert run(["verify", "--suite", "all", "--report", str(tmp_path / "verify.json")]) == 0
+    assert threading.active_count() == before
+    assert [t.name for t in threading.enumerate() if t.name.startswith("heisenheat-block")] == []

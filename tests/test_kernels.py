@@ -1,12 +1,11 @@
+import concurrent.futures
 import functools
 import itertools
 import json
 import math
 import operator
-import sys
 import tracemalloc
 import warnings
-import weakref
 from dataclasses import replace
 from unittest import mock
 
@@ -1331,22 +1330,21 @@ class TestBlockedExponent:
         (20000, 1, [0, 10000]),
     ))
     def test_row_blocks_differ_by_at_most_one_row(self, monkeypatch, rows, cols, starts):
-        # the fewest blocks of at most _EXP_BLOCK elements, with equal row counts where they divide,
-        # on two threads (_block_share cuts them on more)
-        monkeypatch.setattr(kernels, "_THREADS", 2)
-        spans = []
-        original = kernels._map_blocks
+        # the fewest blocks of at most _EXP_BLOCK elements, with equal row counts where they divide.
+        # rho_hat looks up _quadratic_forms at call time and runs it once per block, on that block's rows
+        counts = []
+        original = kernels._quadratic_forms
 
-        def recorded(func, blocks):
-            spans.extend(blocks)
-            return original(func, spans)
+        def recorded(*args):
+            sq, cross = original(*args)
+            counts.append(len(sq))
+            return sq, cross
 
-        monkeypatch.setattr(kernels, "_map_blocks", recorded)
+        monkeypatch.setattr(kernels, "_quadratic_forms", recorded)
         params = KernelParams(0.7, -1.3, 0.2 + 0.5j)
         alpha, beta = np.linspace(-3.0, 3.0, rows)[:, np.newaxis], np.linspace(-2.0, 2.0, cols)
         got = rho_hat(params, alpha, beta)
-        assert [lo for lo, _ in spans] == starts
-        assert [hi for _, hi in spans] == starts[1:] + [rows]
+        assert list(itertools.accumulate(counts, initial=0)) == starts + [rows]
         assert np.array_equal(_bits(got), _bits(oracles.rho_hat_one_expression(params, alpha, beta)))
 
     @pytest.mark.parametrize("block", BLOCKS[:-1])
@@ -1384,154 +1382,85 @@ class TestBlockedExponent:
             with pytest.raises(KernelOverflowError, match=r"phase twist\*cross exceeds the double range"):
                 heat_kernel_h(KernelParams(1.0, 1.0, gamma), 1.0, 1e308, x, np.full(4, 1e308))
 
-
-class TestMapBlocks:
-    """The block runner: every block once, results and the first error in block order."""
-
-    def test_every_block_once_in_order_under_contention(self, monkeypatch):
-        # more threads than CPUs and a short switch interval: a block claimed twice or lost shows
-        monkeypatch.setattr(kernels, "_THREADS", 8)
-        starts = range(0, 3000, 3)
-        ran = []
-
-        def square(lo):
-            ran.append(lo)
-            return lo * lo
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _ in range(20):
-                ran.clear()
-                assert kernels._map_blocks(square, starts) == [lo * lo for lo in starts]
-                assert sorted(ran) == list(starts)
-        finally:
-            sys.setswitchinterval(interval)
-
-    @pytest.mark.parametrize("threads", (1, 2, 4))
-    def test_first_error_in_block_order(self, monkeypatch, threads):
-        monkeypatch.setattr(kernels, "_THREADS", threads)
-
-        def fail(lo):
-            if lo in (5, 50, 90):
-                raise ValueError(f"block {lo}")
-            return lo
-
-        with pytest.raises(ValueError, match="^block 5$"):
-            kernels._map_blocks(fail, range(100))
-
-    @pytest.mark.parametrize("threads", range(1, 13))
-    def test_block_share_keeps_what_is_in_flight(self, monkeypatch, threads):
-        # up to 8 threads hold at most what two hold; past 8 a block stays at a quarter
-        monkeypatch.setattr(kernels, "_THREADS", threads)
-        for size in (1, 7, 32, kernels._EXP_BLOCK):
-            share = kernels._block_share(size)
-            assert share >= max(1, size // 4)
-            assert min(threads, 8) * share <= max(2 * size, min(threads, 8))
-        assert kernels._block_share(32) == (32 if threads <= 2 else max(8, 64 // threads))
-
-    def test_returns_without_keeping_the_blocks_arrays(self, monkeypatch):
-        # a task cancelled before a helper woke stays queued until a helper takes it, and a finished
-        # one is dropped after the caller may have returned: neither may hold func, or the arrays
-        # func reads outlive the call (1 MiB of a 512^2 DFT check's)
-        monkeypatch.setattr(kernels, "_THREADS", 8)
-        for _ in range(200):
-            data = np.ones(8)
-            alive = weakref.ref(data)
-            kernels._map_blocks(functools.partial(operator.getitem, data), range(8))
-            del data
-            assert alive() is None
-
-
-def _pooled_calls(n):
-    """One call per kernel and apply_kernel at dimension n, each over several 16384-element blocks, with +-1e200 tails."""
-    rng = np.random.default_rng(n)
-    points = rng.uniform(-3.0, 3.0, size=(4, 20000, n))
-    points[:, ::997] = 1e200
-    points[1, 5::1009] = -1e200
-    p = KernelParams(0.7, -1.3, 0.2 + 0.5j, n=n)
-    # n = 1: (280, 70) P and Q factors per chunk of output points, two blocks each
-    nodes = [np.linspace(-2.5, 2.5, (70 if n == 1 else 9) + k) for k in range(2 * n)]
-    weights = [np.full(len(axis), 0.1) for axis in nodes]
-    size = math.prod(len(axis) for axis in nodes)
-    values = rng.normal(size=size) + 1j * rng.normal(size=size)
-    x, y = rng.normal(size=(2, 300, n))
-    x[7], y[11] = 1e200, -1e200
-    outer = rng.uniform(-3.0, 3.0, size=150)
-    return {
-        "rho_hat": lambda: rho_hat(p, points[0], points[1]),
-        "rho_hat outer": lambda: rho_hat(replace(p, n=1), outer[:, np.newaxis], outer),
-        "rho_tilde": lambda: rho_tilde(p, points[0], points[1]),
-        "heat_kernel_h": lambda: heat_kernel_h(p, *points),
-        "apply_kernel": lambda: apply_kernel(p, nodes, weights, values, x, y),
-    }
+def _on_caller_threads(threads, call):
+    """call() started at once on `threads` threads of the test's own; the finished futures in start order."""
+    with concurrent.futures.ThreadPoolExecutor(threads) as pool:
+        return [pool.submit(call) for _ in range(threads)]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestPooledBlocks:
-    """Blocks spread over helper threads give the one-thread bits and errors, and no warning."""
-
-    @pytest.mark.parametrize("n", (1, 2))
-    def test_same_bits_for_every_thread_count_and_block(self, monkeypatch, n):
-        calls = _pooled_calls(n)
-        monkeypatch.setattr(kernels, "_THREADS", 1)
-        expect = {name: _bits(call()) for name, call in calls.items()}
-        for threads, block in itertools.product((1, 2, 4), (64, kernels._EXP_BLOCK)):
-            monkeypatch.setattr(kernels, "_THREADS", threads)
-            monkeypatch.setattr(kernels, "_EXP_BLOCK", block)
-            for name, call in calls.items():
-                assert np.array_equal(_bits(call()), expect[name]), (name, threads, block)
+    """Calls of many blocks made from several caller threads at once: each caller runs its own blocks,
+    pools their overflow flags into its own error, and warns nothing."""
 
     @pytest.mark.parametrize("threads", (2, 4))
     @pytest.mark.parametrize("gamma", (0.0, -3000.0))
     def test_phase_error_in_a_later_block(self, monkeypatch, threads, gamma):
         # one point per block; x = x' but at the last point, where (x-x').(y+y') is infinite at a
         # finite decay; at gamma = -3000 every other block overflows, and the phase error still wins
-        monkeypatch.setattr(kernels, "_THREADS", threads)
         monkeypatch.setattr(kernels, "_EXP_BLOCK", 1)
         x = np.ones(64)
         x[-1] = 0.0
-        with pytest.raises(KernelOverflowError, match=r"phase twist\*cross exceeds the double range"):
-            heat_kernel_h(KernelParams(1.0, 1.0, gamma), 1.0, 1e308, x, np.full(64, 1e308))
+        for future in _on_caller_threads(
+            threads, lambda: heat_kernel_h(KernelParams(1.0, 1.0, gamma), 1.0, 1e308, x, np.full(64, 1e308))
+        ):
+            with pytest.raises(KernelOverflowError, match=r"phase twist\*cross exceeds the double range"):
+                future.result()
 
     @pytest.mark.parametrize("threads", (2, 4))
     def test_overflow_message_reads_the_whole_call(self, monkeypatch, threads):
         # every point overflows; the largest log|value|, at x = 0, sits in block 32 of 65
-        monkeypatch.setattr(kernels, "_THREADS", threads)
         monkeypatch.setattr(kernels, "_EXP_BLOCK", 1)
         x = np.abs(np.linspace(-1.0, 1.0, 65))
-        with pytest.raises(KernelOverflowError, match=r"log\|value\| up to 748\.845\)"):
-            heat_kernel_h(KernelParams(1.0, 1.0, -3000.0), 0.0, 0.0, x, np.zeros(65))
+        for future in _on_caller_threads(
+            threads, lambda: heat_kernel_h(KernelParams(1.0, 1.0, -3000.0), 0.0, 0.0, x, np.zeros(65))
+        ):
+            with pytest.raises(KernelOverflowError, match=r"log\|value\| up to 748\.845\)"):
+                future.result()
 
     @pytest.mark.parametrize("threads", (2, 4))
     def test_far_tails_past_one_block_warn_nothing(self, monkeypatch, threads):
-        # TestFarTails' inputs tiled over 128 blocks, so helper threads settle most of them
-        monkeypatch.setattr(kernels, "_THREADS", threads)
+        # TestFarTails' inputs tiled over 128 blocks of 64 elements, each case on one of the caller threads
         monkeypatch.setattr(kernels, "_EXP_BLOCK", 64)
         count = 128 * 64
+        cases = []
+        for far, p in itertools.product(
+            (1e155, 1e200, 1e308),
+            (KernelParams(1.0, 1.0, 1j), KernelParams(1.0, 0.0), KernelParams(0.5, -2.0, 0.3, n=2)),
+        ):
+            a, zero = np.full((count, p.n), far), np.zeros((count, p.n))
+            cases += [
+                (functools.partial(rho_hat, p, a, a), np.zeros(count)),
+                (functools.partial(rho_tilde, p, a, a), np.zeros(count)),
+                (functools.partial(heat_kernel_h, p, zero, zero, a, a), np.zeros(count)),
+            ]
+        alpha = np.tile([0.0, 1e155, 1e200, -1e308], count // 4)
+        tiny = KernelParams(s=1e-308, tau=1.0)
+        cases += [
+            (functools.partial(rho_hat, KernelParams(0.0, 1.0, gamma=0.5), alpha, alpha[::-1]), np.ones(count)),
+            (functools.partial(rho_tilde, tiny, np.full(count, 2.0), 0.0), np.zeros(count)),
+            (functools.partial(heat_kernel_h, tiny, 0.0, 0.0, np.full(count, 2.0), 0.0), np.zeros(count)),
+            (
+                functools.partial(heat_kernel_h, KernelParams(1.0, 1.0), 1.0, 1e308, np.ones(count), np.full(count, 1e308)),
+                np.full(count, 0.3150181770684528),
+            ),
+        ]
+        near, far = np.array([-0.0, 0.3, 1.7]), np.array([1e200, -1e300])
+        mixed = KernelParams(0.8, -1.5, gamma=0.2 + 0.4j)
+        both = np.tile(np.concatenate([near, far]), count // 5)
+        for kernel in (rho_hat, rho_tilde):
+            expect = np.tile(np.concatenate([kernel(mixed, near, near), [0, 0]]), count // 5)
+            cases.append((functools.partial(kernel, mixed, both, both), expect))
+        axis, weights = np.linspace(-2.0, 2.0, 9), [np.full(9, 0.5)] * 2
+        outputs = np.tile([1e200, 1e200, -1e300], count // 3)[:, np.newaxis]
+        cases.append((
+            functools.partial(apply_kernel, KernelParams(0.5, 1.0, gamma=0.3), [axis, axis], weights, np.ones(81), outputs, outputs),
+            np.zeros(len(outputs)),
+        ))
+        # the warnings filters are process-wide, so they are set here and not on the caller threads
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for far, p in itertools.product(
-                (1e155, 1e200, 1e308),
-                (KernelParams(1.0, 1.0, 1j), KernelParams(1.0, 0.0), KernelParams(0.5, -2.0, 0.3, n=2)),
-            ):
-                a, zero = np.full((count, p.n), far), np.zeros((count, p.n))
-                for got in (rho_hat(p, a, a), rho_tilde(p, a, a), heat_kernel_h(p, zero, zero, a, a)):
-                    assert np.array_equal(got, np.zeros(count))
-            alpha = np.tile([0.0, 1e155, 1e200, -1e308], count // 4)
-            assert np.array_equal(rho_hat(KernelParams(0.0, 1.0, gamma=0.5), alpha, alpha[::-1]), np.ones(count))
-            tiny = KernelParams(s=1e-308, tau=1.0)
-            assert np.array_equal(rho_tilde(tiny, np.full(count, 2.0), 0.0), np.zeros(count))
-            assert np.array_equal(heat_kernel_h(tiny, 0.0, 0.0, np.full(count, 2.0), 0.0), np.zeros(count))
-            coincident = heat_kernel_h(KernelParams(1.0, 1.0), 1.0, 1e308, np.ones(count), np.full(count, 1e308))
-            assert np.all(coincident == 0.3150181770684528)
-            near, far = np.array([-0.0, 0.3, 1.7]), np.array([1e200, -1e300])
-            mixed = KernelParams(0.8, -1.5, gamma=0.2 + 0.4j)
-            both = np.tile(np.concatenate([near, far]), count // 5)
-            for kernel in (rho_hat, rho_tilde):
-                expect = np.tile(np.concatenate([kernel(mixed, near, near), [0, 0]]), count // 5)
-                assert np.array_equal(_bits(kernel(mixed, both, both)), _bits(expect))
-            axis, weights = np.linspace(-2.0, 2.0, 9), [np.full(9, 0.5)] * 2
-            outputs = np.tile([1e200, 1e200, -1e300], count // 3)[:, np.newaxis]
-            got = apply_kernel(KernelParams(0.5, 1.0, gamma=0.3), [axis, axis], weights, np.ones(81), outputs, outputs)
-            assert np.array_equal(got, np.zeros(len(outputs)))
+            with concurrent.futures.ThreadPoolExecutor(threads) as pool:
+                got = list(pool.map(lambda case: case[0](), cases))
+        for value, (_, expect) in zip(got, cases):
+            assert np.array_equal(_bits(value), _bits(expect))

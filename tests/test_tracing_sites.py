@@ -68,11 +68,9 @@ def test_traced_apply_evaluates_coefficients_once(tmp_path):
     assert tracer.unbalanced_ops() == []
 
 
-def test_pooled_blocks_run_no_traced_name(tmp_path, monkeypatch):
-    # helper threads run only forms, ufuncs and FFTs, never a traced name: the tracer keeps one span
-    # stack for all threads.  A helper calling coefficients_ab still leaves every op balanced, so the
-    # per-op call counts are what pin the rule
-    monkeypatch.setattr(kernels, "_THREADS", 4)
+def test_multi_block_ops_call_each_traced_name_once(tmp_path):
+    # a kernel's blocks and the FFT's row blocks run only forms, ufuncs and FFTs: a 512^2 rho_hat,
+    # a DFT check and an apply call rho_hat and coefficients_ab once per kernel call, not once per block
     params = KernelParams(1.0, 0.5, 1j)
     freqs = np.linspace(-20.0, 20.0, 512)
     # an 81 x 81 input: each (324, 81) P and Q factor of apply_kernel spans two blocks

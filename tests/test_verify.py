@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import math
 import tracemalloc
@@ -191,34 +192,21 @@ class TestDftInversion:
     @pytest.mark.parametrize("threads", (1, 2, 4))
     @pytest.mark.parametrize("exp_block", (64, 16384))
     def test_pooled_blocks_equal_the_centred_full_transform(self, monkeypatch, threads, exp_block):
-        # rho_hat's exponent blocks and FFT row blocks of 7 (3 on 4 threads) spread over the caller and its helpers
-        monkeypatch.setattr(kernels, "_THREADS", threads)
+        # rho_hat's exponent blocks and FFT row blocks of 7 at 128 points, one check on each of 1, 2 or 4
+        # caller threads at once: each caller runs its own blocks and gets the one-transform result
         monkeypatch.setattr(kernels, "_EXP_BLOCK", exp_block)
         monkeypatch.setattr(verify, "_IFFT_BLOCK_ROWS", 7)
         params = KernelParams(s=0.5, tau=-2.0, gamma=1j)
-        assert dft_inversion_check(params, 40.0, 128) == oracles.dft_inversion_centred(params, 40.0, 128)
+        with concurrent.futures.ThreadPoolExecutor(threads) as pool:
+            futures = [pool.submit(dft_inversion_check, params, 40.0, 128) for _ in range(threads)]
+        expect = oracles.dft_inversion_centred(params, 40.0, 128)
+        assert [future.result() for future in futures] == [expect] * threads
 
     def test_memory_peak_of_one_512_grid(self):
-        # rho_hat's orbit values, their coordinates and the compared columns (1 MiB each) plus
-        # block-sized temporaries; 12.0 MB when rho_hat and the first FFT pass each built grid-sized temporaries
-        params = KernelParams(1.0, 0.5, 1j)
-        dft_inversion_check(params, 40.0, 512)
-        tracemalloc.start()
-        try:
-            dft_inversion_check(params, 40.0, 512)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 7 * 2**20
-
-    @pytest.mark.parametrize("threads", (1, 2, 4, 8))
-    def test_memory_peak_of_one_512_grid_on_threads(self, monkeypatch, threads):
-        # rho_hat's orbit values and their coordinates (1 MiB each) and exponent blocks, then the compared
-        # columns (1 MiB) and the FFT row blocks; _block_share cuts both kinds of block on more than two
-        # threads, so those in flight hold ~0.6 and ~1 MiB whatever the thread count: 2.6-3.1 MiB, against
-        # 4.37 MiB at 8 threads with rho_hat's half-plane and a full block per thread.  The warm-up call
-        # builds the cached orbit index, which is not counted
-        monkeypatch.setattr(kernels, "_THREADS", threads)
+        # rho_hat's orbit values and their coordinates (1 MiB each) and one exponent block, then the
+        # compared columns (1 MiB) and one FFT row block: ~2.6 MiB, against 12.0 MB when rho_hat and the
+        # first FFT pass each built grid-sized temporaries.  The warm-up call builds the cached orbit
+        # index, which is not counted
         params = KernelParams(1.0, 0.5, 1j)
         dft_inversion_check(params, 40.0, 512)
         tracemalloc.start()
@@ -228,6 +216,22 @@ class TestDftInversion:
         finally:
             tracemalloc.stop()
         assert peak < 3.5 * 2**20
+
+    @pytest.mark.parametrize("threads", (1, 2, 4, 8))
+    def test_memory_peak_of_one_512_grid_on_threads(self, threads):
+        # one 512^2 check on each of 1-8 caller threads at once: every caller holds only its own blocks
+        # and all share the cached orbit index, so the peak stays within one check's 3.5 MiB per thread
+        params = KernelParams(1.0, 0.5, 1j)
+        expect = dft_inversion_check(params, 40.0, 512)
+        tracemalloc.start()
+        try:
+            with concurrent.futures.ThreadPoolExecutor(threads) as pool:
+                futures = [pool.submit(dft_inversion_check, params, 40.0, 512) for _ in range(threads)]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [future.result() for future in futures] == [expect] * threads
+        assert peak < threads * 3.5 * 2**20
 
     @pytest.mark.parametrize("axis", (0, 1))
     @pytest.mark.parametrize("end", (0, -1))
@@ -537,13 +541,12 @@ class TestSuiteRunner:
     def test_gamma_defect_in_one_kernel_fails(self, monkeypatch, name, defect, failing):
         # the inversion panel holds gamma != 0 only at its Box_b rows: a kernel that reads gamma
         # wrongly still fails verify through the series, pde and semigroup checks.  Under gamma / 2
-        # the Box_b points' values are 0, so a relative error divides by 0
+        # the Box_b points' values are 0, so a relative error divides by 0 and reads inf or NaN
         kernel = getattr(verify, name)
         monkeypatch.setattr(
             verify, name, lambda params, *args: kernel(replace(params, gamma=defect(params.gamma)), *args)
         )
-        with np.errstate(divide="ignore", invalid="ignore"):
-            report = verify.run_suite("all")
+        report = verify.run_suite("all")
         assert not report["passed"]
         assert {c["check"] for c in report["checks"] if not c["passed"]} == failing
 
@@ -553,6 +556,26 @@ class TestSuiteRunner:
             checks = verify._worst_checks("dft-inversion", errors)
             assert [c["passed"] for c in checks] == [False, False]
             assert all(math.isnan(c["worst"]) for c in checks)
+
+    def test_zero_kernels_fail_their_checks_without_a_warning(self, monkeypatch, tmp_path):
+        # kernels that return 0 make the relative errors inf or NaN and the fitted orders NaN (log 0):
+        # each affected check fails, and verify writes its report instead of stopping on a RuntimeWarning
+        # (the configured error) or on a ZeroDivisionError between Python floats
+        for name in ("rho_hat", "rho_tilde", "heat_kernel_h"):
+            monkeypatch.setattr(verify, name, lambda *args, kernel=getattr(verify, name): 0 * kernel(*args))
+        failing = {
+            "series": {"series-vs-closed-form"},
+            "pde": {f"residual-order-{eq}" for eq in ("u-transformed", "rho-hat", "rho-tilde", "heat-kernel")},
+            "inversion": {"dft-inversion", "dft-inversion-tau0"},
+            "semigroup": {"semigroup-composition", "semigroup-composition-tau0"},
+        }
+        for suite, names in failing.items():
+            checks = verify.run_suite(suite)["checks"]
+            assert {c["check"] for c in checks if not c["passed"]} == names, suite
+        out = tmp_path / "verify_all.json"
+        assert cli.main(["verify", "--suite", "all", "--report", str(out)]) == cli.EXIT_SUITE_FAILURE
+        report = json.loads(out.read_text())
+        assert {c["check"] for c in report["checks"] if not c["passed"]} == set().union(*failing.values())
 
     def test_pde_suite_is_one_kernel_call_per_probe_dimension(self, monkeypatch):
         calls = _count_calls(monkeypatch, verify, ("rho_hat", "rho_tilde", "heat_kernel_h"))
