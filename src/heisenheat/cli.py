@@ -211,7 +211,7 @@ def _identities_sweep() -> dict:
     tau_vals = np.concatenate([-10.0 * (np.arange(16) + 1) / 16.0, 10.0 * (np.arange(16) + 1) / 16.0])
     s, tau = np.meshgrid(s_vals, tau_vals, indexing="ij")
     a, b, _, _, _ = coefficients_ab(s, tau)
-    ratio_b, ratio_ab = b / (a ** 2 + b ** 2), a / b
+    ratio_b, ratio_ab = verify._relative(b, a ** 2 + b ** 2), verify._relative(a, b)
     expect_b = tau / 2.0
     expect_ab = np.cosh(s * tau / 4.0) / np.sinh(s * tau / 4.0)
     return {
@@ -225,7 +225,7 @@ def _twist_factorization(points) -> float:
     params = KernelParams(s=s, tau=tau, gamma=0.3 + 0.1j, n=1)
     lhs = heat_kernel_h(params, xp, yp, x, y)
     rhs = rho_tilde(params, x - xp, y - yp) * np.exp(-1j * tau * (x - xp) * yp)
-    return float(np.max(np.abs(lhs - rhs) / np.abs(rhs)))
+    return float(np.max(verify._relative(np.abs(lhs - rhs), np.abs(rhs))))
 
 
 def _identity_checks(points) -> list[dict]:

@@ -413,14 +413,15 @@ def dft_inversion_check(params: KernelParams, grid_extent: float = 40.0, grid_co
     _scalar_params("dft_inversion_check", params)
     if params.n != 1:
         raise ValueError("dft_inversion_check is defined for n = 1")
-    if params.s <= 0:
-        raise ValueError(f"requires s > 0, got s={params.s}")
     if grid_count < 16 or grid_count % 2:
         # the rolled frequency grid starts at alpha = 0, as the FFT expects,
         # only for even N
         raise ValueError(f"grid_count must be even and >= 16, got {grid_count}")
     step = grid_extent / grid_count
+    unit = 2.0 * math.pi / grid_extent
     (hat_i, hat_l, hat_index), (tilde_i, tilde_l, tilde_index) = _inversion_orbits(grid_count)
+    # first, so its s > 0 guard (kernels._coth_sinh_coefficients) precedes the decay test, which s = 0 fails
+    tilde = rho_tilde(params, unit * tilde_i, unit * tilde_l)
     f_hat = rho_hat(params, step * hat_i, step * hat_l)
     # in FFT order the indices N/2 - 1 and -N/2 sit at positions N/2 - 1 and N/2
     edges = [grid_count // 2 - 1, grid_count // 2]
@@ -447,8 +448,7 @@ def dft_inversion_check(params: KernelParams, grid_extent: float = 40.0, grid_co
     del f_hat  # freed before the second pass allocates
     num = (grid_extent / (2.0 * math.pi)) ** 2 * np.fft.ifft(columns, axis=0)[keep]
 
-    unit = 2.0 * math.pi / grid_extent
-    exact = np.take(rho_tilde(params, unit * tilde_i, unit * tilde_l), tilde_index)
+    exact = np.take(tilde, tilde_index)
     scale = float(np.max(np.abs(exact)))
     return float(_relative(np.max(np.abs(num - exact)), scale))
 
@@ -624,12 +624,14 @@ def _suite_hermite() -> list[dict]:
 
 
 def _suite_series() -> list[dict]:
-    # rho_hat from one u_series call over the whole panel against the closed form: an s, tau, gamma, alpha,
-    # beta mesh and three Box_b points gamma = -1 at s*tau in {1e6, 1e12, 1e17}, at rho_hat's s -> inf limit
+    # rho_hat from one u_series call over the whole panel against the closed form: an s, tau (both signs), gamma,
+    # alpha, beta mesh and Box_b points gamma = -sign(tau), s*|tau| in {1e6, 1e12, 1e17}, at rho_hat's s -> inf limit
     config = series.SeriesConfig(max_terms=400, tail_tol=1e-13)
     coords = (-3.0, -1.0, 0.0, 1.0, 3.0)
-    mesh = np.meshgrid((0.5, 1.0, 2.0), (0.5, 1.0, 3.0), (0.0, 1.0, 1j), coords, coords, indexing="ij")
-    box_b = np.broadcast_arrays((2e6, 2e12, 2e17), 0.5, -1.0, 1.0, -1.0)
+    taus = (-3.0, -1.0, -0.5, 0.5, 1.0, 3.0)
+    mesh = np.meshgrid((0.5, 1.0, 2.0), taus, (0.0, 1.0, 1j), coords, coords, indexing="ij")
+    box_tau = np.repeat((0.5, -0.5), 3)
+    box_b = np.broadcast_arrays(np.tile((2e6, 2e12, 2e17), 2), box_tau, -np.sign(box_tau), 1.0, -1.0)
     s, tau, gamma, a, b = (np.append(g.ravel(), extra) for g, extra in zip(mesh, box_b))
     closed = rho_hat(KernelParams(s=s, tau=tau, gamma=gamma, n=1), a, b)
     u = series.u_series(config, s, a, b, tau, gamma)

@@ -6,7 +6,9 @@ count memory the allocator handed back to the OS and had to fault in again), and
 the tracemalloc peak of one further run of the suite under tracemalloc, which
 would slow the timed runs.  That untimed run also counts the calls of verify's
 kernel names `rho_hat`, `rho_tilde` and `heat_kernel_h` and the points they
-return, printed as calls/points; these counts are the same on every machine.
+return, printed as calls/points, and the calls of `series.u_series`, the points
+and the terms_used it returns, printed as calls/points/terms; these counts are
+the same on every machine.
 The first run of a suite includes its warm-up.  Exits 1 when a suite reports a
 failed check; the numbers themselves gate nothing, because machines differ.
 
@@ -25,40 +27,46 @@ import tracemalloc
 
 import numpy as np
 
-from heisenheat import verify
+from heisenheat import series, verify
 
-KERNELS = ("rho_hat", "rho_tilde", "heat_kernel_h")
+# (module, name) of each counted function: verify's kernel names, then the series oracle
+COUNTED = ((verify, "rho_hat"), (verify, "rho_tilde"), (verify, "heat_kernel_h"), (series, "u_series"))
 
 
 @contextlib.contextmanager
-def counted_kernels():
-    """verify's KERNELS names wrapped to count calls and returned points; yields {name: [calls, points]}."""
-    counts = {name: [0, 0] for name in KERNELS}
-    originals = {name: getattr(verify, name) for name in KERNELS}
+def counted_work():
+    """COUNTED wrapped to count their work; yields {name: [calls, points]}, with terms_used added for u_series."""
+    counts = {name: [0, 0, 0] if module is series else [0, 0] for module, name in COUNTED}
+    originals = {name: getattr(module, name) for module, name in COUNTED}
 
     def counted(name, func):
         def wrapper(*args, **kwargs):
             value = func(*args, **kwargs)
-            counts[name][0] += 1
-            counts[name][1] += int(np.size(value))
+            count = counts[name]
+            count[0] += 1
+            if isinstance(value, series.UValue):
+                count[1] += int(np.size(value.value))
+                count[2] += value.terms_used
+            else:
+                count[1] += int(np.size(value))
             return value
 
         return wrapper
 
-    for name, func in originals.items():
-        setattr(verify, name, counted(name, func))
+    for module, name in COUNTED:
+        setattr(module, name, counted(name, originals[name]))
     try:
         yield counts
     finally:
-        for name, func in originals.items():
-            setattr(verify, name, func)
+        for module, name in COUNTED:
+            setattr(module, name, originals[name])
 
 
 def profile(repeats: int) -> bool:
     """Print the table and return whether every suite passed in every run."""
     passed = True
     print(f"{'suite':<10} {'run':>3} {'wall_s':>8} {'minflt':>8} {'peak_mb':>8}"
-          + "".join(f" {name:>16}" for name in KERNELS))
+          + "".join(f" {name:>16}" for _, name in COUNTED))
     for name in verify.SUITE_NAMES[:-1]:
         for run in range(1, repeats + 1):
             faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -66,12 +74,12 @@ def profile(repeats: int) -> bool:
             passed &= verify.run_suite(name)["passed"]
             wall = time.perf_counter() - start
             faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
-            with counted_kernels() as counts:
+            with counted_work() as counts:
                 tracemalloc.start()
                 passed &= verify.run_suite(name)["passed"]
                 peak = tracemalloc.get_traced_memory()[1] / 2**20
                 tracemalloc.stop()
-            work = "".join(f" {f'{calls}/{points}':>16}" for calls, points in counts.values())
+            work = "".join(f" {'/'.join(map(str, count)):>16}" for count in counts.values())
             print(f"{name:<10} {run:>3} {wall:>8.3f} {faults:>8d} {peak:>8.2f}{work}")
     return passed
 

@@ -31,12 +31,12 @@ def _report(criterion: str, passed: bool, detail: str, elapsed: float, budget: f
     assert elapsed < budget, f"{criterion} exceeded runtime budget: {elapsed:.1f}s > {budget}s"
 
 
-def test_criterion_1_series_closed_form_equivalence():
+def _criterion_1(taus, criterion):
     t0 = time.perf_counter()
     config = series.SeriesConfig(max_terms=400, tail_tol=1e-13)
     worst = 0.0
     for s in (0.5, 1.0, 2.0):
-        for tau in (0.5, 1.0, 3.0):
+        for tau in taus:
             for gamma in (0.0, 1.0, 1j):
                 params = KernelParams(s=s, tau=tau, gamma=gamma, n=1)
                 for alpha in (-3.0, -1.0, 0.0, 1.0, 3.0):
@@ -45,13 +45,15 @@ def test_criterion_1_series_closed_form_equivalence():
                         summed = series.rho_hat_series(config, s, alpha, beta, tau, gamma)
                         worst = max(worst, abs(summed - closed) / abs(closed))
     elapsed = time.perf_counter() - t0
-    _report(
-        "criterion 1 (series/closed-form equivalence)",
-        worst < 1e-10,
-        f"max relative difference {worst:.3e} < 1e-10",
-        elapsed,
-        10.0,
-    )
+    _report(criterion, worst < 1e-10, f"max relative difference {worst:.3e} < 1e-10", elapsed, 10.0)
+
+
+def test_criterion_1_series_closed_form_equivalence():
+    _criterion_1((0.5, 1.0, 3.0), "criterion 1 (series/closed-form equivalence)")
+
+
+def test_criterion_1_series_closed_form_equivalence_negative_tau():
+    _criterion_1((-0.5, -1.0, -3.0), "criterion 1 at tau < 0 (series/closed-form equivalence)")
 
 
 def test_criterion_2_mehler_identity():

@@ -639,12 +639,38 @@ class TestIdentities:
     def test_empty_seeded_panel_exit_2(self):
         assert run(["identities", "--seed", "7", "--points", "0"]) == 2
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("names, failed", (
+        (("rho_tilde", "heat_kernel_h"), {"twist-factorization"}),
+        (("coefficients_ab",), {"ratio-b-vs-half-tau", "ratio-ab-vs-coth"}),
+    ))
+    def test_zero_kernel_or_coefficient_fails_its_checks(self, tmp_path, monkeypatch, names, failed):
+        # a quotient by a kernel or coefficient that is 0 is a failed check in the report, not a RuntimeWarning
+        for name in names:
+            monkeypatch.setattr(cli, name, _zeros_from(getattr(cli, name)))
+        report = tmp_path / "ident.json"
+        assert run(["identities", "--report", str(report)]) == 1
+        doc = json.loads(report.read_text())
+        assert doc["passed"] is False
+        assert {c["check"]: c["passed"] for c in doc["checks"]} == {
+            name: name not in failed for name in ("ratio-b-vs-half-tau", "ratio-ab-vs-coth", "twist-factorization")
+        }
+
     @pytest.mark.parametrize(
         "argv", (["--seed", "7", "--points", str(cli.MAX_TWIST_POINTS + 1)], ["--points", "8"])
     )
     def test_points_too_many_or_without_seed_exit_2(self, argv, capsys):
         assert run(["identities", *argv]) == 2
         assert "--points" in capsys.readouterr().err
+
+
+def _zeros_from(func):
+    """func with each array it returns, or each of a tuple of them, replaced by zeros of its shape and type."""
+    def wrapper(*args):
+        value = func(*args)
+        return tuple(map(np.zeros_like, value)) if isinstance(value, tuple) else np.zeros_like(value)
+
+    return wrapper
 
 
 def test_failed_rename_leaves_no_temporary_file(tmp_path, monkeypatch, capsys):

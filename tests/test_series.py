@@ -93,10 +93,17 @@ class TestUSeries:
         with pytest.raises(SeriesConvergenceError):
             u_series(cfg, 1e-3, 0.5, 0.3, 1e-2, 0.0)
 
+    def test_budget_exhaustion_raises_before_summing(self, monkeypatch):
+        # S = exp(-5e-6) needs a degree far past max_terms = 400: the error names it, and no term is summed
+        monkeypatch.setattr("heisenheat.series.hermite_values", lambda *args: pytest.fail("summed"))
+        with pytest.raises(SeriesConvergenceError, match=r"needed, past the ceiling 400, at S = exp\(-s\*\|tau\|/2\)"):
+            u_series(SeriesConfig(), 1e-3, 0.5, 0.3, -1e-2, 0.0)
+
     def test_rejects_bad_arguments(self):
         cfg = SeriesConfig()
-        with pytest.raises(ValueError):
-            u_series(cfg, 1.0, 0.0, 0.0, -1.0, 0.0)
+        # tau < 0 is in the domain: at alpha = beta = 0, u is rho_hat itself
+        got = u_series(cfg, 1.0, 0.0, 0.0, -1.0, 0.0)
+        assert got.value == pytest.approx(rho_hat(KernelParams(s=1.0, tau=-1.0), 0.0, 0.0), rel=1e-14)
         with pytest.raises(ValueError):
             u_series(cfg, -1.0, 0.0, 0.0, 1.0, 0.0)
 
@@ -112,8 +119,11 @@ class TestUSeries:
         cfg = SeriesConfig()
         with pytest.raises(ValueError, match="s must be finite, got nan"):
             func(cfg, math.nan, 0.0, 0.0, 1.0, 0.0)
-        with pytest.raises(ValueError, match="tau > 0"):
+        with pytest.raises(ValueError, match="tau must be finite"):
             func(cfg, 1.0, 0.0, 0.0, np.array([1.0, math.nan]), 0.0)
+        # u carries exp(-i*alpha*beta/tau), so tau = 0 is out, by name
+        with pytest.raises(ValueError, match=r"requires tau != 0, got tau=\[-1\.  0\.\]"):
+            func(cfg, 1.0, 0.0, 0.0, np.array([-1.0, 0.0]), 0.0)
         with pytest.raises(ValueError, match=r"gamma must be finite, got \(nan\+0j\)"):
             func(cfg, 1.0, 0.0, 0.0, 1.0, complex(math.nan, 0.0))
         with pytest.raises(ValueError, match="gamma must be finite"):
@@ -203,6 +213,29 @@ class TestRhoHatSeries:
         with pytest.raises(ValueError):
             rho_hat_series(SeriesConfig(), 0.0, 0.0, 0.0, 1.0, 0.0)
 
+    def test_parity_in_tau(self):
+        # tau -> -tau with gamma -> -conj(gamma) conjugates the ratio, the prefactor's exponent and the phase
+        # exactly, so the values are exact conjugates: compared by value, as the signs of zeros may differ
+        coords = (-3.0, -1.0, 0.0, 1.0, 3.0)
+        s, tau, gamma, a, b = (g.ravel() for g in np.meshgrid(
+            (0.5, 1.0, 2.0), (0.5, 1.0, 3.0), (0.0, 1.0, 1j, 0.3 - 0.2j), coords, coords, indexing="ij"))
+        cfg = SeriesConfig()
+        mirror = rho_hat_series(cfg, s, a, b, -tau, -np.conj(gamma))
+        assert np.array_equal(mirror, np.conj(rho_hat_series(cfg, s, a, b, tau, gamma)))
+
+    @pytest.mark.parametrize("s_tau", (1e6, 1e12, 1e17))
+    def test_box_b_negative_tau_at_the_long_time_limit(self, s_tau):
+        # gamma = +1 at tau = -0.5, where the series prefactor is exactly sqrt(2*pi): the series against
+        # rho_hat and against its s -> inf limit sqrt(2)*exp(-(alpha^2+beta^2)/(2|tau|) + i*alpha*beta/tau),
+        # each within 1e-14 relative
+        tau = -0.5
+        a, b = np.array([0.0, 1.0, 1.0, -0.7, 0.4]), np.array([0.0, 1.0, 0.5, 0.3, -1.0])
+        got = rho_hat_series(SeriesConfig(), s_tau / abs(tau), a, b, tau, 1.0)
+        closed = rho_hat(KernelParams(s=s_tau / abs(tau), tau=tau, gamma=1.0), a, b)
+        limit = math.sqrt(2.0) * np.exp(-(a * a + b * b) / (2 * abs(tau)) + 1j * a * b / tau)
+        assert np.max(np.abs(got - closed) / np.abs(closed)) <= 1e-14
+        assert np.max(np.abs(got - limit) / np.abs(limit)) <= 1e-14
+
 
 class TestMehler:
     def test_small_s_limit(self):
@@ -263,6 +296,16 @@ class TestMehler:
         assert truncation_tail_bound(0.9, mehler_terms(0.9) - 2) < 1e-14
         with pytest.raises(ValueError):
             mehler_terms(np.array([0.5, 1.0]))
+
+    def test_degree_past_the_ceiling_raises(self):
+        # S = 0.995 needs 7375 terms, under the 8000-degree ceiling; S = 0.999 needs degree 38553, past it,
+        # where a capped sum would miss the closed form by ~1e-6 with no sign
+        assert mehler_terms(0.995) == 7375
+        message = "degree 38553 needed, past the ceiling 8000, at S = exp.* up to 0.999$"
+        with pytest.raises(SeriesConvergenceError, match=message):
+            mehler_terms(np.array([0.5, 0.999]))
+        with pytest.raises(SeriesConvergenceError, match=message):
+            mehler_sum(0.999, 0.3, -0.2)
 
 
 _COORD = st.floats(-3.0, 3.0)
