@@ -190,7 +190,8 @@ def _emit_report(report: dict, out: str | None) -> int:
     """Print one line per check, write the report to out when given, map it to an exit code."""
     for check in report["checks"]:
         status = "pass" if check["passed"] else "FAIL"
-        print(f"[{status}] {check['check']}: worst={check['worst']} tolerance={check['tolerance']}")
+        error = f" error={check['error']}" if "error" in check else ""
+        print(f"[{status}] {check['check']}: worst={check['worst']} tolerance={check['tolerance']}{error}")
     verdict = f"suite {report['suite']}: {'pass' if report['passed'] else 'FAIL'}"
     if out is not None:
         _atomic_write_text(out, json.dumps(report, indent=2) + "\n")

@@ -297,8 +297,8 @@ def _exp_kernel(params: KernelParams, const, envelope, twist, forms, *args):
     Where a far-tail square overflows to inf and leaves a NaN, a zero
     coefficient contributes 0 and a decay of +inf gives -inf; an infinite
     phase at a finite decay is KernelOverflowError, and so, after every
-    block, is a value past the double range, whose message reads the call's
-    largest const - envelope*sq.
+    block, is a value past the double range, whose message reads the largest
+    const - envelope*sq in the buffers of the blocks that overflowed.
     """
     shape = np.broadcast_shapes(*map(np.shape, (const, envelope, twist)), *(np.shape(a)[:-1] for a in args))
     out = np.empty(shape, dtype=complex)
@@ -310,8 +310,8 @@ def _exp_kernel(params: KernelParams, const, envelope, twist, forms, *args):
     inputs = (const, envelope, twist, *args)
     cut = [np.ndim(v) == rows.ndim + (k > 2) and np.shape(v)[0] != 1 for k, v in enumerate(inputs)]
 
-    def block(span) -> bool:
-        """Fill rows[lo:hi] for span (lo, hi); True when a value there is past the double range."""
+    def block(span):
+        """Fill rows[lo:hi] for span (lo, hi); past the double range, return the block's largest const - envelope*sq."""
         part = slice(*span)
         buf = rows[part]
         c, e, tw, *block_args = (v[part] if cut_v else v for v, cut_v in zip(inputs, cut))
@@ -325,8 +325,8 @@ def _exp_kernel(params: KernelParams, const, envelope, twist, forms, *args):
             nan = np.isnan(buf)
             if nan.any():
                 c, e, q, tw, cr = (np.broadcast_to(v, buf.shape)[nan] for v in (c, e, sq, tw, cross))
-                decay = np.where(e == 0, 0.0, e * q)
-                settled = np.where(decay == np.inf, -np.inf, c - decay + np.where(tw == 0, 0.0, tw * cr))
+                eq = np.where(e == 0, 0.0, e * q)
+                settled = np.where(eq == np.inf, -np.inf, c - eq + np.where(tw == 0, 0.0, tw * cr))
                 if np.isnan(settled).any():
                     raise _overflow("the kernel's phase twist*cross", params)
                 buf[nan] = settled
@@ -334,15 +334,13 @@ def _exp_kernel(params: KernelParams, const, envelope, twist, forms, *args):
             with np.errstate(over="raise"):
                 np.exp(buf, out=buf)
         except FloatingPointError:
-            return True
-        return False
+            return np.fmax.reduce(decay, axis=None)
+        return None
 
     # every block runs before an overflow is raised, so a later block's phase error comes first
-    overflowed = [block(span) for span in zip(bounds, bounds[1:])]
-    if any(overflowed):
-        with np.errstate(over="ignore", invalid="ignore"):
-            peak = np.nanmax(np.real(const) - envelope * forms(*args)[0])
-        raise _overflow(f"kernel value (log|value| up to {peak:.6g})", params)
+    peaks = [peak for peak in map(block, zip(bounds, bounds[1:])) if peak is not None]
+    if peaks:
+        raise _overflow(f"kernel value (log|value| up to {np.fmax.reduce(peaks):.6g})", params)
     return complex(out) if out.ndim == 0 else out
 
 

@@ -23,7 +23,8 @@ with S = exp(-s*|tau|/2), a = alpha/sqrt|tau|, b = beta/sqrt|tau|: the sum on
 the left of Mehler's formula (:func:`mehler_sum`, w = -i*S).  One routine sums
 both, elementwise over broadcast arrays, to one degree M per call taken in
 closed form from the tail bound pi**(-1/2) * S**(M+1) / (1-S); terms are added
-in ascending order with compensated (Kahan) summation.
+in ascending order with compensated (Kahan) summation.  At S = 1 (s*|tau|
+below ~1e-16) that bound never falls: SeriesConvergenceError.
 """
 
 from __future__ import annotations
@@ -82,19 +83,22 @@ class UValue:
 
 
 def _truncation_degree(decay, tail_tol, weight, max_degree: int) -> int:
-    """One degree M for the whole array: max_degree where S = 1, else the least that meets the bound.
+    """One degree M for the whole array, the least that meets the bound.
 
     weight * truncation_tail_bound(S, M) < tail_tol solved for M in closed
-    form and rounded up, which leaves a degree of margin.  Where an S < 1
-    needs a degree past max_degree, SeriesConvergenceError names both.
+    form and rounded up, which leaves a degree of margin (0 where the
+    quotient passes the double range).  S = 1, where the bound never falls,
+    or an S < 1 needing a degree past max_degree is SeriesConvergenceError.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
+    if (decay == 1.0).any():
+        raise SeriesConvergenceError("S = exp(-s*|tau|/2) is 1 (s*|tau| below ~1e-16), where the tail bound never falls")
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ratio = np.log(tail_tol * (1.0 - decay) / (weight * _SQRT_PI_INV)) / np.log(decay)
-    needed = np.max(np.where(decay < 1.0, np.fmax(np.ceil(ratio), 0.0), 0.0))
+    needed = np.max(np.fmax(np.ceil(ratio), 0.0))
     if needed > max_degree:
         raise SeriesConvergenceError(f"degree {needed:.0f} needed, past the ceiling {max_degree}, at "
-                                     f"S = exp(-s*|tau|/2) up to {np.max(decay, where=decay < 1.0, initial=0.0):.6g}")
-    return max_degree if (decay == 1.0).any() else int(needed)
+                                     f"S = exp(-s*|tau|/2) up to {np.max(decay):.6g}")
+    return int(needed)
 
 
 def _hermite_product_sum(ratio, x, y, degree: int) -> np.ndarray:
@@ -125,12 +129,10 @@ def u_series(
 
     Sums to the degree M (one past the first) at which the geometric tail
     bound |prefactor| * truncation_tail_bound(S, M), S = exp(-s*|tau|/2), is
-    below ``config.tail_tol`` for every element, and raises
-    SeriesConvergenceError when M would exceed ``config.max_terms``.  Where
-    S = 1 (s = 0) the bound degenerates; the full budget is summed and
-    convergence is estimated a posteriori from the half-budget partial sum,
-    raising SeriesConvergenceError when even that estimate misses the
-    tolerance.  terms_used is M + 1; tail_bound the largest bound or estimate.
+    below ``config.tail_tol`` for every element; terms_used is M + 1 and
+    tail_bound the largest bound.  M past ``config.max_terms``, or S = 1 (s =
+    0 or s*|tau| below ~1e-16, where the expansion converges only
+    distributionally), is SeriesConvergenceError before any term is summed.
     s, tau and gamma follow the kernels' rules (KernelParams); tau = 0, where
     u's phase is undefined, or a NaN or infinite alpha or beta is a ValueError
     naming it; a prefactor past the double range is KernelOverflowError.
@@ -148,18 +150,9 @@ def u_series(
     if not np.isfinite(pref).all():
         raise _overflow("the series prefactor sqrt(2*pi)*exp(-(sign(tau)+gamma)*s*tau/4)", params)
     decay = np.exp(-0.5 * s * np.abs(tau))
-    ratio = -1j * np.sign(tau) * decay
     degree = _truncation_degree(decay, config.tail_tol, np.abs(pref), config.max_terms)
-    total = _hermite_product_sum(ratio, x, y, degree)
-    if (decay == 1.0).any():
-        tail = np.max(np.abs(pref * (total - _hermite_product_sum(ratio, x, y, degree // 2))))
-    else:
-        tail = np.max(np.abs(pref) * truncation_tail_bound(decay, degree))
-    if not tail < config.tail_tol:
-        raise SeriesConvergenceError(
-            f"tail bound {tail:.3e} >= tail_tol {config.tail_tol:.3e} after {degree + 1} terms "
-            f"(smallest s*|tau| {np.min(s * np.abs(tau)):.3e}; at s = 0 convergence is only distributional)"
-        )
+    total = _hermite_product_sum(-1j * np.sign(tau) * decay, x, y, degree)
+    tail = np.max(np.abs(pref) * truncation_tail_bound(decay, degree))
     return UValue(value=(pref * total)[()], terms_used=degree + 1, tail_bound=float(tail))
 
 

@@ -711,13 +711,18 @@ def build_report(suite: str, runners: dict) -> dict:
     """Run each check runner, timed, and assemble the JSON-ready report.
 
     runners maps a name to a callable returning a list of check entries;
-    each name gets its wall time in elapsed_s.
+    each name gets its wall time in elapsed_s.  A runner that raises a
+    ValueError or RuntimeError is one failed check, <name>-raised, holding
+    the error; the runners after it still run.
     """
     checks = []
     elapsed = {}
     for key, runner in runners.items():
         start = time.perf_counter()
-        checks.extend(runner())
+        try:
+            checks.extend(runner())
+        except (ValueError, RuntimeError) as exc:
+            checks.append(_check(f"{key}-raised", None, None, passed=False, error=f"{type(exc).__name__}: {exc}"))
         elapsed[key] = time.perf_counter() - start
     return {
         "suite": suite,

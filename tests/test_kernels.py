@@ -1372,6 +1372,20 @@ class TestBlockedExponent:
             with pytest.raises(KernelOverflowError, match=r"log\|value\| up to 748\.845\)"):
                 heat_kernel_h(KernelParams(1.0, 1.0, -3000.0), 0.0, 0.0, x, np.zeros(9))
 
+    def test_overflow_holds_no_whole_call_temporary(self):
+        # log|value| up to 2250.35 on 1024^2 points: the message reads each block's own buffer, so the
+        # failing call peaks at its 16 MiB output and a few block-sized temporaries, as a passing one
+        # does (a second pass of the forms over the whole call peaked at 32.1 MiB)
+        alpha = np.linspace(-3.0, 3.0, 1024)
+        tracemalloc.start()
+        try:
+            with pytest.raises(KernelOverflowError, match=r"log\|value\| up to 2250\.35\)"):
+                rho_hat(KernelParams(1000.0, 1.0, -10.0), alpha[:, np.newaxis], alpha)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1024 * 1024 * 16 + 2**20
+
     @pytest.mark.parametrize("block", BLOCKS)
     @pytest.mark.parametrize("gamma", (0.0, -3000.0))
     def test_phase_error_in_a_later_block(self, block, gamma):

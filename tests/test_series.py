@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -74,13 +75,54 @@ class TestUSeries:
         got = u_series(cfg, 1.0, 0.0, 0.0, 1.0, 0.0)
         assert got.value == pytest.approx(oracles.RHO_HAT_S1_TAU1_ORIGIN, rel=1e-12)
 
-    def test_s_zero_partial_sum_moderate_accuracy(self):
-        # at s = 0 the expansion converges only distributionally; the partial
-        # sum still tracks e^{-i alpha beta / tau} at coarse tolerance
-        cfg = SeriesConfig(max_terms=500, tail_tol=0.2)
-        for alpha, beta, tau in ((0.0, 0.0, 1.0), (0.5, 0.3, 1.0), (-0.4, 0.8, 2.0)):
-            got = u_series(cfg, 0.0, alpha, beta, tau, 0.0)
-            assert abs(got.value - cmath.exp(-1j * alpha * beta / tau)) < 0.2
+    @pytest.mark.parametrize("call", (
+        lambda: u_series(SeriesConfig(), 0.0, 45.0, 0.3, 1.0),
+        lambda: rho_hat_series(SeriesConfig(), 1e-17, 45.0, 0.3, 1.0),
+        lambda: u_series(SeriesConfig(), 1e-17, 0.5, 0.3, -1.0),
+        lambda: u_series(SeriesConfig(max_terms=500, tail_tol=0.2), np.array([0.0, 1.0]), 0.5, 0.3, 1.0),
+    ), ids=("s-zero", "s-tau-1e-17", "s-tau-1e-17-negative-tau", "one-s-zero-element"))
+    def test_s_one_raises_before_summing(self, monkeypatch, call):
+        # S = exp(-s*|tau|/2) rounds to 1 below s*|tau| ~ 1e-16, where the tail bound never falls: an
+        # S = 1 partial sum once returned 0j with tail_bound 0.0 at alpha = 45, where rho_hat is ~1
+        monkeypatch.setattr("heisenheat.series.hermite_values", lambda *args: pytest.fail("summed"))
+        with pytest.raises(SeriesConvergenceError, match=r"^S = exp\(-s\*\|tau\|/2\) is 1 \(s\*\|tau\| below ~1e-16\)"):
+            call()
+
+    def test_subnormal_prefactor_warns_nothing(self):
+        # the prefactor ~5e-323 puts tail_tol*(1-S)/prefactor past the double range: degree 0, no
+        # overflow warning, and the value rho_hat gives
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = rho_hat_series(SeriesConfig(), 10.0, 0.0, 0.0, 297.0, 0.0)
+            u = u_series(SeriesConfig(), 10.0, 0.0, 0.0, 297.0, 0.0)
+        assert got == rho_hat(KernelParams(10.0, 297.0), 0.0, 0.0) == 5e-323
+        assert u.terms_used == 1 and u.tail_bound < SeriesConfig().tail_tol
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        s_tau=st.floats(-18.0, 4.0).map(lambda e: 0.0 if e < -17.5 else 10.0 ** e),
+        tau=st.tuples(st.sampled_from((-1.0, 1.0)), st.floats(-3.0, 2.3)).map(lambda t: t[0] * 10.0 ** t[1]),
+        log_pref=st.one_of(st.floats(-760.0, 720.0), st.floats(-750.0, -700.0)),
+        gamma_imag=st.floats(-60.0, 60.0),
+        alpha=st.floats(-5.0, 5.0),
+        beta=st.floats(-5.0, 5.0),
+        tail_tol=st.floats(1e-16, 0.5),
+    )
+    def test_bound_is_met_or_the_call_raises(self, s_tau, tau, log_pref, gamma_imag, alpha, beta, tail_tol):
+        # the degree rule alone keeps the tail bound below tail_tol.  Re gamma sets log|prefactor| =
+        # log sqrt(2 pi) - (sign(tau) + Re gamma)*s*tau/4 to log_pref where s > 0, from past the double
+        # range through subnormal values to 0: a value within the bound or a named error, and no warning
+        s = s_tau / abs(tau)
+        gamma_real = 0.0 if s == 0 else -np.sign(tau) - 4.0 * (log_pref - 0.5 * math.log(2 * math.pi)) / (s * tau)
+        config = SeriesConfig(tail_tol=tail_tol)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                got = u_series(config, s, alpha, beta, tau, complex(gamma_real, gamma_imag))
+            except (SeriesConvergenceError, KernelOverflowError):
+                return
+        assert got.tail_bound < tail_tol
+        assert 1 <= got.terms_used <= config.max_terms + 1
 
     def test_s_zero_tight_tolerance_signals_nonconvergence(self):
         cfg = SeriesConfig(max_terms=300, tail_tol=1e-10)
@@ -350,18 +392,6 @@ class TestArrayValued:
         assert together.shape == big_s.shape
         for k, point in enumerate(points):
             assert abs(together[k] - mehler_sum(*point)) <= 1e-12
-
-    def test_s_zero_element_takes_the_whole_budget(self):
-        # one S = 1 element puts the whole array on the s = 0 rule
-        cfg = SeriesConfig(max_terms=500, tail_tol=0.2)
-        together = u_series(cfg, np.array([0.0, 1.0]), 0.5, 0.3, 1.0, 0.0)
-        assert together.terms_used == 501
-        alone = u_series(cfg, 0.0, 0.5, 0.3, 1.0, 0.0)
-        assert together.tail_bound == alone.tail_bound
-        assert abs(together.value[0] - alone.value) <= 1e-12
-        # the s = 1 element is summed far past its own 0.2 tolerance
-        tight = u_series(SeriesConfig(), 1.0, 0.5, 0.3, 1.0, 0.0)
-        assert abs(together.value[1] - tight.value) <= 1e-12
 
     def test_rho_hat_series_broadcasts(self):
         cfg = SeriesConfig()

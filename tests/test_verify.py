@@ -577,6 +577,33 @@ class TestSuiteRunner:
         report = json.loads(out.read_text())
         assert {c["check"] for c in report["checks"] if not c["passed"]} == set().union(*failing.values())
 
+    def test_a_suite_that_raises_is_one_failed_check(self, monkeypatch, tmp_path, capsys):
+        # gamma + n for gamma + n*sign(tau): the tau < 0 Box_b rows of the series and inversion panels
+        # overflow, and each of those suites is one failed <suite>-raised entry; the other suites still
+        # run, and verify exits 1 with the report written
+        monkeypatch.setattr(kernels, "_linear_exponent", lambda p: -(p.s * p.tau / 4.0) * (p.gamma + p.n))
+        out = tmp_path / "verify_all.json"
+        assert cli.main(["verify", "--suite", "all", "--report", str(out)]) == cli.EXIT_SUITE_FAILURE
+        assert "[FAIL] inversion-raised: worst=None tolerance=None error=KernelOverflowError: kernel value" in (
+            capsys.readouterr().out
+        )
+        report = json.loads(out.read_text())
+        raised = {c["check"]: c for c in report["checks"] if c["check"].endswith("-raised")}
+        assert list(raised) == ["series-raised", "inversion-raised"]
+        for entry in raised.values():
+            assert entry["worst"] is None and entry["tolerance"] is None and entry["passed"] is False
+            assert entry["error"].startswith("KernelOverflowError: kernel value (log|value| up to ")
+        others = [c["check"] for c in report["checks"] if c["check"] not in raised]
+        assert others == [c["check"] for key in ("hermite", "pde", "semigroup") for c in verify.run_suite(key)["checks"]]
+        assert list(report["elapsed_s"]) == ["hermite", "series", "pde", "inversion", "semigroup"]
+
+    def test_other_errors_still_propagate(self):
+        def runner():
+            raise TypeError("not a numerical failure")
+
+        with pytest.raises(TypeError, match="not a numerical failure"):
+            verify.build_report("custom", {"custom": runner})
+
     def test_pde_suite_is_one_kernel_call_per_probe_dimension(self, monkeypatch):
         calls = _count_calls(monkeypatch, verify, ("rho_hat", "rho_tilde", "heat_kernel_h"))
         report = verify.run_suite("pde")
